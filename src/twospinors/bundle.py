@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import FourSpinor, gamma, slash, tau
+from .clifford import FourSpinor, gamma, slash, spinor_norms, tau
 from .errors import BadMass, InvalidClassRep, NotInFiber
 from .momentum import MassShellPoint, Momentum, _require_on_shell, act_momentum, boost_rep
 from .spinor import CoSpinor2, SL2Element, Spinor2, conjugate
@@ -32,6 +32,8 @@ __all__ = [
     "FIBER_TOL",
     "SPLUS_TOL",
     "fiber_residual",
+    "fiber_residuals",
+    "fiber_bound",
     "fiber_projector",
     "rest_fiber_basis",
     "fiber_basis",
@@ -49,10 +51,26 @@ FIBER_TOL = 1e-9
 SPLUS_TOL = 1e-10
 
 
+def fiber_residuals(p, psi, m: float) -> np.ndarray:
+    """Norms of slash(p) psi - m psi for stacked (..., 4) momentum coordinates
+    and (..., 4) 4-spinor coefficients; the kernel under fiber_residual.
+
+    Each row equals np.linalg.norm(slash(p) @ psi - m * psi) bit for bit.
+    """
+    psi = np.asarray(psi, dtype=complex)
+    return spinor_norms(np.matvec(slash(p), psi) - m * psi)
+
+
 def fiber_residual(q: MassShellPoint, psi: FourSpinor) -> float:
     """Norm of slash(q.p) psi - m psi, the defining equation of the bundle."""
-    v = psi.vec
-    return float(np.linalg.norm(slash(q.p) @ v - q.m * v))
+    return float(fiber_residuals(q.p, psi.vec, q.m))
+
+
+def fiber_bound(tol: float, m: float, psi_norm):
+    """Largest accepted fiber residual of a spinor of norm psi_norm over the
+    shell of mass m: tol * max(1, m) * psi_norm, so the test stays meaningful
+    under large boosts."""
+    return tol * max(1.0, m) * psi_norm
 
 
 def _splus_defect(psi: FourSpinor) -> float:
@@ -69,7 +87,7 @@ class FiberElement:
 
     def __post_init__(self):
         r = fiber_residual(self.q, self.psi)
-        bound = FIBER_TOL * max(1.0, self.q.m) * self.psi.norm()
+        bound = fiber_bound(FIBER_TOL, self.q.m, self.psi.norm())
         if r > bound:
             raise NotInFiber(f"fiber residual {r:.3e} exceeds {bound:.3e}")
 
@@ -161,7 +179,7 @@ def beta_inv(f: FiberElement) -> AssociatedClassRep:
     unitary factor.
     """
     r = fiber_residual(f.q, f.psi)
-    bound = FIBER_TOL * max(1.0, f.q.m) * f.psi.norm()
+    bound = fiber_bound(FIBER_TOL, f.q.m, f.psi.norm())
     if r > bound:
         raise NotInFiber(f"fiber residual {r:.3e} exceeds {bound:.3e}")
     A = boost_rep(f.q)

@@ -26,11 +26,14 @@ import numpy as np
 from .bitensor import ETA, lorentz_of
 from .bundle import (
     AssociatedClassRep,
+    fiber_basis,
+    fiber_bound,
     fiber_residual,
+    fiber_residuals,
     rest_fiber_basis,
     split_conjugate_pair,
 )
-from .clifford import FourSpinor, gamma, tau
+from .clifford import gamma, spinor_norms, tau_matrices
 from .errors import (
     BadMass,
     BadStep,
@@ -41,7 +44,7 @@ from .errors import (
     NumericalDrift,
     InvalidClassRep,
 )
-from .momentum import boost_rep, shell_point
+from .momentum import accepted_boosts, boost_matrices, boost_rep, shell_momenta, shell_point
 from .planewave import planewave_residual
 from .spinor import SL2Element
 from .verify import CONVENTIONS, run_verification
@@ -62,10 +65,14 @@ SCHEMA_VERSION = 1
 
 # ---------------------------------------------------------------------------
 # Deterministic serialization: every float is rendered with %.17g so that
-# identical inputs produce byte-identical output.
+# identical inputs produce byte-identical output.  JSON has no inf or nan, so
+# a non-finite value is refused rather than written.
 
 def _g17(x: float) -> str:
-    return "%.17g" % float(x)
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"cannot write the non-finite number {x!r}")
+    return "%.17g" % x
 
 
 def _jdump(obj) -> str:
@@ -83,6 +90,36 @@ def _jdump(obj) -> str:
     if isinstance(obj, (float, np.floating)):
         return _g17(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+# One sample-field record, laid out exactly as _jdump lays out the dict that
+# field_records yields, with the 21 floats, the basis index and the flag
+# filled in by a single %-format.
+_PAIR = "[%.17g, %.17g]"
+_RECORD = (
+    '{"record": "sample", "p": [%.17g, %.17g, %.17g, %.17g], "basis_index": %d, '
+    '"psi": [' + ", ".join([_PAIR] * 4) + '], '
+    '"s": [' + ", ".join([_PAIR] * 2) + '], '
+    '"sbar": [' + ", ".join([_PAIR] * 2) + '], '
+    '"residual": %.17g, "ok": %s}'
+)
+
+
+def _record_line(rec: dict) -> str:
+    """_jdump(rec) for a sample-field record, by one fixed-schema format."""
+    (a, b), (c, d), (e, f), (g, h) = rec["psi"]
+    (s1, s2), (s3, s4) = rec["s"]
+    (t1, t2), (t3, t4) = rec["sbar"]
+    line = _RECORD % (
+        *rec["p"], rec["basis_index"], a, b, c, d, e, f, g, h,
+        s1, s2, s3, s4, t1, t2, t3, t4, rec["residual"],
+        "true" if rec["ok"] else "false",
+    )
+    # The template's own text holds neither word, so either one is a
+    # non-finite number that %.17g rendered.
+    if "inf" in line or "nan" in line:
+        raise ValueError(f"cannot write a record with a non-finite number: {line}")
+    return line
 
 
 def _pairs(z) -> list:
@@ -231,15 +268,14 @@ def _cmd_verify(args) -> int:
 def _solve_payload(m: float, p1: float, p2: float, p3: float, tol: float) -> dict:
     q = shell_point(m, p1, p2, p3)
     A = boost_rep(q)
-    t = tau(A)
     solutions = []
-    for v in rest_fiber_basis():
-        psi = FourSpinor.from_vec(t @ v.vec)
+    for psi in fiber_basis(q):
+        residual = fiber_residual(q, psi)
         solutions.append(
             {
                 "psi": _pairs(psi.vec),
-                "residual": fiber_residual(q, psi),
-                "ok": fiber_residual(q, psi) <= tol * max(1.0, m) * psi.norm(),
+                "residual": residual,
+                "ok": residual <= fiber_bound(tol, m, psi.norm()),
             }
         )
     return {
@@ -266,9 +302,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_planewave_check(args) -> int:
     q = shell_point(args.mass, *args.p)
-    t = tau(boost_rep(q))
-    v = rest_fiber_basis()[args.branch]
-    psi = FourSpinor.from_vec(t @ v.vec)
+    psi = fiber_basis(q)[args.branch]
     residual = planewave_residual(q, psi, args.point, args.step, analytic=args.analytic)
     payload = {
         "header": _header(tol=args.tol),
@@ -308,6 +342,14 @@ def field_records(m: float, grid: tuple[int, float, float], seed: int, tol: floa
     Nodes are the Cartesian cube of the axis values (C order); with
     rapidity=True the axis values are mapped through m*sinh before use so
     the grid is uniform in rapidity instead of momentum.
+
+    Records are built one plane of nodes (one p1 value) at a time on stacked
+    arrays, with the same arithmetic as shell_point, boost_rep, tau and
+    fiber_residual, so memory stays O(n^2).  At the first node those
+    functions would reject, the records before it have been yielded and the
+    scalar path is run on that node to raise its typed error.  The two
+    records of a node share their "p" list and all records share the "s" and
+    "sbar" lists; treat records as read-only.
     """
     n, lo, hi = grid
     axis = np.linspace(lo, hi, n)
@@ -329,26 +371,46 @@ def field_records(m: float, grid: tuple[int, float, float], seed: int, tol: floa
 
     def records():
         basis = rest_fiber_basis()
+        rest = np.array([v.vec for v in basis])
+        # The split of a class (A, v) depends only on v, so the rest class
+        # (Id, v) gives every node's s and sbar.
+        pairs = [split_conjugate_pair(AssociatedClassRep(SL2Element.identity(), v, m)) for v in basis]
+        split = [(_pairs(pair.s.vec), _pairs(pair.sbar.vec)) for pair in pairs]
+        p2, p3 = (c.ravel() for c in np.meshgrid(axis, axis, indexing="ij"))
         for p1 in axis:
-            for p2 in axis:
-                for p3 in axis:
-                    q = shell_point(m, float(p1), float(p2), float(p3))
-                    A = boost_rep(q)
-                    t = tau(A)
-                    for k, v in enumerate(basis):
-                        psi = FourSpinor.from_vec(t @ v.vec)
-                        pair = split_conjugate_pair(AssociatedClassRep(A, v, m))
-                        residual = fiber_residual(q, psi)
-                        yield {
-                            "record": "sample",
-                            "p": _reals(q.p.coords),
-                            "basis_index": k,
-                            "psi": _pairs(psi.vec),
-                            "s": _pairs(pair.s.vec),
-                            "sbar": _pairs(pair.sbar.vec),
-                            "residual": residual,
-                            "ok": residual <= tol * max(1.0, m) * psi.norm(),
-                        }
+            # Rejected nodes may overflow; they never reach a record.
+            with np.errstate(all="ignore"):
+                p = shell_momenta(m, p1, p2, p3)
+                A, tr = boost_matrices(p, m)
+                accepted = accepted_boosts(p, m, A, tr)
+                psi = np.matvec(tau_matrices(A)[:, None], rest)
+                residual = fiber_residuals(p[:, None], psi, m)
+                ok = residual <= fiber_bound(tol, m, spinor_norms(psi))
+            good = len(p) if accepted.all() else int(np.argmin(accepted))
+            rows = zip(
+                p[:good].tolist(),
+                np.stack([psi.real, psi.imag], axis=-1)[:good].tolist(),
+                residual[:good].tolist(),
+                ok[:good].tolist(),
+            )
+            for coords, node_psi, node_residual, node_ok in rows:
+                for k, (s, sbar) in enumerate(split):
+                    yield {
+                        "record": "sample",
+                        "p": coords,
+                        "basis_index": k,
+                        "psi": node_psi[k],
+                        "s": s,
+                        "sbar": sbar,
+                        "residual": node_residual[k],
+                        "ok": node_ok[k],
+                    }
+            if good < len(p):
+                boost_rep(shell_point(m, float(p1), float(p2[good]), float(p3[good])))
+                raise NumericalDrift(
+                    f"stacked checks rejected the node p = {p[good].tolist()} "
+                    "that the scalar path accepts"
+                )
 
     return header, records()
 
@@ -358,6 +420,7 @@ def _cmd_sample_field(args) -> int:
     header, records = field_records(
         args.mass, grid, seed=args.seed, tol=args.tol, rapidity=args.rapidity
     )
+    first_line = _jdump(header) + "\n"
     try:
         out = open(args.out, "w", encoding="utf-8", newline="\n")
     except OSError as exc:
@@ -366,9 +429,9 @@ def _cmd_sample_field(args) -> int:
     count = 0
     flagged = 0
     with out:
-        out.write(_jdump(header) + "\n")
+        out.write(first_line)
         for rec in records:
-            out.write(_jdump(rec) + "\n")
+            out.write(_record_line(rec) + "\n")
             count += 1
             flagged += 0 if rec["ok"] else 1
     summary = {

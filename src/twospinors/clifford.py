@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bitensor import BiTensor, MinkowskiVec, from_minkowski, h_form, pi_act, world_basis
+from .bitensor import BiTensor, h_form, pi_act, world_basis
 from .spinor import CoSpinor2, SL2Element, Spinor2, eps, eps_bar
 
 __all__ = [
@@ -29,6 +29,8 @@ __all__ = [
     "gamma",
     "slash",
     "tau",
+    "tau_matrices",
+    "spinor_norms",
     "anticommutator_defect",
     "equivariance_defect",
 ]
@@ -72,6 +74,18 @@ class FourSpinor:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.vec))
+
+
+def spinor_norms(v) -> np.ndarray:
+    """Euclidean norms of stacked (..., n) complex coefficient vectors.
+
+    Sums the squared real parts, then the squared imaginary parts, through
+    the same dot-product kernel np.linalg.norm uses for one complex vector,
+    so each row equals np.linalg.norm of that row bit for bit.
+    """
+    v = np.asarray(v, dtype=complex)
+    re, im = v.real, v.imag
+    return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
 
 
 @lru_cache(maxsize=1)
@@ -140,7 +154,7 @@ def gamma(mu: int) -> np.ndarray:
 
 def _coords4(p) -> np.ndarray:
     c = p.coords if hasattr(p, "coords") else np.asarray(p, dtype=float)
-    if c.shape != (4,):
+    if c.shape[-1:] != (4,):
         raise ValueError(f"expected 4 coordinates, got shape {c.shape}")
     return c
 
@@ -148,21 +162,31 @@ def _coords4(p) -> np.ndarray:
 def slash(p) -> np.ndarray:
     """Contraction of a 4-vector with the gamma matrices.
 
-    Accepts a world vector, a momentum, or a plain length-4 sequence.
+    Accepts a world vector, a momentum, or a plain length-4 sequence, or a
+    stacked (..., 4) array of coordinates, giving (..., 4, 4) matrices.
     Squares to q_form(p) times the identity.
     """
     c = _coords4(p)
+    if c.ndim > 1:
+        c = np.moveaxis(c, -1, 0)[..., None, None]
     g = _gamma_table()
     return c[0] * g[0] + c[1] * g[1] + c[2] * g[2] + c[3] * g[3]
+
+
+def tau_matrices(a) -> np.ndarray:
+    """Stacked tau: (..., 2, 2) matrices to the (..., 4, 4) block-diagonal
+    actions with a on the spinor block and conj(a) on the conjugate block."""
+    a = np.asarray(a)
+    out = np.zeros(a.shape[:-2] + (4, 4), dtype=complex)
+    out[..., :2, :2] = a
+    out[..., 2:, 2:] = np.conj(a)
+    return out
 
 
 def tau(A: SL2Element) -> np.ndarray:
     """Block-diagonal action on 4-spinors: A on the spinor block, conj(A)
     on the conjugate block."""
-    out = np.zeros((4, 4), dtype=complex)
-    out[:2, :2] = A.mat
-    out[2:, 2:] = np.conj(A.mat)
-    return out
+    return tau_matrices(A.mat)
 
 
 def anticommutator_defect(X: BiTensor, Y: BiTensor) -> np.ndarray:
@@ -181,7 +205,3 @@ def equivariance_defect(A: SL2Element, X: BiTensor) -> np.ndarray:
     t, t_inv = tau(A), tau(A.inverse())
     return phi(pi_act(A, X)) - t @ phi(X) @ t_inv
 
-
-def _slash_minkowski(x: MinkowskiVec) -> np.ndarray:
-    # Equivalent route through the module map; used by consistency tests.
-    return phi(from_minkowski(x))

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitensor import from_minkowski, pi_act, q_form, to_minkowski, MinkowskiVec
+from .bitensor import from_minkowski, pi_act, q_form, to_minkowski, world_basis, MinkowskiVec
 from .errors import BadMass, Degenerate, NotOnShell
-from .spinor import SL2Element
+from .spinor import SL2_DET_TOL, SL2Element
 
 __all__ = [
     "Momentum",
@@ -25,7 +25,10 @@ __all__ = [
     "dualize",
     "undualize",
     "shell_point",
+    "shell_momenta",
     "boost_rep",
+    "boost_matrices",
+    "accepted_boosts",
     "act_momentum",
 ]
 
@@ -33,6 +36,12 @@ _SQRT2 = math.sqrt(2.0)
 
 # Relative dispersion tolerance for membership of the mass shell.
 SHELL_TOL = 1e-9
+
+# Smallest square-root denominator tr H + 2 the canonical boost accepts.
+_BOOST_DENOM_TOL = 1e-12
+
+_ID2 = np.eye(2)
+_ID2.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -108,10 +117,65 @@ def shell_point(m: float, p1: float, p2: float, p3: float) -> MassShellPoint:
     return MassShellPoint(Momentum(p0, p1, p2, p3), m)
 
 
+def shell_momenta(m: float, p1, p2, p3) -> np.ndarray:
+    """Stacked shell_point coordinates: broadcast spatial momenta to (..., 4)
+    rows (p0, p1, p2, p3), with p0 summed in the same order as shell_point.
+
+    Rows are not validated; accepted_boosts marks the ones shell_point accepts.
+    """
+    p0 = np.sqrt(((m * m + p1 * p1) + p2 * p2) + p3 * p3)
+    return np.stack(np.broadcast_arrays(p0, p1, p2, p3), axis=-1)
+
+
 def _require_on_shell(q: MassShellPoint) -> None:
     defect = _shell_defect(q.p, q.m)
     if defect > SHELL_TOL * max(1.0, q.m * q.m) or q.p.p0 <= 0:
         raise NotOnShell(f"point left the forward shell (defect {defect:.3e})")
+
+
+def boost_matrices(p, m: float) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical boosts of stacked momenta, the kernel under boost_rep.
+
+    Maps (..., 4) coordinates to the (..., 2, 2) matrices (H + Id) / sqrt(tr H + 2)
+    and the traces tr H, where H = sqrt(2) * (p0 u0 + p1 u1 + p2 u2 + p3 u3) / m
+    is summed in the order from_minkowski uses, so every row equals the
+    scalar result bit for bit.  Rows are not validated.
+    """
+    x = np.asarray(p, dtype=float)
+    if x.ndim > 1:
+        x = np.moveaxis(x, -1, 0)[..., None, None]
+    u = world_basis()
+    H = _SQRT2 * (x[0] * u[0].t + x[1] * u[1].t + x[2] * u[2].t + x[3] * u[3].t) / m
+    tr = (H[..., 0, 0] + H[..., 1, 1]).real
+    return (H + _ID2) / np.sqrt(tr + 2.0)[..., None, None], tr
+
+
+def accepted_boosts(p: np.ndarray, m: float, A: np.ndarray, tr: np.ndarray) -> np.ndarray:
+    """Mask of the rows of shell_momenta / boost_matrices output on which
+    shell_point and boost_rep succeed.
+
+    Repeats their checks (finite momentum, forward shell, square-root
+    denominator, finite unimodular result) on whole arrays, so that a rejected
+    row can be handed to the scalar path for its typed error.  The shell and
+    determinant defects are evaluated as the scalar checks evaluate them on
+    numpy scalars: squares by pow, and complex products in real arithmetic
+    without fused multiply-adds, which numpy's array loops may use.
+    """
+    if not (math.isfinite(m) and m > 0):
+        return np.zeros(p.shape[:-1], dtype=bool)
+    sq = np.float_power(p, 2)
+    shell = np.abs((((sq[..., 0] - sq[..., 1]) - sq[..., 2]) - sq[..., 3]) - m * m)
+    a, b, c, d = A[..., 0, 0], A[..., 1, 1], A[..., 0, 1], A[..., 1, 0]
+    det_re = (a.real * b.real - a.imag * b.imag) - (c.real * d.real - c.imag * d.imag)
+    det_im = (a.real * b.imag + a.imag * b.real) - (c.real * d.imag + c.imag * d.real)
+    return (
+        np.isfinite(p).all(axis=-1)
+        & (shell <= SHELL_TOL * max(1.0, m * m))
+        & (p[..., 0] > 0)
+        & (tr + 2.0 > _BOOST_DENOM_TOL)
+        & np.isfinite(A).all(axis=(-2, -1))
+        & (np.hypot(det_re - 1.0, det_im) <= SL2_DET_TOL)
+    )
 
 
 def boost_rep(q: MassShellPoint) -> SL2Element:
@@ -124,14 +188,13 @@ def boost_rep(q: MassShellPoint) -> SL2Element:
     A @ A = H exactly by the 2x2 Cayley-Hamilton identity.
     """
     _require_on_shell(q)
-    H = _SQRT2 * from_minkowski(undualize(q.p)).t / q.m
-    tr = (H[0, 0] + H[1, 1]).real
-    if tr + 2.0 <= 1e-12:
+    A, tr = boost_matrices(q.p.coords, q.m)
+    if tr + 2.0 <= _BOOST_DENOM_TOL:
         raise Degenerate(
-            f"square-root denominator tr+2 = {tr + 2.0:.3e}; input is corrupted "
+            f"square-root denominator tr+2 = {float(tr) + 2.0:.3e}; input is corrupted "
             "(cannot occur on the forward shell)"
         )
-    return SL2Element((H + np.eye(2)) / math.sqrt(tr + 2.0))
+    return SL2Element(A)
 
 
 def act_momentum(A: SL2Element, q: Momentum) -> Momentum:

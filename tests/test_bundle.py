@@ -37,6 +37,7 @@ from twospinors import (
     split_conjugate_pair,
     tau,
 )
+from twospinors.bundle import fiber_bound, fiber_residuals
 from twospinors.sampling import random_fiber_element, random_su2
 
 from test_spinor import random_sl2
@@ -330,3 +331,24 @@ def test_spin_character_values():
 def test_spin_character_grid():
     for t in np.linspace(0, 2 * math.pi, 100):
         assert abs(spin_character(t) - 2 * math.cos(t)) <= 1e-13
+
+
+# --- stacked residuals and the shared bound ------------------------------------------------
+
+
+def test_fiber_residuals_equal_linalg_reference():
+    rng = np.random.default_rng(66)
+    m = 0.7
+    spatial = rng.normal(size=(40, 3)) * m * 10.0 ** rng.uniform(-3, 3, (40, 1))
+    qs = [shell_point(m, *row.tolist()) for row in spatial]
+    psis = [fiber_basis(q)[0] for q in qs]
+    psis[::3] = [FourSpinor.from_vec(rng.normal(size=4) + 1j * rng.normal(size=4)) for _ in psis[::3]]
+    stacked = fiber_residuals(np.array([q.p.coords for q in qs]), np.array([v.vec for v in psis]), m)
+    reference = [np.linalg.norm(slash(q.p) @ v.vec - m * v.vec) for q, v in zip(qs, psis)]
+    assert stacked.tolist() == reference
+    assert [fiber_residual(q, v) for q, v in zip(qs, psis)] == reference
+
+
+def test_fiber_bound_scales_with_mass_above_one():
+    assert fiber_bound(1e-9, 0.5, 3.0) == 1e-9 * 1.0 * 3.0
+    assert fiber_bound(1e-9, 4.0, 3.0) == 1e-9 * 4.0 * 3.0

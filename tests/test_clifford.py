@@ -30,6 +30,8 @@ from twospinors import (
     world_basis,
 )
 
+from twospinors.clifford import spinor_norms, tau_matrices
+
 from test_spinor import random_sl2
 from test_bitensor import random_bitensor, random_spinor
 
@@ -282,3 +284,21 @@ def test_on_shell_spectrum():
         q = shell_point(m, *rng.normal(0, 2, 3))
         vals = np.sort(np.linalg.eigvals(slash(q.p)).real)
         np.testing.assert_allclose(vals, [-m, -m, m, m], atol=1e-10)
+
+
+# --- stacked forms ------------------------------------------------------------
+
+
+def test_stacked_slash_tau_and_norms_equal_scalar():
+    rng = np.random.default_rng(27)
+    coords = rng.normal(size=(50, 4)) * 10.0 ** rng.uniform(-3, 3, (50, 1))
+    for row, s in zip(coords, slash(coords)):
+        assert s.tobytes() == slash(row).tobytes()
+    mats = [random_sl2(rng) for _ in range(50)]
+    zero = np.zeros((2, 2))
+    for A, t in zip(mats, tau_matrices(np.array([A.mat for A in mats]))):
+        expected = np.block([[A.mat, zero], [zero, A.mat.conj()]])
+        assert t.tobytes() == expected.tobytes() == tau(A).tobytes()
+    vecs = rng.normal(size=(500, 4)) * 10.0 ** rng.uniform(-3, 3, (500, 4)) + 1j * rng.normal(size=(500, 4))
+    for v, n in zip(vecs, spinor_norms(vecs).tolist()):
+        assert n == FourSpinor.from_vec(v).norm()

@@ -22,6 +22,8 @@ from twospinors import (
     undualize,
 )
 
+from twospinors.momentum import accepted_boosts, boost_matrices, shell_momenta
+
 from test_spinor import random_sl2
 
 SQRT2 = math.sqrt(2.0)
@@ -192,3 +194,50 @@ def test_act_momentum_preserves_forward_cone():
         q = random_shell(rng)
         A = random_sl2(rng)
         assert act_momentum(A, q.p).p0 > 0
+
+
+# --- the stacked kernel under boost_rep ------------------------------------------------
+
+
+def reference_boost(q):
+    # The closed form evaluated on one point through from_minkowski.
+    H = SQRT2 * from_minkowski(undualize(q.p)).t / q.m
+    tr = (H[0, 0] + H[1, 1]).real
+    return (H + np.eye(2)) / math.sqrt(tr + 2.0)
+
+
+def test_stacked_boosts_equal_scalar_reference():
+    rng = np.random.default_rng(46)
+    m = 1.3
+    spatial = rng.normal(size=(3, 300)) * m * 10.0 ** rng.uniform(-3, 3, 300)
+    p = shell_momenta(m, *spatial)
+    A, tr = boost_matrices(p, m)
+    assert accepted_boosts(p, m, A, tr).all()
+    for row, a in zip(p, A):
+        q = shell_point(m, *row[1:].tolist())
+        assert row.tobytes() == q.p.coords.tobytes()
+        expected = reference_boost(q).tobytes()
+        assert a.tobytes() == expected
+        assert boost_rep(q).mat.tobytes() == expected
+
+
+@pytest.mark.parametrize("m, lo, hi", [
+    (1.0, -14.0, 14.0),
+    (0.2038915621465247, -8.745101673433474, 9.051056505008884),
+    (1.0, -30.0, 30.0),
+    (-1.0, 0.0, 1.0),
+])
+def test_accepted_boosts_agree_with_scalar_checks(m, lo, hi):
+    axis = m * np.sinh(np.linspace(lo, hi, 9))
+    p1, p2, p3 = (c.ravel() for c in np.meshgrid(axis, axis, axis, indexing="ij"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = shell_momenta(m, p1, p2, p3)
+        A, tr = boost_matrices(p, m)
+        accepted = accepted_boosts(p, m, A, tr)
+    for row, ok in zip(p, accepted.tolist()):
+        try:
+            boost_rep(shell_point(m, *row[1:].tolist()))
+        except ValueError:
+            assert not ok
+        else:
+            assert ok

@@ -18,13 +18,14 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NotReal, NumericalDrift
-from .spinor import CoSpinor2, SL2Element, Spinor2, conjugate
+from .spinor import CoSpinor2, SL2Element, Spinor2, _det2, conjugate
 
 __all__ = [
     "BiTensor",
     "MinkowskiVec",
     "LorentzMatrix",
     "ETA",
+    "lorentz_defect",
     "elementary",
     "involution_J",
     "reality_defect",
@@ -107,22 +108,28 @@ class MinkowskiVec:
         return cls(c[0], c[1], c[2], c[3])
 
 
+def lorentz_defect(m: np.ndarray) -> float:
+    """Metric-orthogonality defect max|m^T eta m - eta| of a 4x4 matrix;
+    zero exactly for Lorentz matrices."""
+    return float(np.max(np.abs(m.T @ ETA @ m - ETA)))
+
+
 class LorentzMatrix:
     """Proper orthochronous Lorentz matrix; invariants checked at construction."""
 
     __slots__ = ("mat",)
 
-    def __init__(self, mat, tol: float = LORENTZ_TOL):
+    def __init__(self, mat):
         m = np.array(mat, dtype=float)
         if m.shape != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got {m.shape}")
-        defect = np.max(np.abs(m.T @ ETA @ m - ETA))
-        if defect > tol:
-            raise ValueError(f"metric-orthogonality defect {defect:.3e} exceeds {tol}")
+        defect = lorentz_defect(m)
+        if defect > LORENTZ_TOL:
+            raise ValueError(f"metric-orthogonality defect {defect:.3e} exceeds {LORENTZ_TOL}")
         det = np.linalg.det(m)
-        if abs(det - 1.0) > tol:
-            raise ValueError(f"determinant {det} is not 1 to within {tol}")
-        if m[0, 0] < 1.0 - tol:
+        if abs(det - 1.0) > LORENTZ_TOL:
+            raise ValueError(f"determinant {det} is not 1 to within {LORENTZ_TOL}")
+        if m[0, 0] < 1.0 - LORENTZ_TOL:
             raise ValueError(f"time-time entry {m[0, 0]} violates orthochronicity")
         m.setflags(write=False)
         self.mat = m
@@ -191,22 +198,18 @@ def from_minkowski(x: MinkowskiVec) -> BiTensor:
     return BiTensor(x.x0 * u[0].t + x.x1 * u[1].t + x.x2 * u[2].t + x.x3 * u[3].t)
 
 
-def to_minkowski(T: BiTensor, tol: float = REALITY_TOL) -> MinkowskiVec:
+def to_minkowski(T: BiTensor) -> MinkowskiVec:
     """Coordinates of a Hermitian bitensor in the world basis.
 
     Raises NotReal rather than silently projecting when T fails the
     Hermitian check: a non-real input signals an upstream bug.
     """
     defect = reality_defect(T)
-    if defect > tol:
-        raise NotReal(f"reality defect {defect:.3e} exceeds {tol}")
+    if defect > REALITY_TOL:
+        raise NotReal(f"reality defect {defect:.3e} exceeds {REALITY_TOL}")
     u = world_basis()
     # The u_j are trace-orthonormal: tr(u_i u_j) = delta_ij.
     return MinkowskiVec(*(np.trace(uj.t @ T.t).real for uj in u))
-
-
-def _det2(t: np.ndarray) -> complex:
-    return t[0, 0] * t[1, 1] - t[0, 1] * t[1, 0]
 
 
 def h_form(X: BiTensor, Y: BiTensor) -> complex:
@@ -238,7 +241,7 @@ def pi_act(A: SL2Element, T: BiTensor) -> BiTensor:
     return BiTensor(A.mat @ T.t @ A.mat.conj().T)
 
 
-def lorentz_of(A: SL2Element, drift_tol: float = DRIFT_TOL) -> LorentzMatrix:
+def lorentz_of(A: SL2Element) -> LorentzMatrix:
     """The 4x4 Lorentz matrix covered by A, column-by-column on the world basis.
 
     Raises NumericalDrift when the result fails the metric-orthogonality
@@ -251,9 +254,9 @@ def lorentz_of(A: SL2Element, drift_tol: float = DRIFT_TOL) -> LorentzMatrix:
     except NotReal as exc:
         raise NumericalDrift(f"transport of the world basis drifted: {exc}") from exc
     m = np.column_stack(cols)
-    defect = np.max(np.abs(m.T @ ETA @ m - ETA))
-    if defect > drift_tol:
+    defect = lorentz_defect(m)
+    if defect > DRIFT_TOL:
         raise NumericalDrift(
-            f"metric-orthogonality defect {defect:.3e} exceeds {drift_tol}"
+            f"metric-orthogonality defect {defect:.3e} exceeds {DRIFT_TOL}"
         )
     return LorentzMatrix(m)

@@ -15,14 +15,13 @@ rest-eigenspace isomorphism yields a conjugate pair of 2-spinors.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .clifford import FourSpinor, gamma, slash, spinor_norms, tau
-from .errors import BadMass, InvalidClassRep, NotInFiber
-from .momentum import MassShellPoint, Momentum, _require_on_shell, act_momentum, boost_rep
+from .errors import InvalidClassRep, NotInFiber
+from .momentum import MassShellPoint, Momentum, _require_mass, _require_on_shell, act_momentum, boost_rep
 from .spinor import CoSpinor2, SL2Element, Spinor2, conjugate
 
 __all__ = [
@@ -73,9 +72,23 @@ def fiber_bound(tol: float, m: float, psi_norm):
     return tol * max(1.0, m) * psi_norm
 
 
-def _splus_defect(psi: FourSpinor) -> float:
-    v = psi.vec
-    return float(np.linalg.norm(gamma(0) @ v - v))
+def _require_in_fiber(f: FiberElement) -> None:
+    """Raise NotInFiber unless f.psi solves slash(p) psi = m psi at f.q: the
+    constructor's check, re-run in case f was altered."""
+    r = fiber_residual(f.q, f.psi)
+    bound = fiber_bound(FIBER_TOL, f.q.m, f.psi.norm())
+    if r > bound:
+        raise NotInFiber(f"fiber residual {r:.3e} exceeds {bound:.3e}")
+
+
+def _require_class_rep(rep: AssociatedClassRep) -> None:
+    """Raise InvalidClassRep unless rep.phi_plus is in the +1 eigenspace of
+    gamma(0): the constructor's check, re-run in case rep was altered."""
+    v = rep.phi_plus.vec
+    d = float(np.linalg.norm(gamma(0) @ v - v))
+    bound = SPLUS_TOL * max(1.0, rep.phi_plus.norm())
+    if d > bound:
+        raise InvalidClassRep(f"rest-eigenspace defect {d:.3e} exceeds {bound:.3e}")
 
 
 @dataclass(frozen=True)
@@ -86,10 +99,7 @@ class FiberElement:
     psi: FourSpinor
 
     def __post_init__(self):
-        r = fiber_residual(self.q, self.psi)
-        bound = fiber_bound(FIBER_TOL, self.q.m, self.psi.norm())
-        if r > bound:
-            raise NotInFiber(f"fiber residual {r:.3e} exceeds {bound:.3e}")
+        _require_in_fiber(self)
 
 
 @dataclass(frozen=True)
@@ -102,16 +112,8 @@ class AssociatedClassRep:
     m: float
 
     def __post_init__(self):
-        m = float(self.m)
-        object.__setattr__(self, "m", m)
-        if not (math.isfinite(m) and m > 0):
-            raise BadMass(f"mass must be positive, got {m}")
-        d = _splus_defect(self.phi_plus)
-        bound = SPLUS_TOL * max(1.0, self.phi_plus.norm())
-        if d > bound:
-            raise InvalidClassRep(
-                f"rest-eigenspace defect {d:.3e} exceeds {bound:.3e}"
-            )
+        object.__setattr__(self, "m", _require_mass(self.m))
+        _require_class_rep(self)
 
 
 @dataclass(frozen=True)
@@ -153,12 +155,6 @@ def fiber_basis(q: MassShellPoint) -> tuple[FourSpinor, FourSpinor]:
     return (FourSpinor.from_vec(t @ v1.vec), FourSpinor.from_vec(t @ v2.vec))
 
 
-def _require_class_rep(rep: AssociatedClassRep) -> None:
-    d = _splus_defect(rep.phi_plus)
-    if d > SPLUS_TOL * max(1.0, rep.phi_plus.norm()):
-        raise InvalidClassRep(f"rest-eigenspace defect {d:.3e}")
-
-
 def beta(rep: AssociatedClassRep) -> FiberElement:
     """Class-to-fiber map: (A, psi) -> (A acting on rest momentum, tau(A) psi).
 
@@ -178,10 +174,7 @@ def beta_inv(f: FiberElement) -> AssociatedClassRep:
     trips are testable; any other valid representative differs by a right
     unitary factor.
     """
-    r = fiber_residual(f.q, f.psi)
-    bound = fiber_bound(FIBER_TOL, f.q.m, f.psi.norm())
-    if r > bound:
-        raise NotInFiber(f"fiber residual {r:.3e} exceeds {bound:.3e}")
+    _require_in_fiber(f)
     A = boost_rep(f.q)
     phi_plus = FourSpinor.from_vec(tau(A.inverse()) @ f.psi.vec)
     return AssociatedClassRep(A, phi_plus, f.q.m)

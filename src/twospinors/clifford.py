@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bitensor import BiTensor, h_form, pi_act, world_basis
+from .bitensor import ETA, BiTensor, h_form, pi_act, world_basis
 from .spinor import CoSpinor2, SL2Element, Spinor2, eps, eps_bar
 
 __all__ = [
@@ -32,6 +32,7 @@ __all__ = [
     "tau_matrices",
     "spinor_norms",
     "anticommutator_defect",
+    "gamma_relation_residuals",
     "equivariance_defect",
 ]
 
@@ -193,6 +194,19 @@ def anticommutator_defect(X: BiTensor, Y: BiTensor) -> np.ndarray:
     """phi(X) phi(Y) + phi(Y) phi(X) - 2 h(X, Y) Id; zero for all bitensors."""
     px, py = phi(X), phi(Y)
     return px @ py + py @ px - 2.0 * h_form(X, Y) * np.eye(4)
+
+
+def gamma_relation_residuals(gammas) -> np.ndarray:
+    """4x4 table of max|g_mu g_nu + g_nu g_mu - 2 eta_mu_nu Id| over four
+    candidate gamma matrices; zero for the gamma table."""
+    eye = np.eye(4)
+    table = np.zeros((4, 4))
+    for mu in range(4):
+        for nu in range(4):
+            table[mu, nu] = np.max(
+                np.abs(gammas[mu] @ gammas[nu] + gammas[nu] @ gammas[mu] - 2.0 * ETA[mu, nu] * eye)
+            )
+    return table
 
 
 def equivariance_defect(A: SL2Element, X: BiTensor) -> np.ndarray:

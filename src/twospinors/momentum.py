@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitensor import from_minkowski, pi_act, q_form, to_minkowski, world_basis, MinkowskiVec
-from .errors import BadMass, Degenerate, NotOnShell
+from .errors import BadMass, NotOnShell
 from .spinor import SL2_DET_TOL, SL2Element
 
 __all__ = [
@@ -36,9 +36,6 @@ _SQRT2 = math.sqrt(2.0)
 
 # Relative dispersion tolerance for membership of the mass shell.
 SHELL_TOL = 1e-9
-
-# Smallest square-root denominator tr H + 2 the canonical boost accepts.
-_BOOST_DENOM_TOL = 1e-12
 
 _ID2 = np.eye(2)
 _ID2.setflags(write=False)
@@ -70,8 +67,29 @@ class Momentum:
         return cls(c[0], c[1], c[2], c[3])
 
 
-def _shell_defect(p: Momentum, m: float) -> float:
-    return abs(q_form(p) - m * m)
+def _require_mass(m) -> float:
+    """m as a float, or BadMass unless it is finite and positive."""
+    m = float(m)
+    if not (math.isfinite(m) and m > 0):
+        raise BadMass(f"mass must be positive, got {m}")
+    return m
+
+
+def _shell_bound(m: float) -> float:
+    """Largest accepted dispersion defect |q_form(p) - m^2| on the shell of mass m."""
+    return SHELL_TOL * max(1.0, m * m)
+
+
+def _require_on_shell(q: MassShellPoint) -> None:
+    """Raise NotOnShell unless q.p is on the forward shell of mass q.m (a nan
+    defect is not): the constructor's check, re-run in case q was altered."""
+    defect = abs(q_form(q.p) - q.m * q.m)
+    if not (defect <= _shell_bound(q.m)):
+        raise NotOnShell(
+            f"dispersion defect {defect:.3e} exceeds tolerance for m={q.m}"
+        )
+    if q.p.p0 <= 0:
+        raise NotOnShell(f"p0 = {q.p.p0} is not on the forward shell")
 
 
 @dataclass(frozen=True)
@@ -82,17 +100,8 @@ class MassShellPoint:
     m: float
 
     def __post_init__(self):
-        m = float(self.m)
-        object.__setattr__(self, "m", m)
-        if not (math.isfinite(m) and m > 0):
-            raise BadMass(f"mass must be positive, got {m}")
-        defect = _shell_defect(self.p, m)
-        if defect > SHELL_TOL * max(1.0, m * m):
-            raise NotOnShell(
-                f"dispersion defect {defect:.3e} exceeds tolerance for m={m}"
-            )
-        if self.p.p0 <= 0:
-            raise NotOnShell(f"p0 = {self.p.p0} is not on the forward shell")
+        object.__setattr__(self, "m", _require_mass(self.m))
+        _require_on_shell(self)
 
 
 def dualize(x: MinkowskiVec) -> Momentum:
@@ -110,9 +119,7 @@ def shell_point(m: float, p1: float, p2: float, p3: float) -> MassShellPoint:
 
     The energy is fixed by the dispersion relation p0 = sqrt(m^2 + |p|^2).
     """
-    m = float(m)
-    if not (math.isfinite(m) and m > 0):
-        raise BadMass(f"mass must be positive, got {m}")
+    m = _require_mass(m)
     p0 = math.sqrt(m * m + p1 * p1 + p2 * p2 + p3 * p3)
     return MassShellPoint(Momentum(p0, p1, p2, p3), m)
 
@@ -127,19 +134,15 @@ def shell_momenta(m: float, p1, p2, p3) -> np.ndarray:
     return np.stack(np.broadcast_arrays(p0, p1, p2, p3), axis=-1)
 
 
-def _require_on_shell(q: MassShellPoint) -> None:
-    defect = _shell_defect(q.p, q.m)
-    if defect > SHELL_TOL * max(1.0, q.m * q.m) or q.p.p0 <= 0:
-        raise NotOnShell(f"point left the forward shell (defect {defect:.3e})")
-
-
-def boost_matrices(p, m: float) -> tuple[np.ndarray, np.ndarray]:
+def boost_matrices(p, m: float) -> np.ndarray:
     """Canonical boosts of stacked momenta, the kernel under boost_rep.
 
-    Maps (..., 4) coordinates to the (..., 2, 2) matrices (H + Id) / sqrt(tr H + 2)
-    and the traces tr H, where H = sqrt(2) * (p0 u0 + p1 u1 + p2 u2 + p3 u3) / m
-    is summed in the order from_minkowski uses, so every row equals the
-    scalar result bit for bit.  Rows are not validated.
+    Maps (..., 4) coordinates to the (..., 2, 2) matrices (H + Id) / sqrt(tr H + 2),
+    where H = sqrt(2) * (p0 u0 + p1 u1 + p2 u2 + p3 u3) / m is summed in the
+    order from_minkowski uses, so every row equals the scalar result bit for
+    bit.  Rows are not validated.  For p0 > 0 the diagonal of H holds the
+    rounded images of p0 + p3 and p0 - p3, so by monotone rounding tr H >= 0
+    (or nan on overflow): the square root never degenerates.
     """
     x = np.asarray(p, dtype=float)
     if x.ndim > 1:
@@ -147,19 +150,19 @@ def boost_matrices(p, m: float) -> tuple[np.ndarray, np.ndarray]:
     u = world_basis()
     H = _SQRT2 * (x[0] * u[0].t + x[1] * u[1].t + x[2] * u[2].t + x[3] * u[3].t) / m
     tr = (H[..., 0, 0] + H[..., 1, 1]).real
-    return (H + _ID2) / np.sqrt(tr + 2.0)[..., None, None], tr
+    return (H + _ID2) / np.sqrt(tr + 2.0)[..., None, None]
 
 
-def accepted_boosts(p: np.ndarray, m: float, A: np.ndarray, tr: np.ndarray) -> np.ndarray:
+def accepted_boosts(p: np.ndarray, m: float, A: np.ndarray) -> np.ndarray:
     """Mask of the rows of shell_momenta / boost_matrices output on which
     shell_point and boost_rep succeed.
 
-    Repeats their checks (finite momentum, forward shell, square-root
-    denominator, finite unimodular result) on whole arrays, so that a rejected
-    row can be handed to the scalar path for its typed error.  The shell and
-    determinant defects are evaluated as the scalar checks evaluate them on
-    numpy scalars: squares by pow, and complex products in real arithmetic
-    without fused multiply-adds, which numpy's array loops may use.
+    Repeats their checks (finite momentum, forward shell, finite unimodular
+    result) on whole arrays, so that a rejected row can be handed to the
+    scalar path for its typed error.  The shell and determinant defects are
+    evaluated as the scalar checks evaluate them on numpy scalars: squares by
+    pow, and complex products in real arithmetic without fused multiply-adds,
+    which numpy's array loops may use.
     """
     if not (math.isfinite(m) and m > 0):
         return np.zeros(p.shape[:-1], dtype=bool)
@@ -170,9 +173,8 @@ def accepted_boosts(p: np.ndarray, m: float, A: np.ndarray, tr: np.ndarray) -> n
     det_im = (a.real * b.imag + a.imag * b.real) - (c.real * d.imag + c.imag * d.real)
     return (
         np.isfinite(p).all(axis=-1)
-        & (shell <= SHELL_TOL * max(1.0, m * m))
+        & (shell <= _shell_bound(m))
         & (p[..., 0] > 0)
-        & (tr + 2.0 > _BOOST_DENOM_TOL)
         & np.isfinite(A).all(axis=(-2, -1))
         & (np.hypot(det_re - 1.0, det_im) <= SL2_DET_TOL)
     )
@@ -188,13 +190,7 @@ def boost_rep(q: MassShellPoint) -> SL2Element:
     A @ A = H exactly by the 2x2 Cayley-Hamilton identity.
     """
     _require_on_shell(q)
-    A, tr = boost_matrices(q.p.coords, q.m)
-    if tr + 2.0 <= _BOOST_DENOM_TOL:
-        raise Degenerate(
-            f"square-root denominator tr+2 = {float(tr) + 2.0:.3e}; input is corrupted "
-            "(cannot occur on the forward shell)"
-        )
-    return SL2Element(A)
+    return SL2Element(boost_matrices(q.p.coords, q.m))
 
 
 def act_momentum(A: SL2Element, q: Momentum) -> Momentum:

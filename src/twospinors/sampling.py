@@ -10,7 +10,7 @@ from .bitensor import BiTensor
 from .bundle import FiberElement, rest_fiber_basis
 from .clifford import FourSpinor, tau
 from .momentum import MassShellPoint, boost_rep, shell_point
-from .spinor import CoSpinor2, SL2Element, Spinor2
+from .spinor import CoSpinor2, SL2Element, Spinor2, _det2
 
 __all__ = [
     "random_spinor",
@@ -19,6 +19,7 @@ __all__ = [
     "random_sl2",
     "random_su2",
     "random_shell_point",
+    "random_rest_spinor",
     "random_fiber_element",
 ]
 
@@ -44,7 +45,7 @@ def random_sl2(rng, max_norm: float = 4.0) -> SL2Element:
     norm; near-singular draws are rejected to keep the bound effective."""
     while True:
         m = rng.normal(0.0, 1.0, (2, 2)) + 1j * rng.normal(0.0, 1.0, (2, 2))
-        d = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+        d = _det2(m)
         if abs(d) < 0.25:
             continue
         m = m / cmath.sqrt(d)
@@ -69,13 +70,18 @@ def random_shell_point(rng, m: float | None = None, spread: float = 2.0) -> Mass
     return shell_point(m, rng.normal(0.0, sigma), rng.normal(0.0, sigma), rng.normal(0.0, sigma))
 
 
+def random_rest_spinor(rng) -> FourSpinor:
+    """Random vector of the rest eigenspace: complex Gaussian coefficients on
+    the rest fiber basis."""
+    v1, v2 = rest_fiber_basis()
+    return _complex(rng, 1.0) * v1 + _complex(rng, 1.0) * v2
+
+
 def random_fiber_element(rng, m: float | None = None) -> FiberElement:
     """Random bundle element: a random point of the fiber over a random
     shell point, reached through a generic (boost times unitary) action on
     a random rest eigenvector."""
     q = random_shell_point(rng, m=m)
     A = boost_rep(q) @ random_su2(rng)
-    v1, v2 = rest_fiber_basis()
-    rest = _complex(rng, 1.0) * v1 + _complex(rng, 1.0) * v2
-    psi = FourSpinor.from_vec(tau(A) @ rest.vec)
+    psi = FourSpinor.from_vec(tau(A) @ random_rest_spinor(rng).vec)
     return FiberElement(q, psi)

@@ -113,6 +113,11 @@ def eps_bar(xbar: CoSpinor2, ybar: CoSpinor2) -> complex:
     return xbar.c1 * ybar.c2 - xbar.c2 * ybar.c1
 
 
+def _det2(t) -> complex:
+    """Determinant of a 2x2 complex matrix."""
+    return t[0, 0] * t[1, 1] - t[0, 1] * t[1, 0]
+
+
 def cyclic_defect(a: Spinor2, b: Spinor2, c: Spinor2) -> Spinor2:
     """Residual eps(b,c)*a + eps(c,a)*b + eps(a,b)*c.
 
@@ -141,7 +146,7 @@ class SL2Element:
             raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
             raise ValueError("matrix entries must be finite")
-        d = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+        d = _det2(m)
         if abs(d - 1.0) > SL2_DET_TOL:
             raise ValueError(
                 f"determinant {d} differs from 1 by more than {SL2_DET_TOL}; "
@@ -152,8 +157,7 @@ class SL2Element:
 
     @property
     def det(self) -> complex:
-        m = self.mat
-        return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+        return _det2(self.mat)
 
     @classmethod
     def identity(cls) -> "SL2Element":
@@ -167,7 +171,7 @@ class SL2Element:
         machine-epsilon scale.
         """
         m = np.array(mat, dtype=complex)
-        d = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+        d = _det2(m)
         if d == 0:
             raise ValueError("cannot renormalize a singular matrix")
         return cls(m / cmath.sqrt(d))

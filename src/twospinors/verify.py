@@ -20,6 +20,7 @@ from .bitensor import (
     elementary,
     h_form,
     involution_J,
+    lorentz_defect,
     lorentz_of,
     pi_act,
     q_form,
@@ -31,16 +32,24 @@ from .bundle import (
     beta_inv,
     fiber_projector,
     fiber_residual,
-    rest_fiber_basis,
     spin_character,
     split_conjugate_pair,
 )
-from .clifford import FourSpinor, equivariance_defect, gamma, phi, slash, tau
+from .clifford import (
+    FourSpinor,
+    anticommutator_defect,
+    equivariance_defect,
+    gamma,
+    gamma_relation_residuals,
+    slash,
+    tau,
+)
 from .momentum import MassShellPoint, Momentum, act_momentum, dualize, shell_point
 from .spinor import SL2Element, Spinor2, act, conjugate, cyclic_defect, eps, eps_bar
 from .sampling import (
     random_bitensor,
     random_fiber_element,
+    random_rest_spinor,
     random_sl2,
     random_spinor,
     random_su2,
@@ -93,29 +102,37 @@ def _uniform_spinor(rng, bound: float) -> Spinor2:
     return Spinor2(coeff(), coeff())
 
 
-def _check_cyclic(rng, n: int) -> CheckResult:
-    worst = 0.0
-    for _ in range(n):
-        a, b, c = (_uniform_spinor(rng, 10.0) for _ in range(3))
-        worst = max(worst, cyclic_defect(a, b, c).norm())
-    return CheckResult("cyclic identity", n, worst, 1e-12, worst <= 1e-12)
+def _sweep(name: str, tol: float):
+    """Turn a one-sample generator, which draws its inputs from rng and yields
+    its defects, into a check of n samples against tol.  The defects are folded
+    as they come with worst = max(worst, d), which leaves worst as it is on nan."""
+
+    def wrap(sample):
+        def check(rng, n: int) -> CheckResult:
+            worst = 0.0
+            for _ in range(n):
+                for d in sample(rng):
+                    worst = max(worst, d)
+            return CheckResult(name, n, worst, tol, worst <= tol)
+
+        return check
+
+    return wrap
 
 
-def _check_symplectic(rng, n: int) -> CheckResult:
-    worst = 0.0
-    for _ in range(n):
-        x, y, z = (random_spinor(rng) for _ in range(3))
-        al, be = rng.normal(), rng.normal()
-        worst = max(worst, abs(eps(x, y) + eps(y, x)))
-        worst = max(
-            worst,
-            abs(eps(al * x + be * y, z) - al * eps(x, z) - be * eps(y, z)),
-        )
-        worst = max(
-            worst,
-            abs(eps_bar(conjugate(x), conjugate(y)) - eps(x, y).conjugate()),
-        )
-    return CheckResult("symplectic form identities", n, worst, 1e-12, worst <= 1e-12)
+@_sweep("cyclic identity", 1e-12)
+def _check_cyclic(rng):
+    a, b, c = (_uniform_spinor(rng, 10.0) for _ in range(3))
+    yield cyclic_defect(a, b, c).norm()
+
+
+@_sweep("symplectic form identities", 1e-12)
+def _check_symplectic(rng):
+    x, y, z = (random_spinor(rng) for _ in range(3))
+    al, be = rng.normal(), rng.normal()
+    yield abs(eps(x, y) + eps(y, x))
+    yield abs(eps(al * x + be * y, z) - al * eps(x, z) - be * eps(y, z))
+    yield abs(eps_bar(conjugate(x), conjugate(y)) - eps(x, y).conjugate())
 
 
 def _check_signature(rng, n: int) -> CheckResult:
@@ -129,113 +146,81 @@ def _check_signature(rng, n: int) -> CheckResult:
     return CheckResult("world-basis signature", 1, worst, 1e-14, ok, detail)
 
 
-def _check_h_polarization(rng, n: int) -> CheckResult:
-    worst = 0.0
-    for _ in range(n):
-        a, c = random_spinor(rng), random_spinor(rng)
-        b, d = random_spinor(rng), random_spinor(rng)
-        bbar, dbar = conjugate(b), conjugate(d)
-        lhs = h_form(elementary(a, bbar), elementary(c, dbar))
-        rhs = eps(a, c) * eps_bar(bbar, dbar)
-        worst = max(worst, abs(lhs - rhs))
-    return CheckResult("polarized form vs dyadic definition", n, worst, 1e-12, worst <= 1e-12)
+@_sweep("polarized form vs dyadic definition", 1e-12)
+def _check_h_polarization(rng):
+    a, c = random_spinor(rng), random_spinor(rng)
+    b, d = random_spinor(rng), random_spinor(rng)
+    bbar, dbar = conjugate(b), conjugate(d)
+    lhs = h_form(elementary(a, bbar), elementary(c, dbar))
+    yield abs(lhs - eps(a, c) * eps_bar(bbar, dbar))
 
 
 def _check_gamma_relations(gammas, n: int) -> CheckResult:
-    worst, worst_pair = 0.0, (0, 0)
-    eye = np.eye(4)
-    for mu in range(4):
-        for nu in range(4):
-            defect = np.max(
-                np.abs(gammas[mu] @ gammas[nu] + gammas[nu] @ gammas[mu] - 2.0 * ETA[mu, nu] * eye)
-            )
-            if defect > worst:
-                worst, worst_pair = float(defect), (mu, nu)
+    table = gamma_relation_residuals(gammas)
+    worst = float(np.max(table))
+    mu, nu = divmod(int(np.argmax(table)), 4)
     ok = worst <= 1e-13
-    detail = "" if ok else f"worst relation: gamma({worst_pair[0]}), gamma({worst_pair[1]})"
+    detail = "" if ok else f"worst relation: gamma({mu}), gamma({nu})"
     return CheckResult("gamma anticommutation table", 16, worst, 1e-13, ok, detail)
 
 
-def _check_anticommutator(rng, n: int) -> CheckResult:
-    worst = 0.0
-    for _ in range(n):
-        X = elementary(random_spinor(rng), conjugate(random_spinor(rng)))
-        Y = elementary(random_spinor(rng), conjugate(random_spinor(rng)))
-        px, py = phi(X), phi(Y)
-        defect = px @ py + py @ px - 2.0 * h_form(X, Y) * np.eye(4)
-        worst = max(worst, float(np.max(np.abs(defect))))
-    return CheckResult("clifford anticommutation (dyadic sweep)", n, worst, 1e-11, worst <= 1e-11)
+@_sweep("clifford anticommutation (dyadic sweep)", 1e-11)
+def _check_anticommutator(rng):
+    X = elementary(random_spinor(rng), conjugate(random_spinor(rng)))
+    Y = elementary(random_spinor(rng), conjugate(random_spinor(rng)))
+    yield float(np.max(np.abs(anticommutator_defect(X, Y))))
 
 
-def _check_slash_square(rng, n: int) -> CheckResult:
-    worst = 0.0
-    for _ in range(n):
-        p = Momentum.from_coords(rng.uniform(-10.0, 10.0, 4))
-        defect = slash(p) @ slash(p) - q_form(p) * np.eye(4)
-        worst = max(worst, float(np.max(np.abs(defect))))
-    return CheckResult("slash square equals quadratic form", n, worst, 1e-11, worst <= 1e-11)
+@_sweep("slash square equals quadratic form", 1e-11)
+def _check_slash_square(rng):
+    p = Momentum.from_coords(rng.uniform(-10.0, 10.0, 4))
+    yield float(np.max(np.abs(slash(p) @ slash(p) - q_form(p) * np.eye(4))))
 
 
-def _check_duality(rng, n: int) -> CheckResult:
-    worst = 0.0
-    for _ in range(n):
-        x = MinkowskiVec.from_coords(rng.normal(0.0, 3.0, 4))
-        worst = max(worst, abs(q_form(x) - q_form(dualize(x))))
-        A = random_sl2(rng)
-        p = dualize(x)
-        moved = act_momentum(A, p)
-        scale = max(1.0, float(np.sum(p.coords**2)), float(np.sum(moved.coords**2)))
-        worst = max(worst, abs(q_form(moved) - q_form(p)) / scale)
-    return CheckResult("momentum duality preserves the form", n, worst, 1e-10, worst <= 1e-10)
+@_sweep("momentum duality preserves the form", 1e-10)
+def _check_duality(rng):
+    x = MinkowskiVec.from_coords(rng.normal(0.0, 3.0, 4))
+    yield abs(q_form(x) - q_form(dualize(x)))
+    A = random_sl2(rng)
+    p = dualize(x)
+    moved = act_momentum(A, p)
+    scale = max(1.0, float(np.sum(p.coords**2)), float(np.sum(moved.coords**2)))
+    yield abs(q_form(moved) - q_form(p)) / scale
 
 
-def _check_equivariance(rng, n: int) -> CheckResult:
-    worst = 0.0
-    for _ in range(n):
-        A = random_sl2(rng, max_norm=10.0)
-        X = random_bitensor(rng)
-        worst = max(worst, float(np.max(np.abs(equivariance_defect(A, X)))))
-    return CheckResult("clifford-map equivariance", n, worst, 1e-9, worst <= 1e-9)
+@_sweep("clifford-map equivariance", 1e-9)
+def _check_equivariance(rng):
+    A = random_sl2(rng, max_norm=10.0)
+    X = random_bitensor(rng)
+    yield float(np.max(np.abs(equivariance_defect(A, X))))
 
 
-def _check_pi_commutes_J(rng, n: int) -> CheckResult:
-    worst = 0.0
-    for _ in range(n):
-        A = random_sl2(rng)
-        T = random_bitensor(rng)
-        defect = pi_act(A, involution_J(T)).t - involution_J(pi_act(A, T)).t
-        worst = max(worst, float(np.max(np.abs(defect))))
-    return CheckResult("bitensor action commutes with reality involution", n, worst, 1e-13, worst <= 1e-13)
+@_sweep("bitensor action commutes with reality involution", 1e-13)
+def _check_pi_commutes_J(rng):
+    A = random_sl2(rng)
+    T = random_bitensor(rng)
+    defect = pi_act(A, involution_J(T)).t - involution_J(pi_act(A, T)).t
+    yield float(np.max(np.abs(defect)))
 
 
-def _check_covering_hom(rng, n: int) -> CheckResult:
-    worst = 0.0
-    for _ in range(n):
-        A, B = random_sl2(rng), random_sl2(rng)
-        lhs = lorentz_of(A @ B).mat
-        rhs = lorentz_of(A).mat @ lorentz_of(B).mat
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return CheckResult("covering homomorphism", n, worst, 1e-10, worst <= 1e-10)
+@_sweep("covering homomorphism", 1e-10)
+def _check_covering_hom(rng):
+    A, B = random_sl2(rng), random_sl2(rng)
+    lhs = lorentz_of(A @ B).mat
+    rhs = lorentz_of(A).mat @ lorentz_of(B).mat
+    yield float(np.max(np.abs(lhs - rhs)))
 
 
-def _check_covering_two_to_one(rng, n: int) -> CheckResult:
-    worst = 0.0
-    for _ in range(n):
-        A = random_sl2(rng)
-        if not np.array_equal(lorentz_of(A).mat, lorentz_of(-A).mat):
-            worst = max(
-                worst,
-                float(np.max(np.abs(lorentz_of(A).mat - lorentz_of(-A).mat))),
-            )
-    return CheckResult("covering is two-to-one (sign kernel)", n, worst, 0.0, worst <= 0.0)
+@_sweep("covering is two-to-one (sign kernel)", 0.0)
+def _check_covering_two_to_one(rng):
+    A = random_sl2(rng)
+    if not np.array_equal(lorentz_of(A).mat, lorentz_of(-A).mat):
+        yield float(np.max(np.abs(lorentz_of(A).mat - lorentz_of(-A).mat)))
 
 
-def _check_eta_orthogonality(rng, n: int) -> CheckResult:
-    worst = 0.0
-    for _ in range(n):
-        m = lorentz_of(random_sl2(rng)).mat
-        worst = max(worst, float(np.max(np.abs(m.T @ ETA @ m - ETA))))
-    return CheckResult("lorentz metric orthogonality", n, worst, 1e-10, worst <= 1e-10)
+@_sweep("lorentz metric orthogonality", 1e-10)
+def _check_eta_orthogonality(rng):
+    yield lorentz_defect(lorentz_of(random_sl2(rng)).mat)
 
 
 def _check_rest_fiber(rng, n: int) -> CheckResult:
@@ -255,63 +240,49 @@ def _check_rest_fiber(rng, n: int) -> CheckResult:
     return CheckResult("rest fiber eigenspace", 1, worst, 1e-12, worst <= 1e-12)
 
 
-def _check_beta_well_defined(rng, n: int) -> CheckResult:
-    worst = 0.0
-    v1, v2 = rest_fiber_basis()
-    for _ in range(n):
-        A = random_sl2(rng)
-        psi = complex(rng.normal(), rng.normal()) * v1 + complex(rng.normal(), rng.normal()) * v2
-        rep = AssociatedClassRep(A, psi, 1.0)
-        T = random_su2(rng)
-        moved = AssociatedClassRep(
-            A @ T, FourSpinor.from_vec(tau(T.inverse()) @ psi.vec), 1.0
-        )
-        f1, f2 = beta(rep), beta(moved)
-        scale = max(1.0, f1.psi.norm())
-        worst = max(worst, float(np.max(np.abs(f1.q.p.coords - f2.q.p.coords))))
-        worst = max(worst, float(np.linalg.norm(f1.psi.vec - f2.psi.vec)) / scale)
-    return CheckResult("bundle map well-defined on classes", n, worst, 1e-10, worst <= 1e-10)
+@_sweep("bundle map well-defined on classes", 1e-10)
+def _check_beta_well_defined(rng):
+    A = random_sl2(rng)
+    psi = random_rest_spinor(rng)
+    rep = AssociatedClassRep(A, psi, 1.0)
+    T = random_su2(rng)
+    moved = AssociatedClassRep(A @ T, FourSpinor.from_vec(tau(T.inverse()) @ psi.vec), 1.0)
+    f1, f2 = beta(rep), beta(moved)
+    scale = max(1.0, f1.psi.norm())
+    yield float(np.max(np.abs(f1.q.p.coords - f2.q.p.coords)))
+    yield float(np.linalg.norm(f1.psi.vec - f2.psi.vec)) / scale
 
 
-def _check_beta_round_trip(rng, n: int) -> CheckResult:
-    worst = 0.0
-    for _ in range(n):
-        f = random_fiber_element(rng)
-        g = beta(beta_inv(f))
-        scale = max(1.0, f.psi.norm())
-        worst = max(worst, float(np.max(np.abs(f.q.p.coords - g.q.p.coords))) / max(1.0, f.q.p.p0))
-        worst = max(worst, float(np.linalg.norm(f.psi.vec - g.psi.vec)) / scale)
-    return CheckResult("bundle map round trip", n, worst, 1e-9, worst <= 1e-9)
+@_sweep("bundle map round trip", 1e-9)
+def _check_beta_round_trip(rng):
+    f = random_fiber_element(rng)
+    g = beta(beta_inv(f))
+    scale = max(1.0, f.psi.norm())
+    yield float(np.max(np.abs(f.q.p.coords - g.q.p.coords))) / max(1.0, f.q.p.p0)
+    yield float(np.linalg.norm(f.psi.vec - g.psi.vec)) / scale
 
 
-def _check_beta_fiber_membership(rng, n: int) -> CheckResult:
-    worst = 0.0
-    v1, v2 = rest_fiber_basis()
-    for _ in range(n):
-        A = random_sl2(rng)
-        psi = complex(rng.normal(), rng.normal()) * v1 + complex(rng.normal(), rng.normal()) * v2
-        m = float(rng.uniform(0.5, 2.0))
-        f = beta(AssociatedClassRep(A, psi, m))
-        scale = max(1.0, m) * max(1.0, f.psi.norm())
-        worst = max(worst, fiber_residual(f.q, f.psi) / scale)
-    return CheckResult("bundle map lands in the fiber", n, worst, 1e-9, worst <= 1e-9)
+@_sweep("bundle map lands in the fiber", 1e-9)
+def _check_beta_fiber_membership(rng):
+    A = random_sl2(rng)
+    psi = random_rest_spinor(rng)
+    m = float(rng.uniform(0.5, 2.0))
+    f = beta(AssociatedClassRep(A, psi, m))
+    scale = max(1.0, m) * max(1.0, f.psi.norm())
+    yield fiber_residual(f.q, f.psi) / scale
 
 
-def _check_split_equivariance(rng, n: int) -> CheckResult:
-    worst = 0.0
-    v1, v2 = rest_fiber_basis()
-    for _ in range(n):
-        T = random_su2(rng)
-        psi = complex(rng.normal(), rng.normal()) * v1 + complex(rng.normal(), rng.normal()) * v2
-        pair = split_conjugate_pair(AssociatedClassRep(SL2Element.identity(), psi, 1.0))
-        moved_psi = FourSpinor.from_vec(tau(T) @ psi.vec)
-        moved_pair = split_conjugate_pair(AssociatedClassRep(SL2Element.identity(), moved_psi, 1.0))
-        expected = act(T, pair.s)
-        worst = max(worst, (moved_pair.s - expected).norm())
-        # Conjugate partner is the exact coefficient conjugation.
-        if moved_pair.sbar != conjugate(moved_pair.s):
-            worst = max(worst, 1.0)
-    return CheckResult("conjugate-pair split equivariance", n, worst, 1e-11, worst <= 1e-11)
+@_sweep("conjugate-pair split equivariance", 1e-11)
+def _check_split_equivariance(rng):
+    T = random_su2(rng)
+    psi = random_rest_spinor(rng)
+    pair = split_conjugate_pair(AssociatedClassRep(SL2Element.identity(), psi, 1.0))
+    moved_psi = FourSpinor.from_vec(tau(T) @ psi.vec)
+    moved_pair = split_conjugate_pair(AssociatedClassRep(SL2Element.identity(), moved_psi, 1.0))
+    yield (moved_pair.s - act(T, pair.s)).norm()
+    # Conjugate partner is the exact coefficient conjugation.
+    if moved_pair.sbar != conjugate(moved_pair.s):
+        yield 1.0
 
 
 def _check_spin_character(rng, n: int) -> CheckResult:
@@ -320,17 +291,14 @@ def _check_spin_character(rng, n: int) -> CheckResult:
     return CheckResult("spin-1/2 character", len(ts), worst, 1e-13, worst <= 1e-13)
 
 
-def _check_bundle_equivariance(rng, n: int) -> CheckResult:
-    worst = 0.0
-    for _ in range(n):
-        f = random_fiber_element(rng)
-        A = random_sl2(rng)
-        p_moved = act_momentum(A, f.q.p)
-        psi_moved = FourSpinor.from_vec(tau(A) @ f.psi.vec)
-        scale = max(1.0, f.q.m) * max(1.0, psi_moved.norm()) * max(1.0, p_moved.p0 / f.q.m)
-        moved = MassShellPoint(p_moved, f.q.m)
-        worst = max(worst, fiber_residual(moved, psi_moved) / scale)
-    return CheckResult("group action preserves fibers", n, worst, 1e-9, worst <= 1e-9)
+@_sweep("group action preserves fibers", 1e-9)
+def _check_bundle_equivariance(rng):
+    f = random_fiber_element(rng)
+    A = random_sl2(rng)
+    p_moved = act_momentum(A, f.q.p)
+    psi_moved = FourSpinor.from_vec(tau(A) @ f.psi.vec)
+    scale = max(1.0, f.q.m) * max(1.0, psi_moved.norm()) * max(1.0, p_moved.p0 / f.q.m)
+    yield fiber_residual(MassShellPoint(p_moved, f.q.m), psi_moved) / scale
 
 
 def run_verification(seed: int = 0, samples: int = 1000, corrupt_gamma=None) -> VerifyReport:
@@ -348,26 +316,27 @@ def run_verification(seed: int = 0, samples: int = 1000, corrupt_gamma=None) -> 
         mu, i, j = corrupt_gamma
         gammas[mu][i, j] += 1e-3
 
-    report = VerifyReport(seed=seed, samples=samples, conventions=dict(CONVENTIONS))
     n = samples
-    report.checks.append(_check_cyclic(rng, n))
-    report.checks.append(_check_symplectic(rng, n))
-    report.checks.append(_check_signature(rng, n))
-    report.checks.append(_check_h_polarization(rng, n))
-    report.checks.append(_check_gamma_relations(gammas, n))
-    report.checks.append(_check_anticommutator(rng, n))
-    report.checks.append(_check_slash_square(rng, n))
-    report.checks.append(_check_duality(rng, n))
-    report.checks.append(_check_equivariance(rng, n))
-    report.checks.append(_check_pi_commutes_J(rng, n))
-    report.checks.append(_check_covering_hom(rng, n))
-    report.checks.append(_check_covering_two_to_one(rng, n))
-    report.checks.append(_check_eta_orthogonality(rng, n))
-    report.checks.append(_check_rest_fiber(rng, n))
-    report.checks.append(_check_beta_well_defined(rng, n))
-    report.checks.append(_check_beta_round_trip(rng, n))
-    report.checks.append(_check_beta_fiber_membership(rng, n))
-    report.checks.append(_check_bundle_equivariance(rng, n))
-    report.checks.append(_check_split_equivariance(rng, n))
-    report.checks.append(_check_spin_character(rng, n))
-    return report
+    checks = [
+        _check_cyclic(rng, n),
+        _check_symplectic(rng, n),
+        _check_signature(rng, n),
+        _check_h_polarization(rng, n),
+        _check_gamma_relations(gammas, n),
+        _check_anticommutator(rng, n),
+        _check_slash_square(rng, n),
+        _check_duality(rng, n),
+        _check_equivariance(rng, n),
+        _check_pi_commutes_J(rng, n),
+        _check_covering_hom(rng, n),
+        _check_covering_two_to_one(rng, n),
+        _check_eta_orthogonality(rng, n),
+        _check_rest_fiber(rng, n),
+        _check_beta_well_defined(rng, n),
+        _check_beta_round_trip(rng, n),
+        _check_beta_fiber_membership(rng, n),
+        _check_bundle_equivariance(rng, n),
+        _check_split_equivariance(rng, n),
+        _check_spin_character(rng, n),
+    ]
+    return VerifyReport(seed=seed, samples=samples, conventions=dict(CONVENTIONS), checks=checks)

@@ -271,7 +271,6 @@ SAMPLE_FIELD_ERRORS = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in sinh:RuntimeWarning")
 @pytest.mark.parametrize("argv, message, digest", SAMPLE_FIELD_ERRORS.values(),
                          ids=SAMPLE_FIELD_ERRORS)
 def test_sample_field_error_parity(tmp_path, capsys, argv, message, digest):
@@ -303,6 +302,61 @@ def test_non_finite_output_refused(tmp_path, capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("error: cannot write the non-finite number")
     assert not out.exists()
+
+
+# Output of every other command, pinned by the exit code and the sha256 of
+# stdout in each format: argv, exit code, json digest, text digest.
+SQRT2, INV_SQRT2 = repr(2**0.5), repr(1 / 2**0.5)
+PINNED_OUTPUTS = {
+    "gamma": (["gamma"], 0,
+              "9540f40ff73811a21eb81cee9bcee9eb5d3850805c81db1ce1dec52006ff3989",
+              "5a4ca64a30c6abb9033b050b8140b9a9f10503f3675fdb379511e91a09e6fad6"),
+    "lorentz-identity": (["lorentz", "--", "1", "0", "0", "0", "0", "0", "1", "0"], 0,
+                         "daadeeed15f438dd9d1e6bc8baa1f8e4bc6da95543e82cb9fc9a75a4637e5448",
+                         "d658b97e26e48f93e7e25ba6b137be457702a9672187367f757b7593c2d14f3f"),
+    "lorentz-boost": (["lorentz", "--", SQRT2, "0", "0", "0", "0", "0", INV_SQRT2, "0"], 0,
+                      "c7bed27d5b5a4d0466b11c5d114a8cbe4e4b4b43a651666d15588f6f5cce7cc9",
+                      "7cd13e2ce3b39e7a74a51058e224cb184a636db8058a1494aa2e60cb55615d81"),
+    "solve-rest": (["solve", "-m", "1", "--", "0", "0", "0"], 0,
+                   "7f3449699e1552454d0dc7badcf215e37ec3241e9341b71376c11a9aa58e3876",
+                   "6b2b9b238f10bf5b71d6ed46f21e90181c44fc8c43a4e08d66ca986f508ca26d"),
+    "solve-boosted": (["solve", "-m", "1.5", "--", "0.4", "-0.2", "0.9"], 0,
+                      "3863d557fe8ced96c7940d56ae362a7dd693d2fa52e92cf929739c0655b3a727",
+                      "becee3a88cdcda3b95e0d86cd8dc3f94ccfd23d7eec56c169df3457d0621b39f"),
+    "planewave-central": (["planewave-check", "-m", "1", "--point", "0.1", "0.2", "-0.3", "0.5",
+                           "--step", "1e-2", "--", "0.5", "0.3", "0.4"], 0,
+                          "97a495a84028ce5ab06b279d08258372dd09e4b2787774a6346d410b29e1dab8",
+                          "e11c1439c90edc9b9e9d7a6063b9ff23272b49be9be599e09248de93d225ed29"),
+    "planewave-analytic": (["planewave-check", "-m", "1", "--analytic", "--", "0.5", "0.3", "0.4"],
+                           0,
+                           "36e5aef2adcef5222ba2b20b6e88fdd6809b18a71a6ae04b69a6d423f61d0b79",
+                           "327e553ded20d420dd890164dd6bc409b6bf9a16f6e91cf239af17ed1559a4d6"),
+    "verify-seed0": (["verify", "--samples", "40", "--seed", "0"], 0,
+                     "ca552d5a562418294d1ac7e8d8660fac5eb62d71103b935140899728c6caf94a",
+                     "9b63eebe176178af1ec28f3f274433154ec62aa12eab0488b3959cd4013a3157"),
+    "verify-seed1": (["verify", "--samples", "40", "--seed", "1"], 0,
+                     "27ac1a1879ed068a24a0f97ae9f6bb546a5d66bec9059d6368558342944f3861",
+                     "bf4dab112447711194bd2ffd3e3ad10c18fc4f1f23e81d7e67c970cff4bfab74"),
+    "verify-seed2": (["verify", "--samples", "40", "--seed", "2"], 0,
+                     "6e50b5b8a8e4a111026eb4d1eb7a620b5638583cb5eda0e6e17efa6931e38964",
+                     "3160cbe79a3329f3b92c775757aa92174298d1cd3ab650d23b3a0358dc2190a9"),
+    "verify-seed3": (["verify", "--samples", "40", "--seed", "3"], 0,
+                     "3a4642184e9ed4bba09360a7ca06c070df233acbe3460dd869b8e0f5b3ba8d0f",
+                     "591a1a8315fb1bd0f144debf39373f73b225cd4447444156419340d585072e56"),
+    "verify-corrupt": (["verify", "--samples", "40", "--corrupt-gamma", "2,1,3"], 1,
+                       "52f163e6aba7bb34672664a73d5c3084c67097820f6f9b582b818561b0f629b1",
+                       "253674e9aa37ef155dedafcc1b9d4b95c2bd74fd0a6d1ecf31efa1ff526b4a37"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("argv, code, json_digest, text_digest", PINNED_OUTPUTS.values(),
+                         ids=PINNED_OUTPUTS)
+def test_command_output_byte_identical(capsys, argv, code, json_digest, text_digest, fmt):
+    assert main([argv[0], "--format", fmt] + argv[1:]) == code
+    out = capsys.readouterr().out
+    digest = json_digest if fmt == "json" else text_digest
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_jdump_refuses_non_finite():
@@ -341,6 +395,17 @@ def test_usage_error_exit_code():
         text=True,
     )
     assert proc.returncode == 2
+
+
+def test_overflowing_axis_reports_only_the_error(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "twospinors", "sample-field", "-m", "1", "--rapidity",
+         "--grid", "3:-800:800", "--out", str(tmp_path / "field.ndjson")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == "error: momentum coordinates must be finite\n"
 
 
 def test_module_entry_point_runs():

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NotReal, NumericalDrift
-from .spinor import CoSpinor2, SL2Element, Spinor2, _det2, conjugate
+from .spinor import CoSpinor2, SL2Element, Spinor2, _det2, conjugate, spinor_norms
 
 __all__ = [
     "BiTensor",
@@ -159,9 +159,16 @@ def involution_J(T: BiTensor) -> BiTensor:
     return BiTensor(T.t.conj().T)
 
 
+def _reality_defects(t: np.ndarray) -> np.ndarray:
+    """Frobenius distances of stacked (..., 2, 2) matrices from their
+    conjugate transposes, each equal to np.linalg.norm of one row's T - T*."""
+    d = t - np.conj(np.swapaxes(t, -1, -2))
+    return spinor_norms(d.reshape(d.shape[:-2] + (4,)))
+
+
 def reality_defect(T: BiTensor) -> float:
     """Frobenius distance of T from its involution image (0 iff Hermitian)."""
-    return float(np.linalg.norm(T.t - T.t.conj().T))
+    return float(_reality_defects(T.t))
 
 
 def project_real(T: BiTensor) -> BiTensor:
@@ -198,18 +205,53 @@ def from_minkowski(x: MinkowskiVec) -> BiTensor:
     return BiTensor(x.x0 * u[0].t + x.x1 * u[1].t + x.x2 * u[2].t + x.x3 * u[3].t)
 
 
+@lru_cache(maxsize=1)
+def _world_stack() -> np.ndarray:
+    """The world basis u0..u3 as one read-only (4, 2, 2) array."""
+    u = np.stack([uj.t for uj in world_basis()])
+    u.setflags(write=False)
+    return u
+
+
+def _transport(a: np.ndarray, t) -> np.ndarray:
+    """The move T -> a T a* of stacked (..., 2, 2) bitensor matrices by one
+    2x2 matrix a; the kernel under pi_act and lorentz_of.
+
+    Multiplies left to right, as A @ T @ A* does, so each row equals the
+    unstacked product bit for bit.  Overflow gives non-finite rows without a
+    warning; every caller checks its rows.
+    """
+    with np.errstate(all="ignore"):
+        return (a @ t) @ a.conj().T
+
+
+def _world_coords(t) -> tuple[np.ndarray, np.ndarray]:
+    """World coordinates (..., 4) and reality defects (...) of stacked
+    (..., 2, 2) bitensor matrices; the kernel under to_minkowski.
+
+    Coordinate i is tr(u_i T), which recovers the coefficient of u_i because
+    the u_i are trace-orthonormal: tr(u_i u_j) = delta_ij.  The stacked
+    np.trace sums each diagonal as the unstacked one does (signed zeros
+    included), so every row equals the scalar result bit for bit.  A row with
+    a non-finite entry gets a non-finite defect.
+    Overflow gives non-finite values without a warning.
+    """
+    t = np.asarray(t, dtype=complex)
+    with np.errstate(all="ignore"):
+        coords = np.trace(_world_stack() @ t[..., None, :, :], axis1=-2, axis2=-1).real
+        return coords, _reality_defects(t)
+
+
 def to_minkowski(T: BiTensor) -> MinkowskiVec:
     """Coordinates of a Hermitian bitensor in the world basis.
 
     Raises NotReal rather than silently projecting when T fails the
     Hermitian check: a non-real input signals an upstream bug.
     """
-    defect = reality_defect(T)
+    coords, defect = _world_coords(T.t)
     if defect > REALITY_TOL:
         raise NotReal(f"reality defect {defect:.3e} exceeds {REALITY_TOL}")
-    u = world_basis()
-    # The u_j are trace-orthonormal: tr(u_i u_j) = delta_ij.
-    return MinkowskiVec(*(np.trace(uj.t @ T.t).real for uj in u))
+    return MinkowskiVec(*coords)
 
 
 def h_form(X: BiTensor, Y: BiTensor) -> complex:
@@ -238,7 +280,7 @@ def pi_act(A: SL2Element, T: BiTensor) -> BiTensor:
     Commutes with the reality involution and preserves the bilinear form,
     hence restricts to a Lorentz transformation of the Hermitian subspace.
     """
-    return BiTensor(A.mat @ T.t @ A.mat.conj().T)
+    return BiTensor(_transport(A.mat, T.t))
 
 
 def lorentz_of(A: SL2Element) -> LorentzMatrix:
@@ -247,13 +289,23 @@ def lorentz_of(A: SL2Element) -> LorentzMatrix:
     Raises NumericalDrift when the result fails the metric-orthogonality
     check at the drift tolerance; this signals a badly conditioned A (e.g.
     an extreme boost) rather than a logic error.
+
+    All four columns come from one stacked transport of the world basis.  If
+    any column fails the checks of pi_act and to_minkowski, the columns are
+    redone one by one through those functions, which raise the first
+    column's error.
     """
-    u = world_basis()
-    try:
-        cols = [to_minkowski(pi_act(A, uj)).coords for uj in u]
-    except NotReal as exc:
-        raise NumericalDrift(f"transport of the world basis drifted: {exc}") from exc
-    m = np.column_stack(cols)
+    cols, defects = _world_coords(_transport(A.mat, _world_stack()))
+    # A non-finite entry fails the defect test, so this passes only rows
+    # that pi_act and to_minkowski would accept.
+    if (defects <= REALITY_TOL).all() and np.isfinite(cols).all():
+        # C order, as column_stack gives, for the same products in lorentz_defect.
+        m = np.ascontiguousarray(cols.T)
+    else:
+        try:
+            m = np.column_stack([to_minkowski(pi_act(A, uj)).coords for uj in world_basis()])
+        except NotReal as exc:
+            raise NumericalDrift(f"transport of the world basis drifted: {exc}") from exc
     defect = lorentz_defect(m)
     if defect > DRIFT_TOL:
         raise NumericalDrift(

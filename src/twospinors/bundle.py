@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import FourSpinor, gamma, slash, spinor_norms, tau
+from .clifford import FourSpinor, gamma, slash, spinor_norms, tau, tau_matrices
 from .errors import InvalidClassRep, NotInFiber
 from .momentum import MassShellPoint, Momentum, _require_mass, _require_on_shell, act_momentum, boost_rep
 from .spinor import CoSpinor2, SL2Element, Spinor2, conjugate
@@ -40,6 +40,7 @@ __all__ = [
     "beta_inv",
     "split_conjugate_pair",
     "spin_character",
+    "spin_characters",
 ]
 
 # Fiber membership tolerance, scaled by mass and spinor norm so the
@@ -194,9 +195,15 @@ def split_conjugate_pair(rep: AssociatedClassRep) -> ConjugatePair:
     return ConjugatePair(s, conjugate(s))
 
 
+def spin_characters(ts) -> np.ndarray:
+    """spin_character at every angle of ts, as one stacked trace on the rest
+    eigenspace of tau; each entry equals spin_character of that angle."""
+    a = np.array([[[cmath.exp(1j * t), 0.0], [0.0, cmath.exp(-1j * t)]] for t in ts], dtype=complex)
+    p_plus = (gamma(0) + np.eye(4)) / 2.0
+    return np.trace(p_plus @ tau_matrices(a), axis1=-2, axis2=-1)
+
+
 def spin_character(t: float) -> complex:
     """Trace on the rest eigenspace of the diagonal-phase action;
     equals 2*cos(t)."""
-    A = SL2Element([[cmath.exp(1j * t), 0.0], [0.0, cmath.exp(-1j * t)]])
-    p_plus = (gamma(0) + np.eye(4)) / 2.0
-    return complex(np.trace(p_plus @ tau(A)))
+    return complex(spin_characters([t])[0])

@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bitensor import ETA, BiTensor, h_form, pi_act, world_basis
-from .spinor import CoSpinor2, SL2Element, Spinor2, eps, eps_bar
+from .spinor import CoSpinor2, SL2Element, Spinor2, eps, eps_bar, spinor_norms
 
 __all__ = [
     "FourSpinor",
@@ -75,18 +75,6 @@ class FourSpinor:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.vec))
-
-
-def spinor_norms(v) -> np.ndarray:
-    """Euclidean norms of stacked (..., n) complex coefficient vectors.
-
-    Sums the squared real parts, then the squared imaginary parts, through
-    the same dot-product kernel np.linalg.norm uses for one complex vector,
-    so each row equals np.linalg.norm of that row bit for bit.
-    """
-    v = np.asarray(v, dtype=complex)
-    re, im = v.real, v.imag
-    return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
 
 
 @lru_cache(maxsize=1)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitensor import from_minkowski, pi_act, q_form, to_minkowski, world_basis, MinkowskiVec
-from .errors import BadMass, NotOnShell
+from .errors import BadMass, Degenerate, NotOnShell
 from .spinor import SL2_DET_TOL, SL2Element
 
 __all__ = [
@@ -188,9 +188,16 @@ def boost_rep(q: MassShellPoint) -> SL2Element:
     H is positive definite on the forward shell), the principal square root
     has the closed form (H + Id) / sqrt(tr H + 2); the result A satisfies
     A @ A = H exactly by the 2x2 Cayley-Hamilton identity.
+
+    Raises Degenerate when the closed form overflows, which happens on the
+    shell for p/m beyond the double range (e.g. m = 1e-300, |p| = 1e10).
     """
     _require_on_shell(q)
-    return SL2Element(boost_matrices(q.p.coords, q.m))
+    with np.errstate(all="ignore"):
+        a = boost_matrices(q.p.coords, q.m)
+    if not np.isfinite(a).all():
+        raise Degenerate(f"canonical boost of p = {q.p.coords.tolist()} at m = {q.m} overflows")
+    return SL2Element(a)
 
 
 def act_momentum(A: SL2Element, q: Momentum) -> Momentum:

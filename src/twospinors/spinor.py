@@ -26,6 +26,7 @@ __all__ = [
     "cyclic_defect",
     "act",
     "act_bar",
+    "spinor_norms",
 ]
 
 # Determinant drift allowed at SL2Element construction.
@@ -116,6 +117,18 @@ def eps_bar(xbar: CoSpinor2, ybar: CoSpinor2) -> complex:
 def _det2(t) -> complex:
     """Determinant of a 2x2 complex matrix."""
     return t[0, 0] * t[1, 1] - t[0, 1] * t[1, 0]
+
+
+def spinor_norms(v) -> np.ndarray:
+    """Euclidean norms of stacked (..., n) complex coefficient vectors.
+
+    Sums the squared real parts, then the squared imaginary parts, through
+    the same dot-product kernel np.linalg.norm uses for one complex vector,
+    so each row equals np.linalg.norm of that row bit for bit.
+    """
+    v = np.asarray(v, dtype=complex)
+    re, im = v.real, v.imag
+    return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
 
 
 def cyclic_defect(a: Spinor2, b: Spinor2, c: Spinor2) -> Spinor2:

@@ -32,7 +32,7 @@ from .bundle import (
     beta_inv,
     fiber_projector,
     fiber_residual,
-    spin_character,
+    spin_characters,
     split_conjugate_pair,
 )
 from .clifford import (
@@ -104,16 +104,22 @@ def _uniform_spinor(rng, bound: float) -> Spinor2:
 
 def _sweep(name: str, tol: float):
     """Turn a one-sample generator, which draws its inputs from rng and yields
-    its defects, into a check of n samples against tol.  The defects are folded
-    as they come with worst = max(worst, d), which leaves worst as it is on nan."""
+    its defects, into a check of n samples against tol.  Finite defects are
+    folded as they come with worst = max(worst, d); a non-finite defect fails
+    the check, and detail names the first sample that gave one."""
 
     def wrap(sample):
         def check(rng, n: int) -> CheckResult:
             worst = 0.0
-            for _ in range(n):
+            bad = None
+            for i in range(n):
                 for d in sample(rng):
-                    worst = max(worst, d)
-            return CheckResult(name, n, worst, tol, worst <= tol)
+                    if math.isfinite(d):
+                        worst = max(worst, d)
+                    elif bad is None:
+                        bad = i
+            detail = "" if bad is None else f"non-finite defect at sample {bad}"
+            return CheckResult(name, n, worst, tol, bad is None and worst <= tol, detail)
 
         return check
 
@@ -287,7 +293,8 @@ def _check_split_equivariance(rng):
 
 def _check_spin_character(rng, n: int) -> CheckResult:
     ts = np.linspace(0.0, 2.0 * math.pi, 100)
-    worst = max(abs(spin_character(t) - 2.0 * math.cos(t)) for t in ts)
+    chars = spin_characters(ts).tolist()
+    worst = max(abs(c - 2.0 * math.cos(t)) for c, t in zip(chars, ts))
     return CheckResult("spin-1/2 character", len(ts), worst, 1e-13, worst <= 1e-13)
 
 

@@ -9,12 +9,15 @@ import pytest
 from twospinors import (
     ETA,
     BiTensor,
+    Momentum,
     LorentzMatrix,
     MinkowskiVec,
     NotReal,
     NumericalDrift,
     SL2Element,
     Spinor2,
+    act_momentum,
+    boost_rep,
     conjugate,
     elementary,
     eps,
@@ -27,9 +30,11 @@ from twospinors import (
     project_real,
     q_form,
     reality_defect,
+    shell_point,
     to_minkowski,
     world_basis,
 )
+from twospinors.bitensor import DRIFT_TOL, REALITY_TOL, lorentz_defect
 
 from test_spinor import random_sl2
 
@@ -327,3 +332,138 @@ def test_q_form_invariant_under_transport():
         scale = max(1.0, np.sum(x.coords**2), np.sum(moved.coords**2))
         worst = max(worst, abs(q_form(moved) - q_form(x)) / scale)
     assert worst <= 1e-10
+
+
+# --- the stacked transport kernel under to_minkowski and lorentz_of ----------------
+# The reference functions are the unstacked forms: one A T A* product and one
+# trace per world-basis vector, column by column, with the checks in order.
+
+
+def reference_pi_act(A, T):
+    return BiTensor(A.mat @ T.t @ A.mat.conj().T)
+
+
+def reference_reality_defect(T):
+    return float(np.linalg.norm(T.t - T.t.conj().T))
+
+
+def reference_to_minkowski(T):
+    defect = reference_reality_defect(T)
+    if defect > REALITY_TOL:
+        raise NotReal(f"reality defect {defect:.3e} exceeds {REALITY_TOL}")
+    return MinkowskiVec(*(np.trace(uj.t @ T.t).real for uj in world_basis()))
+
+
+def reference_lorentz_of(A):
+    try:
+        cols = [reference_to_minkowski(reference_pi_act(A, uj)).coords for uj in world_basis()]
+    except NotReal as exc:
+        raise NumericalDrift(f"transport of the world basis drifted: {exc}") from exc
+    m = np.column_stack(cols)
+    defect = lorentz_defect(m)
+    if defect > DRIFT_TOL:
+        raise NumericalDrift(f"metric-orthogonality defect {defect:.3e} exceeds {DRIFT_TOL}")
+    return LorentzMatrix(m)
+
+
+def outcome(f, *args):
+    """The bytes of f's array result, or the exact type and message of its
+    error; numpy's overflow warnings are silenced, so both forms can be run
+    on overflowing inputs."""
+    with np.errstate(all="ignore"):
+        try:
+            r = f(*args)
+        except ValueError as exc:
+            return type(exc), str(exc)
+    r = getattr(r, "mat", getattr(r, "coords", r))
+    return np.asarray(r).tobytes()
+
+
+def spread_sl2(rng, max_norm):
+    """Unimodular matrix from entries of log-uniform magnitude, so that
+    Frobenius norms spread from 1 up to max_norm."""
+    while True:
+        m = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))) * 10.0 ** rng.uniform(-2, 2, (2, 2))
+        d = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+        if abs(d) < 1e-3 * np.sum(np.abs(m) ** 2):
+            continue
+        m = m / cmath.sqrt(d)
+        if np.linalg.norm(m) <= max_norm:
+            try:
+                return SL2Element(m)
+            except ValueError:
+                continue
+
+
+def sweep_matrices(rng):
+    """Random SL2 matrices with norms up to 1e3, then canonical boosts with
+    |p|/m log-uniform in [1e-3, 1e4]."""
+    mats = [random_sl2(rng) for _ in range(100)]
+    mats += [spread_sl2(rng, max_norm) for max_norm in (50.0, 1e3) for _ in range(150)]
+    for _ in range(300):
+        m = 10 ** rng.uniform(-1, 1)
+        d = rng.normal(size=3)
+        p = m * 10 ** rng.uniform(-3, 4) * d / np.linalg.norm(d)
+        try:
+            mats.append(boost_rep(shell_point(m, *p.tolist())))
+        except ValueError:
+            pass  # the absolute shell and determinant bounds refuse some large |p|/m
+    return mats
+
+
+def test_stacked_lorentz_of_equals_column_by_column():
+    rng = np.random.default_rng(60)
+    mats = sweep_matrices(rng)
+    mats += [SL2Element(np.diag([cmath.exp(1j * t), cmath.exp(-1j * t)])) for t in (0.0, math.pi / 2, math.pi)]
+    mats += [SL2Element([[0, 1], [-1, 0]]), SL2Element([[0, 1j], [1j, 0]]), SL2Element(np.diag([1e200, 1e-200]))]
+    outcomes = [outcome(lorentz_of, A) for A in mats]
+    assert outcomes == [outcome(reference_lorentz_of, A) for A in mats]
+    # Both the accepted and the refused branch are exercised.
+    assert 0 < sum(isinstance(o, tuple) for o in outcomes) < len(outcomes) // 2
+
+
+def test_stacked_to_minkowski_equals_scalar():
+    rng = np.random.default_rng(61)
+    tensors = [pi_act(A, from_minkowski(MinkowskiVec.from_coords(rng.normal(size=4))))
+               for A in sweep_matrices(rng)]
+    tensors += [random_bitensor(rng, 10.0 ** rng.uniform(-3, 3)) for _ in range(200)]
+    tensors += [BiTensor(np.diag([1e308, 1e308])), BiTensor([[1e308, 1e308], [-1e308, 1]])]
+    for T in tensors:
+        assert outcome(to_minkowski, T) == outcome(reference_to_minkowski, T)
+        with np.errstate(over="ignore"):
+            defects = reality_defect(T), reference_reality_defect(T)
+        assert np.float64(defects[0]).tobytes() == np.float64(defects[1]).tobytes()
+    pairs = [(T, outcome(to_minkowski, T)) for T in tensors]
+    assert any(isinstance(o, tuple) and o[0] is NotReal for _, o in pairs)
+
+
+# Exception type and message of refused inputs; these rows are the output of
+# the column-by-column forms above.  numpy's overflow warnings, which the
+# unstacked matrix product prints on the last row, are not part of the table.
+TRANSPORT_ERRORS = [
+    ("drift", lambda: lorentz_of(SL2Element(np.diag([1e5, 1e-5]))),
+     NumericalDrift, "metric-orthogonality defect 1.346e+03 exceeds 1e-08"),
+    ("boost-1e3", lambda: lorentz_of(boost_rep(shell_point(1.0, 0.0, 0.0, 1e3))),
+     ValueError, "metric-orthogonality defect 1.198e-10 exceeds 1e-10"),
+    ("non-hermitian", lambda: to_minkowski(BiTensor([[1, 2], [3, 4]])),
+     NotReal, "reality defect 1.414e+00 exceeds 1e-10"),
+    ("act-overflow", lambda: act_momentum(SL2Element(np.diag([1e200, 1e-200])), Momentum(1.0, 0.0, 0.0, 0.5)),
+     ValueError, "bitensor entries must be finite"),
+]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("call, kind, message", [row[1:] for row in TRANSPORT_ERRORS],
+                         ids=[row[0] for row in TRANSPORT_ERRORS])
+def test_transport_error_parity(call, kind, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (kind, message)
+
+
+@pytest.mark.parametrize("call", [row[1] for row in TRANSPORT_ERRORS], ids=[row[0] for row in TRANSPORT_ERRORS])
+def test_transport_errors_print_no_warning(call):
+    # The tier-1 configuration turns RuntimeWarnings into errors.
+    with pytest.raises(ValueError):
+        call()

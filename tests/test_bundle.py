@@ -37,7 +37,8 @@ from twospinors import (
     split_conjugate_pair,
     tau,
 )
-from twospinors.bundle import fiber_bound, fiber_residuals
+from twospinors.bundle import fiber_bound, fiber_residuals, spin_characters
+from twospinors.verify import _check_spin_character
 from twospinors.sampling import random_fiber_element, random_su2
 
 from test_spinor import random_sl2
@@ -352,3 +353,22 @@ def test_fiber_residuals_equal_linalg_reference():
 def test_fiber_bound_scales_with_mass_above_one():
     assert fiber_bound(1e-9, 0.5, 3.0) == 1e-9 * 1.0 * 3.0
     assert fiber_bound(1e-9, 4.0, 3.0) == 1e-9 * 4.0 * 3.0
+
+
+def reference_spin_character(t):
+    # The unstacked form: one diagonal-phase element and one 4x4 trace.
+    A = SL2Element([[cmath.exp(1j * t), 0.0], [0.0, cmath.exp(-1j * t)]])
+    p_plus = (gamma(0) + np.eye(4)) / 2.0
+    return complex(np.trace(p_plus @ tau(A)))
+
+
+def test_stacked_spin_characters_equal_scalar():
+    rng = np.random.default_rng(63)
+    ts = np.concatenate([np.linspace(0.0, 2.0 * math.pi, 100), rng.uniform(-1e3, 1e3, 300)])
+    for t, c in zip(ts, spin_characters(ts).tolist()):
+        expected = np.complex128(reference_spin_character(t)).tobytes()
+        assert np.complex128(c).tobytes() == expected
+        assert np.complex128(spin_character(t)).tobytes() == expected
+    grid = np.linspace(0.0, 2.0 * math.pi, 100)
+    worst = max(abs(reference_spin_character(t) - 2.0 * math.cos(t)) for t in grid)
+    assert _check_spin_character(None, 1).max_defect == worst

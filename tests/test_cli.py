@@ -408,6 +408,21 @@ def test_overflowing_axis_reports_only_the_error(tmp_path):
     assert proc.stderr == "error: momentum coordinates must be finite\n"
 
 
+def test_overflowing_boost_reports_only_the_typed_error(tmp_path):
+    # A subnormal mass: shell_point accepts the first node, its boost overflows.
+    proc = subprocess.run(
+        [sys.executable, "-m", "twospinors", "sample-field", "-m", "1e-315",
+         "--grid", "2:1e-7:3e-7", "--out", str(tmp_path / "field.ndjson")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == (
+        "error: canonical boost of p = [1.7320508075688772e-07, 1e-07, 1e-07, 1e-07]"
+        " at m = 1e-315 overflows\n"
+    )
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "twospinors", "gamma", "--format", "json"],

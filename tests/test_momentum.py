@@ -7,6 +7,7 @@ import pytest
 
 from twospinors import (
     BadMass,
+    Degenerate,
     MassShellPoint,
     MinkowskiVec,
     Momentum,
@@ -24,6 +25,7 @@ from twospinors import (
 
 from twospinors.momentum import accepted_boosts, boost_matrices, shell_momenta
 
+from test_bitensor import outcome, reference_pi_act, reference_to_minkowski, sweep_matrices
 from test_spinor import random_sl2
 
 SQRT2 = math.sqrt(2.0)
@@ -250,3 +252,29 @@ def test_accepted_boosts_agree_with_scalar_checks(m, lo, hi):
             assert not ok
         else:
             assert ok
+
+
+@pytest.mark.parametrize("m, p3", [(1e-300, 1e10), (1e-315, 3e-7)], ids=["tiny-mass", "subnormal-mass"])
+def test_boost_rep_overflow_is_degenerate(m, p3):
+    # shell_point accepts these points; the closed form overflows, and no
+    # numpy warning is printed (RuntimeWarnings fail the tier-1 run).
+    q = shell_point(m, 0.0, 0.0, p3)
+    with pytest.raises(Degenerate, match="overflows"):
+        boost_rep(q)
+
+
+# --- the stacked transport kernel under act_momentum -----------------------------
+
+
+def reference_act_momentum(A, q):
+    return dualize(reference_to_minkowski(reference_pi_act(A, from_minkowski(undualize(q)))))
+
+
+def test_stacked_act_momentum_equals_scalar():
+    rng = np.random.default_rng(62)
+    mats = sweep_matrices(rng)
+    momenta = [Momentum.from_coords(rng.normal(size=4) * 10.0 ** rng.uniform(-3, 3)) for _ in mats]
+    mats.append(SL2Element(np.diag([1e200, 1e-200])))
+    momenta.append(Momentum(1.0, 0.0, 0.0, 0.5))
+    for A, q in zip(mats, momenta):
+        assert outcome(act_momentum, A, q) == outcome(reference_act_momentum, A, q)

@@ -1,9 +1,10 @@
 """The verification report: determinism, coverage, and the corruption hook."""
 
+import numpy as np
 import pytest
 
 from twospinors import run_verification
-from twospinors.verify import CONVENTIONS
+from twospinors.verify import CONVENTIONS, _sweep
 
 EXPECTED_CHECKS = {
     "cyclic identity",
@@ -65,3 +66,28 @@ def test_corruption_hook_fails_and_names_relation():
     assert any(c.name == "gamma anticommutation table" for c in failing)
     bad = next(c for c in failing if c.name == "gamma anticommutation table")
     assert "gamma(" in bad.detail
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), np.float64("nan")])
+def test_sweep_fails_on_non_finite_defect(bad):
+    @_sweep("probe", 1.0)
+    def probe(rng):
+        yield 0.25
+        yield bad
+        yield 0.5
+
+    result = probe(np.random.default_rng(0), 1)
+    assert not result.passed
+    assert result.max_defect == 0.5
+    assert result.detail == "non-finite defect at sample 0"
+
+
+def test_sweep_names_first_non_finite_sample():
+    defects = iter([0.1, 0.2, float("nan"), 0.3, float("nan")])
+
+    @_sweep("probe", 1.0)
+    def probe(rng):
+        yield next(defects)
+
+    result = probe(np.random.default_rng(0), 5)
+    assert (result.passed, result.max_defect, result.detail) == (False, 0.3, "non-finite defect at sample 2")

@@ -11,6 +11,7 @@ from .bitensor import (
     BiTensor,
     LorentzMatrix,
     MinkowskiVec,
+    Momentum,
     elementary,
     from_minkowski,
     h_form,
@@ -57,12 +58,9 @@ from .errors import (
 )
 from .momentum import (
     MassShellPoint,
-    Momentum,
     act_momentum,
     boost_rep,
-    dualize,
     shell_point,
-    undualize,
 )
 from .planewave import plane_wave, planewave_residual
 from .spinor import (

@@ -22,6 +22,7 @@ from .spinor import CoSpinor2, SL2Element, Spinor2, _det2, conjugate, spinor_nor
 
 __all__ = [
     "BiTensor",
+    "Momentum",
     "MinkowskiVec",
     "LorentzMatrix",
     "ETA",
@@ -83,35 +84,42 @@ class BiTensor:
 
 
 @dataclass(frozen=True)
-class MinkowskiVec:
-    """Real coordinates in the world basis; x0 is the timelike component."""
+class Momentum:
+    """Real four-vector coordinates, p0 timelike: a world vector in the world
+    basis, or a momentum in the dual basis, which makes the duality the
+    identity on coordinates (the pairing of the plane-wave phase)."""
 
-    x0: float
-    x1: float
-    x2: float
-    x3: float
+    p0: float
+    p1: float
+    p2: float
+    p3: float
 
     def __post_init__(self):
-        for name in ("x0", "x1", "x2", "x3"):
+        for name in ("p0", "p1", "p2", "p3"):
             v = float(getattr(self, name))
             if not math.isfinite(v):
-                raise ValueError("coordinates must be finite")
+                raise ValueError("momentum coordinates must be finite")
             object.__setattr__(self, name, v)
 
     @property
     def coords(self) -> np.ndarray:
-        return np.array([self.x0, self.x1, self.x2, self.x3])
+        return np.array([self.p0, self.p1, self.p2, self.p3])
 
     @classmethod
-    def from_coords(cls, c) -> "MinkowskiVec":
+    def from_coords(cls, c) -> "Momentum":
         c = np.asarray(c, dtype=float)
         return cls(c[0], c[1], c[2], c[3])
 
 
+# World vectors and momenta share one type (see Momentum).
+MinkowskiVec = Momentum
+
+
 def lorentz_defect(m: np.ndarray) -> float:
-    """Metric-orthogonality defect max|m^T eta m - eta| of a 4x4 matrix;
-    zero exactly for Lorentz matrices."""
-    return float(np.max(np.abs(m.T @ ETA @ m - ETA)))
+    """Metric-orthogonality defect max|m^T eta m - eta| of a 4x4 matrix; zero
+    exactly for Lorentz matrices, inf or nan (without a warning) on overflow."""
+    with np.errstate(all="ignore"):
+        return float(np.max(np.abs(m.T @ ETA @ m - ETA)))
 
 
 class LorentzMatrix:
@@ -123,6 +131,8 @@ class LorentzMatrix:
         m = np.array(mat, dtype=float)
         if m.shape != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError("matrix entries must be finite")
         defect = lorentz_defect(m)
         if defect > LORENTZ_TOL:
             raise ValueError(f"metric-orthogonality defect {defect:.3e} exceeds {LORENTZ_TOL}")
@@ -160,15 +170,17 @@ def involution_J(T: BiTensor) -> BiTensor:
 
 
 def _reality_defects(t: np.ndarray) -> np.ndarray:
-    """Frobenius distances of stacked (..., 2, 2) matrices from their
-    conjugate transposes, each equal to np.linalg.norm of one row's T - T*."""
+    """Frobenius distances of stacked (..., 2, 2) matrices from their conjugate
+    transposes, each np.linalg.norm of one row's T - T* (inf on overflow)."""
     d = t - np.conj(np.swapaxes(t, -1, -2))
     return spinor_norms(d.reshape(d.shape[:-2] + (4,)))
 
 
 def reality_defect(T: BiTensor) -> float:
-    """Frobenius distance of T from its involution image (0 iff Hermitian)."""
-    return float(_reality_defects(T.t))
+    """Frobenius distance of T from its involution image (0 iff Hermitian;
+    inf, without a warning, when T - T* overflows)."""
+    with np.errstate(all="ignore"):
+        return float(_reality_defects(T.t))
 
 
 def project_real(T: BiTensor) -> BiTensor:
@@ -196,21 +208,34 @@ def world_basis() -> tuple[BiTensor, BiTensor, BiTensor, BiTensor]:
     return (u0, u1, u2, u3)
 
 
-def from_minkowski(x: MinkowskiVec) -> BiTensor:
-    """Expand world coordinates in the world basis.
-
-    Closed form: (1/sqrt(2)) * [[x0+x3, x1+i*x2], [x1-i*x2, x0-x3]].
-    """
-    u = world_basis()
-    return BiTensor(x.x0 * u[0].t + x.x1 * u[1].t + x.x2 * u[2].t + x.x3 * u[3].t)
-
-
 @lru_cache(maxsize=1)
 def _world_stack() -> np.ndarray:
     """The world basis u0..u3 as one read-only (4, 2, 2) array."""
     u = np.stack([uj.t for uj in world_basis()])
     u.setflags(write=False)
     return u
+
+
+def _expand(c, basis) -> np.ndarray:
+    """c0 b0 + c1 b1 + c2 b2 + c3 b3 over four basis matrices, for 4 or stacked
+    (..., 4) coordinates; the kernel under from_minkowski, boost_matrices and
+    slash.  Summed left to right, so every stacked row equals the expansion
+    of its own coordinates bit for bit."""
+    c = np.asarray(c, dtype=float)
+    # One vector's coordinates as Python floats: the same products as numpy
+    # scalars give, at a lower cost per call.
+    c = np.moveaxis(c, -1, 0)[..., None, None] if c.ndim > 1 else c.tolist()
+    return c[0] * basis[0] + c[1] * basis[1] + c[2] * basis[2] + c[3] * basis[3]
+
+
+def from_minkowski(x: MinkowskiVec) -> BiTensor:
+    """Expand world coordinates in the world basis.
+
+    Closed form: (1/sqrt(2)) * [[p0+p3, p1+i*p2], [p1-i*p2, p0-p3]].
+    Coordinates whose expansion overflows are refused by BiTensor.
+    """
+    with np.errstate(all="ignore"):
+        return BiTensor(_expand(x.coords, _world_stack()))
 
 
 def _transport(a: np.ndarray, t) -> np.ndarray:
@@ -265,10 +290,10 @@ def h_form(X: BiTensor, Y: BiTensor) -> complex:
 
 
 def q_form(v) -> float:
-    """Lorentz quadratic form x0^2 - x1^2 - x2^2 - x3^2 of a coordinate vector.
+    """Lorentz quadratic form p0^2 - p1^2 - p2^2 - p3^2 of a coordinate vector.
 
-    Accepts anything with a .coords attribute (world or momentum vectors) or
-    a plain length-4 sequence.
+    Accepts a four-vector (a Momentum, which is also the world-vector type)
+    or a plain length-4 sequence.
     """
     c = v.coords if hasattr(v, "coords") else np.asarray(v, dtype=float)
     return float(c[0] ** 2 - c[1] ** 2 - c[2] ** 2 - c[3] ** 2)

@@ -19,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bitensor import Momentum
 from .clifford import FourSpinor, gamma, slash, spinor_norms, tau, tau_matrices
 from .errors import InvalidClassRep, NotInFiber
-from .momentum import MassShellPoint, Momentum, _require_mass, _require_on_shell, act_momentum, boost_rep
+from .momentum import MassShellPoint, _require_mass, _require_on_shell, act_momentum, boost_rep
 from .spinor import CoSpinor2, SL2Element, Spinor2, conjugate
 
 __all__ = [
@@ -35,6 +36,7 @@ __all__ = [
     "fiber_bound",
     "fiber_projector",
     "rest_fiber_basis",
+    "rest_transport",
     "fiber_basis",
     "beta",
     "beta_inv",
@@ -49,6 +51,10 @@ FIBER_TOL = 1e-9
 
 # Rest-eigenspace membership tolerance for class representatives.
 SPLUS_TOL = 1e-10
+
+# The rest-eigenspace basis (e1 - e2bar, e2 + e1bar), one flattened row each.
+_REST = np.array([[1, 0, 0, -1], [0, 1, 1, 0]], dtype=complex)
+_REST.setflags(write=False)
 
 
 def fiber_residuals(p, psi, m: float) -> np.ndarray:
@@ -142,18 +148,21 @@ def fiber_projector(q: MassShellPoint) -> np.ndarray:
 def rest_fiber_basis() -> tuple[FourSpinor, FourSpinor]:
     """The rest-eigenspace basis (e1 - e2bar, e2 + e1bar), flattened to
     (1, 0, 0, -1) and (0, 1, 1, 0)."""
-    return (
-        FourSpinor.from_vec([1, 0, 0, -1]),
-        FourSpinor.from_vec([0, 1, 1, 0]),
-    )
+    return (FourSpinor.from_vec(_REST[0]), FourSpinor.from_vec(_REST[1]))
+
+
+def rest_transport(a) -> np.ndarray:
+    """The rest fiber basis moved by tau of stacked (..., 2, 2) matrices a:
+    (..., 2, 4) coefficients, one row per basis vector; the kernel under
+    fiber_basis and sample-field."""
+    return np.matvec(tau_matrices(a)[..., None, :, :], _REST)
 
 
 def fiber_basis(q: MassShellPoint) -> tuple[FourSpinor, FourSpinor]:
     """The canonical section's basis of the fiber at q: the rest basis
     transported by tau of the canonical boost."""
-    t = tau(boost_rep(q))
-    v1, v2 = rest_fiber_basis()
-    return (FourSpinor.from_vec(t @ v1.vec), FourSpinor.from_vec(t @ v2.vec))
+    v1, v2 = rest_transport(boost_rep(q).mat)
+    return (FourSpinor.from_vec(v1), FourSpinor.from_vec(v2))
 
 
 def beta(rep: AssociatedClassRep) -> FiberElement:

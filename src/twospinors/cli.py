@@ -32,9 +32,10 @@ from .bundle import (
     fiber_residual,
     fiber_residuals,
     rest_fiber_basis,
+    rest_transport,
     split_conjugate_pair,
 )
-from .clifford import gamma, gamma_relation_residuals, spinor_norms, tau_matrices
+from .clifford import gamma, gamma_relation_residuals, spinor_norms
 from .errors import NumericalDrift
 from .momentum import accepted_boosts, boost_matrices, boost_rep, shell_momenta, shell_point
 from .planewave import planewave_residual
@@ -337,7 +338,6 @@ def field_records(m: float, grid: tuple[int, float, float], seed: int, tol: floa
 
     def records():
         basis = rest_fiber_basis()
-        rest = np.array([v.vec for v in basis])
         # The split of a class (A, v) depends only on v, so the rest class
         # (Id, v) gives every node's s and sbar.
         pairs = [split_conjugate_pair(AssociatedClassRep(SL2Element.identity(), v, m)) for v in basis]
@@ -349,7 +349,7 @@ def field_records(m: float, grid: tuple[int, float, float], seed: int, tol: floa
                 p = shell_momenta(m, p1, p2, p3)
                 A = boost_matrices(p, m)
                 accepted = accepted_boosts(p, m, A)
-                psi = np.matvec(tau_matrices(A)[:, None], rest)
+                psi = rest_transport(A)
                 residual = fiber_residuals(p[:, None], psi, m)
                 ok = residual <= fiber_bound(tol, m, spinor_norms(psi))
             good = len(p) if accepted.all() else int(np.argmin(accepted))
@@ -422,9 +422,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default="text",
                         help="output format (default: text)")
-    common.add_argument("--seed", type=int, default=0, help="random seed")
-    common.add_argument("--tol", type=float, default=1e-9,
-                        help="fiber-residual tolerance (default: 1e-9)")
+    # Only the commands that read a seed or a tolerance take the option.
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0, help="random seed")
+    tolerant = argparse.ArgumentParser(add_help=False)
+    tolerant.add_argument("--tol", type=float, default=1e-9,
+                          help="fiber-residual tolerance (default: 1e-9)")
 
     parser = argparse.ArgumentParser(
         prog="twospinors",
@@ -444,7 +447,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="a11re a11im a12re a12im a21re a21im a22re a22im")
     p.set_defaults(func=_cmd_lorentz)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[common, seeded],
                        help="run the verification sweeps")
     p.add_argument("--samples", type=int, default=1000,
                    help="samples per sweep (default: 1000)")
@@ -452,14 +455,14 @@ def _build_parser() -> argparse.ArgumentParser:
                    help=argparse.SUPPRESS)  # negative-control test hook
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("solve", parents=[common],
+    p = sub.add_parser("solve", parents=[common, tolerant],
                        help="fiber basis of the momentum-space equation")
     p.add_argument("-m", "--mass", type=float, required=True)
     p.add_argument("p", type=float, nargs=3, metavar="P",
                    help="spatial momentum p1 p2 p3")
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("planewave-check", parents=[common],
+    p = sub.add_parser("planewave-check", parents=[common, tolerant],
                        help="position-space residual by central differences")
     p.add_argument("-m", "--mass", type=float, required=True)
     p.add_argument("p", type=float, nargs=3, metavar="P",
@@ -473,7 +476,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="differentiate the phase exactly instead")
     p.set_defaults(func=_cmd_planewave_check)
 
-    p = sub.add_parser("sample-field", parents=[common],
+    p = sub.add_parser("sample-field", parents=[common, seeded, tolerant],
                        help="sample the conjugate spinor fields over a momentum grid")
     p.add_argument("-m", "--mass", type=float, required=True)
     p.add_argument("--grid", default="5:-1:1", metavar="N:LO:HI",

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bitensor import ETA, BiTensor, h_form, pi_act, world_basis
+from .bitensor import ETA, BiTensor, _expand, h_form, pi_act, world_basis
 from .spinor import CoSpinor2, SL2Element, Spinor2, eps, eps_bar, spinor_norms
 
 __all__ = [
@@ -149,17 +149,15 @@ def _coords4(p) -> np.ndarray:
 
 
 def slash(p) -> np.ndarray:
-    """Contraction of a 4-vector with the gamma matrices.
+    """Contraction of a 4-vector with the gamma matrices:
+    p0 gamma(0) + p1 gamma(1) + p2 gamma(2) + p3 gamma(3).
 
-    Accepts a world vector, a momentum, or a plain length-4 sequence, or a
-    stacked (..., 4) array of coordinates, giving (..., 4, 4) matrices.
-    Squares to q_form(p) times the identity.
+    Accepts a four-vector (Momentum), a plain length-4 sequence, or a stacked
+    (..., 4) array of coordinates, giving (..., 4, 4) matrices; the sum is
+    the shared basis expansion bitensor._expand.  Squares to q_form(p) times
+    the identity.
     """
-    c = _coords4(p)
-    if c.ndim > 1:
-        c = np.moveaxis(c, -1, 0)[..., None, None]
-    g = _gamma_table()
-    return c[0] * g[0] + c[1] * g[1] + c[2] * g[2] + c[3] * g[3]
+    return _expand(_coords4(p), _gamma_table())
 
 
 def tau_matrices(a) -> np.ndarray:

@@ -1,8 +1,8 @@
-"""Momentum space, the duality with world vectors, and the mass shell.
+"""Momentum space and the mass shell.
 
 Momentum coordinates are stored in the dual basis, chosen so the duality
-map is the identity on coordinate tuples; the type distinction keeps
-position-like and momentum-like vectors separate.  The forward mass shell
+with world vectors is the identity on coordinate tuples; momenta and world
+vectors therefore share one type, bitensor.Momentum.  The forward mass shell
 for mass m is the orbit of (m, 0, 0, 0) under the unimodular action; every
 shell point has a unique positive-definite Hermitian boost representative.
 """
@@ -14,16 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitensor import from_minkowski, pi_act, q_form, to_minkowski, world_basis, MinkowskiVec
+from .bitensor import Momentum, _expand, _world_stack, from_minkowski, pi_act, q_form, to_minkowski
 from .errors import BadMass, Degenerate, NotOnShell
 from .spinor import SL2_DET_TOL, SL2Element
 
 __all__ = [
-    "Momentum",
     "MassShellPoint",
     "SHELL_TOL",
-    "dualize",
-    "undualize",
     "shell_point",
     "shell_momenta",
     "boost_rep",
@@ -39,32 +36,6 @@ SHELL_TOL = 1e-9
 
 _ID2 = np.eye(2)
 _ID2.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class Momentum:
-    """Real momentum coordinates in the dual basis (natural units)."""
-
-    p0: float
-    p1: float
-    p2: float
-    p3: float
-
-    def __post_init__(self):
-        for name in ("p0", "p1", "p2", "p3"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ValueError("momentum coordinates must be finite")
-            object.__setattr__(self, name, v)
-
-    @property
-    def coords(self) -> np.ndarray:
-        return np.array([self.p0, self.p1, self.p2, self.p3])
-
-    @classmethod
-    def from_coords(cls, c) -> "Momentum":
-        c = np.asarray(c, dtype=float)
-        return cls(c[0], c[1], c[2], c[3])
 
 
 def _require_mass(m) -> float:
@@ -104,16 +75,6 @@ class MassShellPoint:
         _require_on_shell(self)
 
 
-def dualize(x: MinkowskiVec) -> Momentum:
-    """World vector to momentum; the identity on coordinate tuples."""
-    return Momentum(x.x0, x.x1, x.x2, x.x3)
-
-
-def undualize(p: Momentum) -> MinkowskiVec:
-    """Momentum to world vector; the identity on coordinate tuples."""
-    return MinkowskiVec(p.p0, p.p1, p.p2, p.p3)
-
-
 def shell_point(m: float, p1: float, p2: float, p3: float) -> MassShellPoint:
     """Forward-shell point with spatial momentum (p1, p2, p3) and mass m.
 
@@ -138,17 +99,13 @@ def boost_matrices(p, m: float) -> np.ndarray:
     """Canonical boosts of stacked momenta, the kernel under boost_rep.
 
     Maps (..., 4) coordinates to the (..., 2, 2) matrices (H + Id) / sqrt(tr H + 2),
-    where H = sqrt(2) * (p0 u0 + p1 u1 + p2 u2 + p3 u3) / m is summed in the
-    order from_minkowski uses, so every row equals the scalar result bit for
-    bit.  Rows are not validated.  For p0 > 0 the diagonal of H holds the
+    where H = sqrt(2) * (p0 u0 + p1 u1 + p2 u2 + p3 u3) / m is the world-basis
+    expansion of from_minkowski (bitensor._expand), so every row equals the
+    scalar result bit for bit.  Rows are not validated.  For p0 > 0 the diagonal of H holds the
     rounded images of p0 + p3 and p0 - p3, so by monotone rounding tr H >= 0
     (or nan on overflow): the square root never degenerates.
     """
-    x = np.asarray(p, dtype=float)
-    if x.ndim > 1:
-        x = np.moveaxis(x, -1, 0)[..., None, None]
-    u = world_basis()
-    H = _SQRT2 * (x[0] * u[0].t + x[1] * u[1].t + x[2] * u[2].t + x[3] * u[3].t) / m
+    H = _SQRT2 * _expand(p, _world_stack()) / m
     tr = (H[..., 0, 0] + H[..., 1, 1]).real
     return (H + _ID2) / np.sqrt(tr + 2.0)[..., None, None]
 
@@ -205,4 +162,4 @@ def act_momentum(A: SL2Element, q: Momentum) -> Momentum:
 
     Preserves the quadratic form, and preserves the forward cone p0 > 0.
     """
-    return dualize(to_minkowski(pi_act(A, from_minkowski(undualize(q)))))
+    return to_minkowski(pi_act(A, from_minkowski(q)))

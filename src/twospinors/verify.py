@@ -16,7 +16,7 @@ import numpy as np
 
 from .bitensor import (
     ETA,
-    MinkowskiVec,
+    Momentum,
     elementary,
     h_form,
     involution_J,
@@ -44,7 +44,7 @@ from .clifford import (
     slash,
     tau,
 )
-from .momentum import MassShellPoint, Momentum, act_momentum, dualize, shell_point
+from .momentum import MassShellPoint, act_momentum, shell_point
 from .spinor import SL2Element, Spinor2, act, conjugate, cyclic_defect, eps, eps_bar
 from .sampling import (
     random_bitensor,
@@ -185,10 +185,11 @@ def _check_slash_square(rng):
 
 @_sweep("momentum duality preserves the form", 1e-10)
 def _check_duality(rng):
-    x = MinkowskiVec.from_coords(rng.normal(0.0, 3.0, 4))
-    yield abs(q_form(x) - q_form(dualize(x)))
+    # The duality is the identity on coordinates (world vectors and momenta
+    # are one type), so what is left to check is that the action preserves
+    # the form.
+    p = Momentum.from_coords(rng.normal(0.0, 3.0, 4))
     A = random_sl2(rng)
-    p = dualize(x)
     moved = act_momentum(A, p)
     scale = max(1.0, float(np.sum(p.coords**2)), float(np.sum(moved.coords**2)))
     yield abs(q_form(moved) - q_form(p)) / scale

@@ -1,11 +1,13 @@
 """Bitensors, the reality involution, the world basis, and the Lorentz covering."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+import twospinors
 from twospinors import (
     ETA,
     BiTensor,
@@ -96,6 +98,11 @@ def test_reality_defect_hermitian():
     assert reality_defect(BiTensor([[1, 2 + 1j], [2 - 1j, -3]])) == 0
 
 
+def test_reality_defect_overflow_is_inf():
+    # T - T* overflows; the tier-1 configuration turns RuntimeWarnings into errors.
+    assert reality_defect(BiTensor([[1e308, 1e308], [-1e308, 1]])) == math.inf
+
+
 def test_project_real_symmetrizes():
     np.testing.assert_array_equal(project_real(BiTensor(E12)).t, (E12 + E21) / 2)
 
@@ -173,6 +180,36 @@ def test_from_minkowski_closed_form():
 def test_to_minkowski_rejects_non_hermitian():
     with pytest.raises(NotReal):
         to_minkowski(BiTensor(E12))
+
+
+def test_momentum_is_minkowski_vec():
+    assert twospinors.Momentum is twospinors.MinkowskiVec
+
+
+# --- the basis expansion under from_minkowski, boost_matrices and slash ----------
+
+
+def expansion_coords(rng):
+    """Coordinate rows that tell the left-to-right sum from other ways of
+    forming it: random rows, magnitudes spread over 1e-300..1e300, and every
+    mix of 0.0, -0.0 and one nonzero value (a sum started from an accumulator
+    at +0 turns an all -0.0 entry into +0.0)."""
+    rows = list(rng.normal(size=(100, 4)))
+    rows += list(rng.choice([-1.0, 1.0], (200, 4)) * 10.0 ** rng.uniform(-300, 300, (200, 4)))
+    rows += [np.array(c) for c in itertools.product((0.0, -0.0, -1.25), repeat=4)]
+    return np.array(rows)
+
+
+def left_to_right(c, basis):
+    """c0 b0 + c1 b1 + c2 b2 + c3 b3, written out and summed left to right."""
+    c0, c1, c2, c3 = (float(x) for x in c)
+    return ((c0 * basis[0] + c1 * basis[1]) + c2 * basis[2]) + c3 * basis[3]
+
+
+def test_from_minkowski_sums_left_to_right():
+    u = [uj.t for uj in world_basis()]
+    for c in expansion_coords(np.random.default_rng(63)):
+        assert from_minkowski(MinkowskiVec.from_coords(c)).t.tobytes() == left_to_right(c, u).tobytes()
 
 
 # --- the bilinear form -------------------------------------------------------
@@ -322,6 +359,19 @@ def test_lorentz_matrix_rejects_time_reversal():
         LorentzMatrix(m)
 
 
+def identity_with(i, j, value):
+    m = np.eye(4)
+    m[i, j] = value
+    return m
+
+
+@pytest.mark.parametrize("m", [np.full((4, 4), math.nan), identity_with(0, 0, math.inf),
+                               identity_with(2, 1, -math.inf)], ids=["all-nan", "inf", "minus-inf"])
+def test_lorentz_matrix_rejects_non_finite(m):
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        LorentzMatrix(m)
+
+
 def test_q_form_invariant_under_transport():
     rng = np.random.default_rng(14)
     worst = 0.0
@@ -448,6 +498,8 @@ TRANSPORT_ERRORS = [
     ("non-hermitian", lambda: to_minkowski(BiTensor([[1, 2], [3, 4]])),
      NotReal, "reality defect 1.414e+00 exceeds 1e-10"),
     ("act-overflow", lambda: act_momentum(SL2Element(np.diag([1e200, 1e-200])), Momentum(1.0, 0.0, 0.0, 0.5)),
+     ValueError, "bitensor entries must be finite"),
+    ("expansion-overflow", lambda: act_momentum(SL2Element.identity(), Momentum(1.7e308, 0.0, 0.0, 1.7e308)),
      ValueError, "bitensor entries must be finite"),
 ]
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from twospinors import fiber_projector, shell_point
-from twospinors.cli import _jdump, _parse_grid, _record_line, field_records, main
+from twospinors.cli import _build_parser, _jdump, _parse_grid, _record_line, field_records, main
 
 GAMMA0 = [
     [[0, 0], [0, 0], [0, 0], [-1, 0]],
@@ -385,6 +385,41 @@ def test_sample_field_io_error_mentions_path(tmp_path, capsys):
     assert str(missing) in err
 
 
+# --- options -------------------------------------------------------------------------
+
+# A command takes --seed or --tol only if it reads it: argv with the flag,
+# the flag, and (for kept flags) the parsed attribute and value.
+DROPPED_FLAGS = {
+    "gamma-seed": (["gamma", "--seed", "1"], "--seed"),
+    "gamma-tol": (["gamma", "--tol", "1e-9"], "--tol"),
+    "lorentz-seed": (["lorentz", "--seed", "1", "--", "1", "0", "0", "0", "0", "0", "1", "0"], "--seed"),
+    "lorentz-tol": (["lorentz", "--tol", "1e-9", "--", "1", "0", "0", "0", "0", "0", "1", "0"], "--tol"),
+    "verify-tol": (["verify", "--samples", "1", "--tol", "1e-9"], "--tol"),
+    "solve-seed": (["solve", "-m", "1", "--seed", "1", "--", "0", "0", "0"], "--seed"),
+    "planewave-check-seed": (["planewave-check", "-m", "1", "--seed", "1", "--", "0", "0", "0"], "--seed"),
+}
+KEPT_FLAGS = {
+    "verify-seed": (["verify", "--seed", "7"], "seed", 7),
+    "solve-tol": (["solve", "-m", "1", "--tol", "1e-6", "--", "0", "0", "0"], "tol", 1e-6),
+    "planewave-check-tol": (["planewave-check", "-m", "1", "--tol", "1e-6", "--", "0", "0", "0"], "tol", 1e-6),
+    "sample-field-seed": (["sample-field", "-m", "1", "--seed", "7", "--out", "f.ndjson"], "seed", 7),
+    "sample-field-tol": (["sample-field", "-m", "1", "--tol", "1e-6", "--out", "f.ndjson"], "tol", 1e-6),
+}
+
+
+@pytest.mark.parametrize("argv, flag", DROPPED_FLAGS.values(), ids=DROPPED_FLAGS)
+def test_unread_option_is_a_usage_error(capsys, argv, flag):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert f"error: unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, attr, value", KEPT_FLAGS.values(), ids=KEPT_FLAGS)
+def test_read_option_parses(argv, attr, value):
+    assert getattr(_build_parser().parse_args(argv), attr) == value
+
+
 # --- process-level behavior ----------------------------------------------------------
 
 
@@ -406,6 +441,16 @@ def test_overflowing_axis_reports_only_the_error(tmp_path):
     )
     assert proc.returncode == 3
     assert proc.stderr == "error: momentum coordinates must be finite\n"
+
+
+def test_overflowing_lorentz_defect_reports_only_the_error():
+    proc = subprocess.run(
+        [sys.executable, "-m", "twospinors", "lorentz", "1e150", "0", "0", "0", "0", "0", "1e-150", "0"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == "error: metric-orthogonality defect inf exceeds 1e-08\n"
 
 
 def test_overflowing_boost_reports_only_the_typed_error(tmp_path):

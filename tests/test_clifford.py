@@ -33,7 +33,7 @@ from twospinors import (
 from twospinors.clifford import spinor_norms, tau_matrices
 
 from test_spinor import random_sl2
-from test_bitensor import random_bitensor, random_spinor
+from test_bitensor import expansion_coords, left_to_right, random_bitensor, random_spinor
 
 SQRT2 = math.sqrt(2.0)
 
@@ -182,6 +182,15 @@ def test_slash_linear_in_coordinates():
 def test_slash_rejects_wrong_length():
     with pytest.raises(ValueError):
         slash([1.0, 2.0])
+
+
+def test_slash_sums_left_to_right():
+    coords = expansion_coords(np.random.default_rng(64))
+    g = [gamma(mu) for mu in range(4)]
+    expected = [left_to_right(c, g).tobytes() for c in coords]
+    assert [slash(c).tobytes() for c in coords] == expected
+    # Stacked rows equal the expansion of their own coordinates.
+    assert [row.tobytes() for row in slash(coords)] == expected
 
 
 # --- tau ----------------------------------------------------------------------

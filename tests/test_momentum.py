@@ -1,4 +1,4 @@
-"""Momentum duality, the mass shell, and the canonical boost section."""
+"""The mass shell, the canonical boost section, and the action on momenta."""
 
 import math
 
@@ -15,12 +15,10 @@ from twospinors import (
     SL2Element,
     act_momentum,
     boost_rep,
-    dualize,
     from_minkowski,
     pi_act,
     q_form,
     shell_point,
-    undualize,
 )
 
 from twospinors.momentum import accepted_boosts, boost_matrices, shell_momenta
@@ -35,26 +33,6 @@ def random_shell(rng, m=None):
     if m is None:
         m = rng.uniform(0.5, 2.0)
     return shell_point(m, *rng.normal(0, 2 * m, 3))
-
-
-# --- duality -----------------------------------------------------------------
-
-
-def test_dualize_is_coordinate_identity():
-    p = dualize(MinkowskiVec(1, 0, 0, 0))
-    assert p == Momentum(1, 0, 0, 0)
-
-
-def test_dualize_round_trip():
-    x = MinkowskiVec(0.3, -1.2, 2.0, 0.7)
-    assert undualize(dualize(x)) == x
-
-
-def test_dualize_preserves_form():
-    rng = np.random.default_rng(40)
-    for _ in range(200):
-        x = MinkowskiVec.from_coords(rng.normal(size=4))
-        assert q_form(x) == q_form(dualize(x))
 
 
 # --- shell construction ---------------------------------------------------------
@@ -130,7 +108,7 @@ def test_boost_rep_section_property():
         A = boost_rep(q)
         rest = from_minkowski(MinkowskiVec(q.m, 0, 0, 0))
         moved = pi_act(A, rest).t
-        target = from_minkowski(undualize(q.p)).t
+        target = from_minkowski(q.p).t
         worst = max(worst, np.max(np.abs(moved - target)) / max(1.0, q.p.p0))
     assert worst <= 1e-10
 
@@ -212,7 +190,7 @@ def test_act_momentum_preserves_forward_cone():
 
 def reference_boost(q):
     # The closed form evaluated on one point through from_minkowski.
-    H = SQRT2 * from_minkowski(undualize(q.p)).t / q.m
+    H = SQRT2 * from_minkowski(q.p).t / q.m
     tr = (H[0, 0] + H[1, 1]).real
     return (H + np.eye(2)) / math.sqrt(tr + 2.0)
 
@@ -267,7 +245,7 @@ def test_boost_rep_overflow_is_degenerate(m, p3):
 
 
 def reference_act_momentum(A, q):
-    return dualize(reference_to_minkowski(reference_pi_act(A, from_minkowski(undualize(q)))))
+    return reference_to_minkowski(reference_pi_act(A, from_minkowski(q)))
 
 
 def test_stacked_act_momentum_equals_scalar():

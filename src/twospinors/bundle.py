@@ -20,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitensor import Momentum
-from .clifford import FourSpinor, gamma, slash, spinor_norms, tau, tau_matrices
+from .clifford import FourSpinor, gamma, slash, tau, tau_matrices
 from .errors import InvalidClassRep, NotInFiber
 from .momentum import MassShellPoint, _require_mass, _require_on_shell, act_momentum, boost_rep
-from .spinor import CoSpinor2, SL2Element, Spinor2, conjugate
+from .spinor import CoSpinor2, SL2Element, Spinor2, conjugate, spinor_norms
 
 __all__ = [
     "FiberElement",
@@ -199,8 +199,7 @@ def split_conjugate_pair(rep: AssociatedClassRep) -> ConjugatePair:
     conjugate partner is its coefficient conjugation.
     """
     _require_class_rep(rep)
-    v = rep.phi_plus.vec
-    s = Spinor2(complex(v[0]), complex(v[1]))
+    s = rep.phi_plus.s
     return ConjugatePair(s, conjugate(s))
 
 

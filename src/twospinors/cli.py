@@ -35,11 +35,11 @@ from .bundle import (
     rest_transport,
     split_conjugate_pair,
 )
-from .clifford import gamma, gamma_relation_residuals, spinor_norms
+from .clifford import gamma, gamma_relation_residuals
 from .errors import NumericalDrift
 from .momentum import accepted_boosts, boost_matrices, boost_rep, shell_momenta, shell_point
 from .planewave import planewave_residual
-from .spinor import SL2Element
+from .spinor import SL2Element, spinor_norms
 from .verify import CONVENTIONS, run_verification
 
 SCHEMA_VERSION = 1
@@ -197,13 +197,9 @@ def _cmd_lorentz(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    corrupt = None
-    if args.corrupt_gamma:
-        parts = args.corrupt_gamma.split(",")
-        if len(parts) != 3:
-            raise ValueError("--corrupt-gamma expects MU,I,J")
-        corrupt = tuple(int(x) for x in parts)
-    report = run_verification(seed=args.seed, samples=args.samples, corrupt_gamma=corrupt)
+    report = run_verification(
+        seed=args.seed, samples=args.samples, corrupt_gamma=args.corrupt_gamma
+    )
     payload = {
         "header": _header(seed=args.seed),
         "samples": report.samples,
@@ -289,17 +285,6 @@ def _cmd_planewave_check(args) -> int:
     return 0
 
 
-def _parse_grid(text: str):
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError("--grid expects N:LO:HI")
-    n = int(parts[0])
-    lo, hi = float(parts[1]), float(parts[2])
-    if n < 1:
-        raise ValueError("grid must have at least one node per axis")
-    return n, lo, hi
-
-
 def field_records(m: float, grid: tuple[int, float, float], seed: int, tol: float,
                   rapidity: bool = False):
     """Header dict plus one record dict per fiber-basis vector per node.
@@ -382,16 +367,15 @@ def field_records(m: float, grid: tuple[int, float, float], seed: int, tol: floa
 
 
 def _cmd_sample_field(args) -> int:
-    grid = _parse_grid(args.grid)
     header, records = field_records(
-        args.mass, grid, seed=args.seed, tol=args.tol, rapidity=args.rapidity
+        args.mass, args.grid, seed=args.seed, tol=args.tol, rapidity=args.rapidity
     )
     first_line = _jdump(header) + "\n"
     try:
         out = open(args.out, "w", encoding="utf-8", newline="\n")
     except OSError as exc:
-        print(f"cannot open output file {args.out!r}: {exc}", file=sys.stderr)
-        return 1
+        print(f"error: cannot open output file {args.out!r}: {exc}", file=sys.stderr)
+        return 2
     count = 0
     flagged = 0
     with out:
@@ -415,7 +399,45 @@ def _cmd_sample_field(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Parser: a malformed or non-finite argument is a usage error (exit 2); a
+# finite one outside a command's domain reaches the command (exit 3).
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of a finite number."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return x
+
+
+def _gamma_entry(text: str) -> tuple[int, int, int]:
+    """argparse type of --corrupt-gamma MU,I,J: three indices in 0..3."""
+    try:
+        entry = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        entry = ()
+    if len(entry) != 3 or not all(0 <= k <= 3 for k in entry):
+        raise argparse.ArgumentTypeError(f"expected MU,I,J with each index in 0..3, got {text!r}")
+    return entry
+
+
+def _parse_grid(text: str) -> tuple[int, float, float]:
+    """argparse type of --grid N:LO:HI: N >= 1 nodes per axis over the finite
+    range LO..HI."""
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError(f"expected N:LO:HI, got {text!r}")
+    try:
+        n = int(parts[0])
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected at least one node per axis, got {parts[0]!r}")
+    return n, _finite_float(parts[1]), _finite_float(parts[2])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -426,7 +448,7 @@ def _build_parser() -> argparse.ArgumentParser:
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=int, default=0, help="random seed")
     tolerant = argparse.ArgumentParser(add_help=False)
-    tolerant.add_argument("--tol", type=float, default=1e-9,
+    tolerant.add_argument("--tol", type=_finite_float, default=1e-9,
                           help="fiber-residual tolerance (default: 1e-9)")
 
     parser = argparse.ArgumentParser(
@@ -442,7 +464,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lorentz", parents=[common],
                        help="emit the Lorentz matrix covered by a 2x2 matrix")
-    p.add_argument("entries", type=float, nargs=8,
+    p.add_argument("entries", type=_finite_float, nargs=8,
                    metavar="E",
                    help="a11re a11im a12re a12im a21re a21im a22re a22im")
     p.set_defaults(func=_cmd_lorentz)
@@ -451,25 +473,25 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="run the verification sweeps")
     p.add_argument("--samples", type=int, default=1000,
                    help="samples per sweep (default: 1000)")
-    p.add_argument("--corrupt-gamma", default=None, metavar="MU,I,J",
+    p.add_argument("--corrupt-gamma", type=_gamma_entry, default=None, metavar="MU,I,J",
                    help=argparse.SUPPRESS)  # negative-control test hook
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("solve", parents=[common, tolerant],
                        help="fiber basis of the momentum-space equation")
-    p.add_argument("-m", "--mass", type=float, required=True)
-    p.add_argument("p", type=float, nargs=3, metavar="P",
+    p.add_argument("-m", "--mass", type=_finite_float, required=True)
+    p.add_argument("p", type=_finite_float, nargs=3, metavar="P",
                    help="spatial momentum p1 p2 p3")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("planewave-check", parents=[common, tolerant],
                        help="position-space residual by central differences")
-    p.add_argument("-m", "--mass", type=float, required=True)
-    p.add_argument("p", type=float, nargs=3, metavar="P",
+    p.add_argument("-m", "--mass", type=_finite_float, required=True)
+    p.add_argument("p", type=_finite_float, nargs=3, metavar="P",
                    help="spatial momentum p1 p2 p3")
-    p.add_argument("--point", type=float, nargs=4, default=(0.0, 0.0, 0.0, 0.0),
+    p.add_argument("--point", type=_finite_float, nargs=4, default=(0.0, 0.0, 0.0, 0.0),
                    metavar="X", help="evaluation point x0 x1 x2 x3")
-    p.add_argument("--step", type=float, default=1e-3, help="difference step")
+    p.add_argument("--step", type=_finite_float, default=1e-3, help="difference step")
     p.add_argument("--branch", type=int, choices=(0, 1), default=0,
                    help="which fiber-basis vector to propagate")
     p.add_argument("--analytic", action="store_true",
@@ -478,8 +500,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample-field", parents=[common, seeded, tolerant],
                        help="sample the conjugate spinor fields over a momentum grid")
-    p.add_argument("-m", "--mass", type=float, required=True)
-    p.add_argument("--grid", default="5:-1:1", metavar="N:LO:HI",
+    p.add_argument("-m", "--mass", type=_finite_float, required=True)
+    p.add_argument("--grid", type=_parse_grid, default="5:-1:1", metavar="N:LO:HI",
                    help="nodes per axis and axis range (default: 5:-1:1)")
     p.add_argument("--rapidity", action="store_true",
                    help="axis values are rapidities, mapped through m*sinh")

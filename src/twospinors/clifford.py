@@ -15,13 +15,12 @@ map, never hard-coded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .bitensor import ETA, BiTensor, _expand, h_form, pi_act, world_basis
-from .spinor import CoSpinor2, SL2Element, Spinor2, eps, eps_bar, spinor_norms
+from .spinor import CoSpinor2, SL2Element, Spinor2, _Coefficients, eps, eps_bar
 
 __all__ = [
     "FourSpinor",
@@ -30,7 +29,6 @@ __all__ = [
     "slash",
     "tau",
     "tau_matrices",
-    "spinor_norms",
     "anticommutator_defect",
     "gamma_relation_residuals",
     "equivariance_defect",
@@ -39,39 +37,30 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class FourSpinor:
-    """Direct sum of a spinor and a conjugate spinor (a Dirac 4-spinor)."""
+class FourSpinor(_Coefficients):
+    """Direct sum of a spinor and a conjugate spinor (a Dirac 4-spinor),
+    stored as its coefficients in the basis order (e1, e2, e1bar, e2bar)."""
 
-    s: Spinor2
-    sbar: CoSpinor2
+    __slots__ = ()
+    size = 4
 
-    @property
-    def vec(self) -> np.ndarray:
-        """Coefficients flattened in the basis order (e1, e2, e1bar, e2bar)."""
-        return np.array([self.s.c1, self.s.c2, self.sbar.c1, self.sbar.c2])
+    def __init__(self, s: Spinor2, sbar: CoSpinor2):
+        self._store(np.concatenate((s.vec, sbar.vec)))
 
+    # Defined in this class body, not inherited, so that benchmarks/tracer.py
+    # finds it in FourSpinor.__dict__ and can trace it.
     @classmethod
     def from_vec(cls, v) -> "FourSpinor":
-        v = np.asarray(v)
-        return cls(
-            Spinor2(complex(v[0]), complex(v[1])),
-            CoSpinor2(complex(v[2]), complex(v[3])),
-        )
+        """The 4-spinor with coefficients v in the order (e1, e2, e1bar, e2bar)."""
+        return super().from_vec(v)
 
-    def __add__(self, other: "FourSpinor") -> "FourSpinor":
-        return FourSpinor(self.s + other.s, self.sbar + other.sbar)
+    @property
+    def s(self) -> Spinor2:
+        return Spinor2.from_vec(self.vec[:2])
 
-    def __sub__(self, other: "FourSpinor") -> "FourSpinor":
-        return FourSpinor(self.s - other.s, self.sbar - other.sbar)
-
-    def __mul__(self, scalar) -> "FourSpinor":
-        return FourSpinor(self.s * scalar, self.sbar * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "FourSpinor":
-        return FourSpinor(-self.s, -self.sbar)
+    @property
+    def sbar(self) -> CoSpinor2:
+        return CoSpinor2.from_vec(self.vec[2:])
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.vec))
@@ -88,26 +77,16 @@ def _dyad_endomorphisms() -> np.ndarray:
 
     and assembled column-by-column on the 4-spinor basis.  Shaped (2, 2, 4, 4).
     """
-    e = (Spinor2(1, 0), Spinor2(0, 1))
-    ebar = (CoSpinor2(1, 0), CoSpinor2(0, 1))
-    zero_s, zero_co = Spinor2(0, 0), CoSpinor2(0, 0)
-    four_basis = (
-        FourSpinor(e[0], zero_co),
-        FourSpinor(e[1], zero_co),
-        FourSpinor(zero_s, ebar[0]),
-        FourSpinor(zero_s, ebar[1]),
-    )
+    e = [Spinor2.from_vec(row) for row in np.eye(2)]
+    ebar = [CoSpinor2.from_vec(row) for row in np.eye(2)]
+    four_basis = [FourSpinor.from_vec(row) for row in np.eye(4)]
     out = np.zeros((2, 2, 4, 4), dtype=complex)
     for i, p in enumerate(e):
         for j, qbar in enumerate(ebar):
-            cols = []
-            for w in four_basis:
-                image = FourSpinor(
-                    _SQRT2 * eps_bar(w.sbar, qbar) * p,
-                    _SQRT2 * eps(p, w.s) * qbar,
-                )
-                cols.append(image.vec)
-            out[i, j] = np.column_stack(cols)
+            out[i, j] = np.column_stack([
+                FourSpinor(_SQRT2 * eps_bar(w.sbar, qbar) * p, _SQRT2 * eps(p, w.s) * qbar).vec
+                for w in four_basis
+            ])
     out.setflags(write=False)
     return out
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,59 +32,85 @@ __all__ = [
 SL2_DET_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class _CoeffPair:
-    """A pair of complex coefficients with componentwise arithmetic."""
+class _Coefficients:
+    """A read-only vector of finite complex coefficients, the storage of
+    Spinor2, CoSpinor2 and FourSpinor.  Arithmetic is Python complex
+    arithmetic per entry, so an overflow is refused like a non-finite input;
+    equality is exact and the hash agrees with it."""
 
-    c1: complex
-    c2: complex
+    __slots__ = ("vec",)
+    size = 2
 
-    def __post_init__(self):
-        c1, c2 = complex(self.c1), complex(self.c2)
-        object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "c2", c2)
-        if not all(map(math.isfinite, (c1.real, c1.imag, c2.real, c2.imag))):
+    def __init__(self, c1, c2):
+        self._store((c1, c2))
+
+    def _store(self, coeffs) -> None:
+        v = np.array(coeffs, dtype=complex)
+        if v.shape != (self.size,):
+            raise ValueError(f"expected {self.size} coefficients, got shape {v.shape}")
+        if not all(map(cmath.isfinite, v.tolist())):
             raise ValueError(f"{type(self).__name__} components must be finite")
-
-    @property
-    def vec(self) -> np.ndarray:
-        return np.array([self.c1, self.c2])
+        v.setflags(write=False)
+        self.vec = v
 
     @classmethod
     def from_vec(cls, v):
-        v = np.asarray(v)
-        return cls(complex(v[0]), complex(v[1]))
+        """The element with coefficient vector v (copied)."""
+        obj = cls.__new__(cls)
+        obj._store(v)
+        return obj
+
+    @property
+    def c1(self) -> complex:
+        return complex(self.vec[0])
+
+    @property
+    def c2(self) -> complex:
+        return complex(self.vec[1])
 
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return type(self)(self.c1 + other.c1, self.c2 + other.c2)
+        return self.from_vec([a + b for a, b in zip(self.vec.tolist(), other.vec.tolist())])
 
     def __sub__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return type(self)(self.c1 - other.c1, self.c2 - other.c2)
+        return self.from_vec([a - b for a, b in zip(self.vec.tolist(), other.vec.tolist())])
 
     def __mul__(self, scalar):
-        return type(self)(self.c1 * scalar, self.c2 * scalar)
+        return self.from_vec([c * scalar for c in self.vec.tolist()])
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return type(self)(-self.c1, -self.c2)
+        return self.from_vec(-self.vec)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.vec.tolist() == other.vec.tolist()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.vec.tolist()))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}.from_vec({self.vec.tolist()!r})"
 
     def norm(self) -> float:
-        return math.hypot(abs(self.c1), abs(self.c2))
+        return math.hypot(*map(abs, self.vec.tolist()))
 
 
-@dataclass(frozen=True)
-class Spinor2(_CoeffPair):
+class Spinor2(_Coefficients):
     """Element of the 2-spinor space S, as coefficients of {e1, e2}."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class CoSpinor2(_CoeffPair):
+
+class CoSpinor2(_Coefficients):
     """Element of the conjugate space, as coefficients of {e1bar, e2bar}."""
+
+    __slots__ = ()
 
 
 def conjugate(s):
@@ -95,15 +120,16 @@ def conjugate(s):
     involution and is conjugate-linear: conjugate(a*s) == conj(a)*conjugate(s).
     """
     if isinstance(s, Spinor2):
-        return CoSpinor2(s.c1.conjugate(), s.c2.conjugate())
+        return CoSpinor2.from_vec(np.conj(s.vec))
     if isinstance(s, CoSpinor2):
-        return Spinor2(s.c1.conjugate(), s.c2.conjugate())
+        return Spinor2.from_vec(np.conj(s.vec))
     raise TypeError(f"cannot conjugate {type(s).__name__}")
 
 
 def eps(x: Spinor2, y: Spinor2) -> complex:
     """Symplectic form on S: the determinant x1*y2 - x2*y1 of the pair."""
-    return x.c1 * y.c2 - x.c2 * y.c1
+    (x1, x2), (y1, y2) = x.vec.tolist(), y.vec.tolist()
+    return x1 * y2 - x2 * y1
 
 
 def eps_bar(xbar: CoSpinor2, ybar: CoSpinor2) -> complex:
@@ -111,7 +137,7 @@ def eps_bar(xbar: CoSpinor2, ybar: CoSpinor2) -> complex:
 
     Satisfies eps_bar(conjugate(x), conjugate(y)) == conj(eps(x, y)).
     """
-    return xbar.c1 * ybar.c2 - xbar.c2 * ybar.c1
+    return eps(xbar, ybar)
 
 
 def _det2(t) -> complex:
@@ -138,10 +164,10 @@ def cyclic_defect(a: Spinor2, b: Spinor2, c: Spinor2) -> Spinor2:
     these symplectic coefficients, so the result is zero up to rounding.
     """
     kbc, kca, kab = eps(b, c), eps(c, a), eps(a, b)
-    return Spinor2(
-        kbc * a.c1 + kca * b.c1 + kab * c.c1,
-        kbc * a.c2 + kca * b.c2 + kab * c.c2,
-    )
+    return Spinor2.from_vec([
+        kbc * ai + kca * bi + kab * ci
+        for ai, bi, ci in zip(a.vec.tolist(), b.vec.tolist(), c.vec.tolist())
+    ])
 
 
 class SL2Element:
@@ -213,8 +239,7 @@ class SL2Element:
 
 def act(A: SL2Element, s: Spinor2) -> Spinor2:
     """Apply a unimodular transformation to a spinor."""
-    v = A.mat @ s.vec
-    return Spinor2(v[0], v[1])
+    return Spinor2.from_vec(A.mat @ s.vec)
 
 
 def act_bar(A: SL2Element, sbar: CoSpinor2) -> CoSpinor2:
@@ -222,5 +247,4 @@ def act_bar(A: SL2Element, sbar: CoSpinor2) -> CoSpinor2:
 
     Intertwines with conjugation: act_bar(A, conjugate(s)) == conjugate(act(A, s)).
     """
-    v = np.conj(A.mat) @ sbar.vec
-    return CoSpinor2(v[0], v[1])
+    return CoSpinor2.from_vec(np.conj(A.mat) @ sbar.vec)

@@ -291,16 +291,78 @@ NON_FINITE_OUTPUT = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+# A non-finite argument that would reach the output is refused at parse time.
 @pytest.mark.parametrize("argv", NON_FINITE_OUTPUT.values(), ids=NON_FINITE_OUTPUT)
 def test_non_finite_output_refused(tmp_path, capsys, argv):
     out = tmp_path / "field.ndjson"
     if argv[0] == "sample-field":
         argv = argv + ["--out", str(out)]
-    assert main(argv) == 3
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: cannot write the non-finite number")
+    assert "error: argument --" in captured.err
+    assert "expected a finite number" in captured.err
+    assert not out.exists()
+
+
+# Malformed or non-finite arguments: a usage error at parse time (exit 2),
+# with the stderr line naming the argument; nothing on stdout, no file.
+BAD_ARGUMENTS = {
+    "solve-tol-nan-text": (["solve", "-m", "1", "--tol", "nan", "--", "0", "0", "1"],
+                           "argument --tol: expected a finite number, got 'nan'"),
+    "solve-mass-inf": (["solve", "-m", "inf", "--", "0", "0", "1"],
+                       "argument -m/--mass: expected a finite number, got 'inf'"),
+    "solve-momentum-nan": (["solve", "-m", "1", "--", "0", "nan", "1"],
+                           "argument P: expected a finite number, got 'nan'"),
+    "solve-momentum-word": (["solve", "-m", "1", "--", "0", "x", "1"],
+                            "argument P: expected a finite number, got 'x'"),
+    "planewave-step-inf": (["planewave-check", "-m", "1", "--step", "inf", "--", "0", "0", "0"],
+                           "argument --step: expected a finite number, got 'inf'"),
+    "planewave-point-nan": (["planewave-check", "-m", "1", "--point", "0", "0", "nan", "0",
+                             "--", "0", "0", "0"],
+                            "argument --point: expected a finite number, got 'nan'"),
+    "lorentz-entry-inf": (["lorentz", "--", "1", "0", "0", "0", "0", "0", "1", "-inf"],
+                          "argument E: expected a finite number, got '-inf'"),
+    "grid-lo-inf": (["sample-field", "-m", "1", "--grid", "2:-inf:1"],
+                    "argument --grid: expected a finite number, got '-inf'"),
+    "grid-hi-word": (["sample-field", "-m", "1", "--grid", "2:1:x"],
+                     "argument --grid: expected a finite number, got 'x'"),
+    "grid-no-nodes": (["sample-field", "-m", "1", "--grid", "0:-1:1"],
+                      "argument --grid: expected at least one node per axis, got '0'"),
+    "grid-fraction-nodes": (["sample-field", "-m", "1", "--grid", "2.5:-1:1"],
+                            "argument --grid: expected at least one node per axis, got '2.5'"),
+    "grid-two-parts": (["sample-field", "-m", "1", "--grid", "2:1"],
+                       "argument --grid: expected N:LO:HI, got '2:1'"),
+    "sample-field-mass-nan": (["sample-field", "-m", "nan", "--grid", "2:0:1"],
+                              "argument -m/--mass: expected a finite number, got 'nan'"),
+    "corrupt-gamma-past-table": (["verify", "--corrupt-gamma", "9,0,0"],
+                                 "argument --corrupt-gamma: expected MU,I,J with each index "
+                                 "in 0..3, got '9,0,0'"),
+    "corrupt-gamma-negative": (["verify", "--corrupt-gamma=-1,0,0"],
+                               "argument --corrupt-gamma: expected MU,I,J with each index "
+                               "in 0..3, got '-1,0,0'"),
+    "corrupt-gamma-two-parts": (["verify", "--corrupt-gamma", "0,1"],
+                                "argument --corrupt-gamma: expected MU,I,J with each index "
+                                "in 0..3, got '0,1'"),
+    "corrupt-gamma-word": (["verify", "--corrupt-gamma", "0,1,x"],
+                           "argument --corrupt-gamma: expected MU,I,J with each index "
+                           "in 0..3, got '0,1,x'"),
+}
+
+
+@pytest.mark.parametrize("argv, message", BAD_ARGUMENTS.values(), ids=BAD_ARGUMENTS)
+def test_bad_argument_is_a_usage_error(tmp_path, capsys, argv, message):
+    out = tmp_path / "field.ndjson"
+    if argv[0] == "sample-field":
+        argv = argv + ["--out", str(out)]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == f"twospinors {argv[0]}: error: {message}"
     assert not out.exists()
 
 
@@ -378,11 +440,14 @@ def test_sample_field_rapidity_grid(tmp_path, capsys):
 
 
 def test_sample_field_io_error_mentions_path(tmp_path, capsys):
-    missing = tmp_path / "no" / "such" / "dir" / "f.ndjson"
-    code = main(["sample-field", "-m", "1", "--grid", "1:0:0", "--out", str(missing)])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert str(missing) in err
+    # An output path that cannot be opened is a usage error: a missing
+    # directory, and a directory itself.
+    for unopenable in (tmp_path / "no" / "such" / "dir" / "f.ndjson", tmp_path):
+        code = main(["sample-field", "-m", "1", "--grid", "1:0:0", "--out", str(unopenable)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot open output file {str(unopenable)!r}: ")
 
 
 # --- options -------------------------------------------------------------------------

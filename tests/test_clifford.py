@@ -9,6 +9,7 @@ import pytest
 from twospinors import (
     ETA,
     BiTensor,
+    CoSpinor2,
     FourSpinor,
     MinkowskiVec,
     SL2Element,
@@ -30,7 +31,8 @@ from twospinors import (
     world_basis,
 )
 
-from twospinors.clifford import spinor_norms, tau_matrices
+from twospinors.clifford import tau_matrices
+from twospinors.spinor import spinor_norms
 
 from test_spinor import random_sl2
 from test_bitensor import expansion_coords, left_to_right, random_bitensor, random_spinor
@@ -56,6 +58,23 @@ def phi_dyad_reference(p, qbar, w):
 
 def random_four_spinor(rng):
     return FourSpinor(random_spinor(rng), conjugate(random_spinor(rng)))
+
+
+# --- 4-spinors ----------------------------------------------------------------
+
+
+def test_four_spinor_is_the_direct_sum_of_its_halves():
+    rng = np.random.default_rng(19)
+    for _ in range(50):
+        s, sbar = random_spinor(rng), conjugate(random_spinor(rng))
+        psi = FourSpinor(s, sbar)
+        assert psi == FourSpinor.from_vec(np.r_[s.vec, sbar.vec])
+        assert psi.vec.tobytes() == np.r_[s.vec, sbar.vec].tobytes()
+        assert psi.s == s and psi.sbar == sbar
+        assert type(psi.s) is Spinor2 and type(psi.sbar) is CoSpinor2
+        assert FourSpinor(psi.s, psi.sbar) == psi
+    zero = FourSpinor.from_vec(np.zeros(4))
+    assert zero.s == Spinor2(0, 0) and zero.sbar == CoSpinor2(0, 0)
 
 
 # --- the module map ---------------------------------------------------------

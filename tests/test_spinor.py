@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from twospinors import (
     CoSpinor2,
+    FourSpinor,
     SL2Element,
     Spinor2,
     act,
@@ -36,6 +37,110 @@ def random_sl2(rng, max_norm=4.0):
         m = m / cmath.sqrt(d)
         if np.linalg.norm(m) <= max_norm:
             return SL2Element(m)
+
+
+# --- the coefficient value type ----------------------------------------------
+# Spinor2, CoSpinor2 and FourSpinor share one storage: a read-only complex
+# vector, validated once, with exact equality and Python complex arithmetic.
+
+VALUE_TYPES = {"Spinor2": (Spinor2, 2), "CoSpinor2": (CoSpinor2, 2), "FourSpinor": (FourSpinor, 4)}
+value_types = pytest.mark.parametrize("cls, n", VALUE_TYPES.values(), ids=VALUE_TYPES)
+
+
+@value_types
+def test_vec_is_stored_read_only(cls, n):
+    source = np.arange(1, n + 1) * (1 - 2j)
+    x = cls.from_vec(source)
+    assert x.vec is x.vec
+    assert x.vec.dtype == complex and x.vec.shape == (n,)
+    with pytest.raises(ValueError, match="read-only"):
+        x.vec[0] = 7
+    source[0] = 7  # from_vec copied its input
+    assert x.vec.tolist() == (np.arange(1, n + 1) * (1 - 2j)).tolist()
+
+
+WRONG_LENGTHS = {
+    "Spinor2-3": (Spinor2, [1, 2, 3]),
+    "Spinor2-1": (Spinor2, [1]),
+    "CoSpinor2-3": (CoSpinor2, [1, 2, 3]),
+    "CoSpinor2-2x2": (CoSpinor2, [[1, 2], [3, 4]]),
+    "FourSpinor-5": (FourSpinor, [1, 2, 3, 4, 5]),
+    "FourSpinor-3": (FourSpinor, [1, 2, 3]),
+    "FourSpinor-2x2": (FourSpinor, [[1, 2], [3, 4]]),
+}
+
+
+@pytest.mark.parametrize("cls, v", WRONG_LENGTHS.values(), ids=WRONG_LENGTHS)
+def test_from_vec_refuses_wrong_shape(cls, v):
+    with pytest.raises(ValueError, match="coefficients, got shape"):
+        cls.from_vec(v)
+
+
+@value_types
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, -float("inf"))])
+def test_non_finite_coefficients_refused(cls, n, bad):
+    with pytest.raises(ValueError, match=f"^{cls.__name__} components must be finite$"):
+        cls.from_vec([1.0] * (n - 1) + [bad])
+
+
+@value_types
+def test_overflowing_arithmetic_refused(cls, n):
+    # Python complex arithmetic: an overflow is a refused result, not a warning.
+    x = cls.from_vec([1e308] * n)
+    for make in (lambda: x + x, lambda: x - (-x), lambda: x * 10.0, lambda: 1j * 1e10 * x):
+        with pytest.raises(ValueError, match="components must be finite"):
+            make()
+
+
+@value_types
+def test_equality_and_hash_agree_on_signed_zeros(cls, n):
+    x = cls.from_vec([complex(0.0, -0.0)] + [1.5] * (n - 1))
+    y = cls.from_vec([complex(-0.0, 0.0)] + [1.5] * (n - 1))
+    assert x == y and hash(x) == hash(y)
+    assert x != cls.from_vec([complex(0.0, 1e-300)] + [1.5] * (n - 1))
+    assert -x == cls.from_vec([0j] + [-1.5] * (n - 1))
+
+
+def test_equality_distinguishes_types():
+    assert Spinor2(1, 2j) != CoSpinor2(1, 2j)
+    assert Spinor2(1, 2j) == Spinor2.from_vec([1, 2j])
+    assert len({Spinor2(1, 2j), Spinor2(1.0, complex(-0.0, 2.0)), CoSpinor2(1, 2j)}) == 2
+
+
+def arithmetic_coefficients(rng):
+    """Random, huge/tiny and signed-zero real and imaginary parts."""
+    parts = np.concatenate([
+        rng.normal(size=40),
+        rng.choice([-1.0, 1.0], 40) * 10.0 ** rng.uniform(-300, 300, 40),
+        [0.0, -0.0, 0.0, -0.0, 1.5, -1.5],
+    ])
+    return [complex(a, b) for a, b in zip(parts, rng.permutation(parts))]
+
+
+@value_types
+def test_arithmetic_is_python_complex_per_entry(cls, n):
+    rng = np.random.default_rng(41)
+    coeffs = arithmetic_coefficients(rng)
+    scalars = [complex(*rng.normal(size=2)), 1e-300j, 1e290 + 1e290j, 0j, complex(-0.0, 0.0),
+               -0.0, 2.5, -3, np.complex128(0.5 - 2j)]
+
+    def check(make, expected):
+        if all(map(cmath.isfinite, expected)):
+            assert make().vec.tobytes() == np.array(expected, dtype=complex).tobytes()
+        else:
+            with pytest.raises(ValueError, match="components must be finite"):
+                make()
+
+    for start in range(0, len(coeffs) - 2 * n + 1, n):
+        a, b = coeffs[start:start + n], coeffs[start + n:start + 2 * n]
+        x, y = cls.from_vec(a), cls.from_vec(b)
+        check(lambda: x + y, [p + q for p, q in zip(a, b)])
+        check(lambda: x - y, [p - q for p, q in zip(a, b)])
+        check(lambda: -x, [-p for p in a])
+        for k in scalars:
+            check(lambda: x * k, [c * k for c in a])
+            if not isinstance(k, np.generic):
+                check(lambda: k * x, [c * k for c in a])
 
 
 # --- conjugation ---------------------------------------------------------

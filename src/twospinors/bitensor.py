@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NotReal, NumericalDrift
-from .spinor import CoSpinor2, SL2Element, Spinor2, _det2, conjugate, spinor_norms
+from .spinor import CoSpinor2, SL2Element, Spinor2, _det2, _stored, conjugate, spinor_norms
 
 __all__ = [
     "BiTensor",
@@ -48,7 +48,6 @@ ETA.setflags(write=False)
 
 REALITY_TOL = 1e-10
 LORENTZ_TOL = 1e-10
-DRIFT_TOL = 1e-8
 
 
 class BiTensor:
@@ -57,13 +56,7 @@ class BiTensor:
     __slots__ = ("t",)
 
     def __init__(self, t):
-        m = np.array(t, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 coefficient matrix, got {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("bitensor entries must be finite")
-        m.setflags(write=False)
-        self.t = m
+        self.t = _stored(t, complex, (2, 2), "a 2x2 coefficient matrix", "bitensor entries")
 
     def __add__(self, other: "BiTensor") -> "BiTensor":
         return BiTensor(self.t + other.t)
@@ -123,32 +116,25 @@ def lorentz_defect(m: np.ndarray) -> float:
 
 
 class LorentzMatrix:
-    """Proper orthochronous Lorentz matrix; invariants checked at construction."""
+    """Proper orthochronous Lorentz matrix; invariants checked at construction.
+
+    The metric, determinant and orthochronicity checks are the only ones on
+    the covering map's output; each refusal is a NumericalDrift.
+    """
 
     __slots__ = ("mat",)
 
     def __init__(self, mat):
-        m = np.array(mat, dtype=float)
-        if m.shape != (4, 4):
-            raise ValueError(f"expected a 4x4 matrix, got {m.shape}")
-        if not np.isfinite(m).all():
-            raise ValueError("matrix entries must be finite")
+        m = _stored(mat, float, (4, 4), "a 4x4 matrix", "matrix entries")
         defect = lorentz_defect(m)
         if defect > LORENTZ_TOL:
-            raise ValueError(f"metric-orthogonality defect {defect:.3e} exceeds {LORENTZ_TOL}")
+            raise NumericalDrift(f"metric-orthogonality defect {defect:.3e} exceeds {LORENTZ_TOL}")
         det = np.linalg.det(m)
         if abs(det - 1.0) > LORENTZ_TOL:
-            raise ValueError(f"determinant {det} is not 1 to within {LORENTZ_TOL}")
+            raise NumericalDrift(f"determinant {det} is not 1 to within {LORENTZ_TOL}")
         if m[0, 0] < 1.0 - LORENTZ_TOL:
-            raise ValueError(f"time-time entry {m[0, 0]} violates orthochronicity")
-        m.setflags(write=False)
+            raise NumericalDrift(f"time-time entry {m[0, 0]} violates orthochronicity")
         self.mat = m
-
-    def __matmul__(self, other: "LorentzMatrix") -> "LorentzMatrix":
-        return LorentzMatrix(self.mat @ other.mat)
-
-    def apply(self, x: MinkowskiVec) -> MinkowskiVec:
-        return MinkowskiVec.from_coords(self.mat @ x.coords)
 
     def __repr__(self) -> str:
         return f"LorentzMatrix({self.mat.tolist()!r})"
@@ -309,31 +295,21 @@ def pi_act(A: SL2Element, T: BiTensor) -> BiTensor:
 
 
 def lorentz_of(A: SL2Element) -> LorentzMatrix:
-    """The 4x4 Lorentz matrix covered by A, column-by-column on the world basis.
+    """The 4x4 Lorentz matrix covered by A: column j is the world coordinates
+    of A u_j A*, from one stacked transport of the world basis.
 
-    Raises NumericalDrift when the result fails the metric-orthogonality
-    check at the drift tolerance; this signals a badly conditioned A (e.g.
-    an extreme boost) rather than a logic error.
-
-    All four columns come from one stacked transport of the world basis.  If
-    any column fails the checks of pi_act and to_minkowski, the columns are
-    redone one by one through those functions, which raise the first
-    column's error.
+    Raises NumericalDrift when a transported column is not a finite real
+    vector, or when LorentzMatrix refuses the result; either signals a badly
+    conditioned A (e.g. an extreme boost) rather than a logic error.
     """
     cols, defects = _world_coords(_transport(A.mat, _world_stack()))
-    # A non-finite entry fails the defect test, so this passes only rows
-    # that pi_act and to_minkowski would accept.
-    if (defects <= REALITY_TOL).all() and np.isfinite(cols).all():
-        # C order, as column_stack gives, for the same products in lorentz_defect.
-        m = np.ascontiguousarray(cols.T)
-    else:
-        try:
-            m = np.column_stack([to_minkowski(pi_act(A, uj)).coords for uj in world_basis()])
-        except NotReal as exc:
-            raise NumericalDrift(f"transport of the world basis drifted: {exc}") from exc
-    defect = lorentz_defect(m)
-    if defect > DRIFT_TOL:
+    # A non-finite entry gives a non-finite defect, which fails the test.
+    real = (defects <= REALITY_TOL) & np.isfinite(cols).all(axis=-1)
+    if not real.all():
+        j = int(np.argmin(real))
         raise NumericalDrift(
-            f"metric-orthogonality defect {defect:.3e} exceeds {DRIFT_TOL}"
+            f"transport of world basis vector u{j} is not a finite real vector "
+            f"(reality defect {defects[j]:.3e}, bound {REALITY_TOL})"
         )
-    return LorentzMatrix(m)
+    # C order, as column_stack gives, for the same products in lorentz_defect.
+    return LorentzMatrix(np.ascontiguousarray(cols.T))

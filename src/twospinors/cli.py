@@ -414,6 +414,17 @@ def _finite_float(text: str) -> float:
     return x
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a count: an integer >= 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return n
+
+
 def _gamma_entry(text: str) -> tuple[int, int, int]:
     """argparse type of --corrupt-gamma MU,I,J: three indices in 0..3."""
     try:
@@ -471,7 +482,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common, seeded],
                        help="run the verification sweeps")
-    p.add_argument("--samples", type=int, default=1000,
+    p.add_argument("--samples", type=_positive_int, default=1000,
                    help="samples per sweep (default: 1000)")
     p.add_argument("--corrupt-gamma", type=_gamma_entry, default=None, metavar="MU,I,J",
                    help=argparse.SUPPRESS)  # negative-control test hook

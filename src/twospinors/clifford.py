@@ -45,6 +45,9 @@ class FourSpinor(_Coefficients):
     size = 4
 
     def __init__(self, s: Spinor2, sbar: CoSpinor2):
+        if not (isinstance(s, Spinor2) and isinstance(sbar, CoSpinor2)):
+            raise TypeError(f"expected a Spinor2 and a CoSpinor2, got {type(s).__name__} "
+                            f"and {type(sbar).__name__}")
         self._store(np.concatenate((s.vec, sbar.vec)))
 
     # Defined in this class body, not inherited, so that benchmarks/tracer.py

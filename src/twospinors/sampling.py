@@ -10,11 +10,10 @@ from .bitensor import BiTensor
 from .bundle import FiberElement, rest_fiber_basis
 from .clifford import FourSpinor, tau
 from .momentum import MassShellPoint, boost_rep, shell_point
-from .spinor import CoSpinor2, SL2Element, Spinor2, _det2
+from .spinor import SL2Element, Spinor2, _det2
 
 __all__ = [
     "random_spinor",
-    "random_cospinor",
     "random_bitensor",
     "random_sl2",
     "random_su2",
@@ -30,10 +29,6 @@ def _complex(rng, scale: float) -> complex:
 
 def random_spinor(rng, scale: float = 1.0) -> Spinor2:
     return Spinor2(_complex(rng, scale), _complex(rng, scale))
-
-
-def random_cospinor(rng, scale: float = 1.0) -> CoSpinor2:
-    return CoSpinor2(_complex(rng, scale), _complex(rng, scale))
 
 
 def random_bitensor(rng, scale: float = 1.0) -> BiTensor:

@@ -14,6 +14,8 @@ import math
 
 import numpy as np
 
+from .errors import NumericalDrift
+
 __all__ = [
     "Spinor2",
     "CoSpinor2",
@@ -32,6 +34,20 @@ __all__ = [
 SL2_DET_TOL = 1e-12
 
 
+def _stored(values, dtype, shape: tuple, expected: str, entries: str) -> np.ndarray:
+    """values as a read-only array of dtype and shape with finite entries; the
+    storage check of every value type.  A wrong shape is refused as not the
+    expected value, a non-finite entry as "<entries> must be finite"."""
+    a = np.array(values, dtype=dtype)
+    if a.shape != shape:
+        raise ValueError(f"expected {expected}, got shape {a.shape}")
+    # Per entry in Python: faster than np.isfinite on arrays this small.
+    if not all(map(cmath.isfinite, a.ravel().tolist())):
+        raise ValueError(f"{entries} must be finite")
+    a.setflags(write=False)
+    return a
+
+
 class _Coefficients:
     """A read-only vector of finite complex coefficients, the storage of
     Spinor2, CoSpinor2 and FourSpinor.  Arithmetic is Python complex
@@ -45,13 +61,8 @@ class _Coefficients:
         self._store((c1, c2))
 
     def _store(self, coeffs) -> None:
-        v = np.array(coeffs, dtype=complex)
-        if v.shape != (self.size,):
-            raise ValueError(f"expected {self.size} coefficients, got shape {v.shape}")
-        if not all(map(cmath.isfinite, v.tolist())):
-            raise ValueError(f"{type(self).__name__} components must be finite")
-        v.setflags(write=False)
-        self.vec = v
+        self.vec = _stored(coeffs, complex, (self.size,), f"{self.size} coefficients",
+                           f"{type(self).__name__} components")
 
     @classmethod
     def from_vec(cls, v):
@@ -179,19 +190,16 @@ class SL2Element:
 
     __slots__ = ("mat",)
 
+    # Kept in this class body: benchmarks/tracer.py traces
+    # SL2Element.__dict__["__init__"].
     def __init__(self, mat):
-        m = np.array(mat, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("matrix entries must be finite")
+        m = _stored(mat, complex, (2, 2), "a 2x2 matrix", "matrix entries")
         d = _det2(m)
         if abs(d - 1.0) > SL2_DET_TOL:
-            raise ValueError(
+            raise NumericalDrift(
                 f"determinant {d} differs from 1 by more than {SL2_DET_TOL}; "
                 "renormalize first"
             )
-        m.setflags(write=False)
         self.mat = m
 
     @property
@@ -214,9 +222,6 @@ class SL2Element:
         if d == 0:
             raise ValueError("cannot renormalize a singular matrix")
         return cls(m / cmath.sqrt(d))
-
-    def renormalize(self) -> "SL2Element":
-        return SL2Element.renormalized(self.mat)
 
     def inverse(self) -> "SL2Element":
         # det == 1, so the inverse is the adjugate: exact entry swaps.

@@ -321,6 +321,8 @@ def run_verification(seed: int = 0, samples: int = 1000, corrupt_gamma=None) -> 
     rng = np.random.default_rng(seed)
     gammas = [gamma(mu).copy() for mu in range(4)]
     if corrupt_gamma is not None:
+        if not all(0 <= k <= 3 for k in corrupt_gamma):
+            raise ValueError(f"corrupt_gamma indices must be in 0..3, got {corrupt_gamma}")
         mu, i, j = corrupt_gamma
         gammas[mu][i, j] += 1e-3
 

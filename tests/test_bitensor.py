@@ -36,7 +36,7 @@ from twospinors import (
     to_minkowski,
     world_basis,
 )
-from twospinors.bitensor import DRIFT_TOL, REALITY_TOL, lorentz_defect
+from twospinors.bitensor import REALITY_TOL
 
 from test_spinor import random_sl2
 
@@ -359,6 +359,16 @@ def test_lorentz_matrix_rejects_time_reversal():
         LorentzMatrix(m)
 
 
+@pytest.mark.parametrize("m, message", [
+    (2 * np.eye(4), "^metric-orthogonality defect 3.000e\\+00 exceeds 1e-10$"),
+    (np.diag([1.0, 1.0, 1.0, -1.0]), "^determinant -1.0 is not 1 to within 1e-10$"),
+    (np.diag([-1.0, -1.0, 1.0, 1.0]), "^time-time entry -1.0 violates orthochronicity$"),
+], ids=["metric", "parity", "time-reversal"])
+def test_lorentz_matrix_refusals_are_typed(m, message):
+    with pytest.raises(NumericalDrift, match=message):
+        LorentzMatrix(m)
+
+
 def identity_with(i, j, value):
     m = np.eye(4)
     m[i, j] = value
@@ -405,15 +415,16 @@ def reference_to_minkowski(T):
 
 
 def reference_lorentz_of(A):
-    try:
-        cols = [reference_to_minkowski(reference_pi_act(A, uj)).coords for uj in world_basis()]
-    except NotReal as exc:
-        raise NumericalDrift(f"transport of the world basis drifted: {exc}") from exc
-    m = np.column_stack(cols)
-    defect = lorentz_defect(m)
-    if defect > DRIFT_TOL:
-        raise NumericalDrift(f"metric-orthogonality defect {defect:.3e} exceeds {DRIFT_TOL}")
-    return LorentzMatrix(m)
+    cols = []
+    for j, uj in enumerate(world_basis()):
+        t = A.mat @ uj.t @ A.mat.conj().T
+        defect = float(np.linalg.norm(t - t.conj().T))
+        coords = np.array([np.trace(uk.t @ t).real for uk in world_basis()])
+        if not (defect <= REALITY_TOL and np.isfinite(coords).all()):
+            raise NumericalDrift(f"transport of world basis vector u{j} is not a finite real vector "
+                                 f"(reality defect {defect:.3e}, bound {REALITY_TOL})")
+        cols.append(coords)
+    return LorentzMatrix(np.column_stack(cols))
 
 
 def outcome(f, *args):
@@ -487,14 +498,45 @@ def test_stacked_to_minkowski_equals_scalar():
     assert any(isinstance(o, tuple) and o[0] is NotReal for _, o in pairs)
 
 
+def extreme_sl2(rng, log10_norm):
+    """A diagonal or anti-diagonal unimodular matrix with random phases and
+    Frobenius norm about 10**log10_norm: the only unimodular matrices whose
+    determinant stays exact up to the double range."""
+    s, phase = 10.0 ** log10_norm, cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+    a, b = s * phase, 1 / (s * phase)
+    return SL2Element([[a, 0], [0, b]] if rng.random() < 0.5 else [[0, a], [-b, 0]])
+
+
+def test_lorentz_of_refusals_are_typed_up_to_overflow(recwarn):
+    """Frobenius norms from 1 to past the double range: lorentz_of either
+    returns a checked LorentzMatrix or raises NumericalDrift, and never warns."""
+    rng = np.random.default_rng(62)
+    mats = sweep_matrices(rng)
+    mats += [extreme_sl2(rng, e) for e in rng.uniform(0, 300, 400)]
+    mats += [extreme_sl2(rng, e) for e in (76, 77, 154, 155, 307)]
+    mats.append(SL2Element(np.diag([1e200, 1e-200])))
+    refusals = []
+    for A in mats:
+        try:
+            lorentz_of(A)
+        except ValueError as exc:
+            assert type(exc) is NumericalDrift, (A, exc)
+            refusals.append(str(exc))
+    assert not recwarn.list
+    # Both the column check and the metric check refuse some of the sweep.
+    assert any(r.startswith("transport of world basis vector") for r in refusals)
+    assert any(r.startswith("metric-orthogonality defect") for r in refusals)
+    assert len(refusals) < len(mats)
+
+
 # Exception type and message of refused inputs; these rows are the output of
 # the column-by-column forms above.  numpy's overflow warnings, which the
 # unstacked matrix product prints on the last row, are not part of the table.
 TRANSPORT_ERRORS = [
     ("drift", lambda: lorentz_of(SL2Element(np.diag([1e5, 1e-5]))),
-     NumericalDrift, "metric-orthogonality defect 1.346e+03 exceeds 1e-08"),
+     NumericalDrift, "metric-orthogonality defect 1.346e+03 exceeds 1e-10"),
     ("boost-1e3", lambda: lorentz_of(boost_rep(shell_point(1.0, 0.0, 0.0, 1e3))),
-     ValueError, "metric-orthogonality defect 1.198e-10 exceeds 1e-10"),
+     NumericalDrift, "metric-orthogonality defect 1.198e-10 exceeds 1e-10"),
     ("non-hermitian", lambda: to_minkowski(BiTensor([[1, 2], [3, 4]])),
      NotReal, "reality defect 1.414e+00 exceeds 1e-10"),
     ("act-overflow", lambda: act_momentum(SL2Element(np.diag([1e200, 1e-200])), Momentum(1.0, 0.0, 0.0, 0.5)),

@@ -337,6 +337,12 @@ BAD_ARGUMENTS = {
                        "argument --grid: expected N:LO:HI, got '2:1'"),
     "sample-field-mass-nan": (["sample-field", "-m", "nan", "--grid", "2:0:1"],
                               "argument -m/--mass: expected a finite number, got 'nan'"),
+    "verify-samples-zero": (["verify", "--samples", "0"],
+                            "argument --samples: expected a positive integer, got '0'"),
+    "verify-samples-negative": (["verify", "--samples=-5"],
+                                "argument --samples: expected a positive integer, got '-5'"),
+    "verify-samples-word": (["verify", "--samples", "many"],
+                            "argument --samples: expected a positive integer, got 'many'"),
     "corrupt-gamma-past-table": (["verify", "--corrupt-gamma", "9,0,0"],
                                  "argument --corrupt-gamma: expected MU,I,J with each index "
                                  "in 0..3, got '9,0,0'"),
@@ -515,7 +521,7 @@ def test_overflowing_lorentz_defect_reports_only_the_error():
         text=True,
     )
     assert proc.returncode == 3
-    assert proc.stderr == "error: metric-orthogonality defect inf exceeds 1e-08\n"
+    assert proc.stderr == "error: metric-orthogonality defect inf exceeds 1e-10\n"
 
 
 def test_overflowing_boost_reports_only_the_typed_error(tmp_path):

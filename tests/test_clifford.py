@@ -77,6 +77,14 @@ def test_four_spinor_is_the_direct_sum_of_its_halves():
     assert zero.s == Spinor2(0, 0) and zero.sbar == CoSpinor2(0, 0)
 
 
+@pytest.mark.parametrize("s, sbar", [(CoSpinor2(1, 0), Spinor2(0, 1)), (Spinor2(1, 0), Spinor2(0, 1)),
+                                     (CoSpinor2(1, 0), CoSpinor2(0, 1)), ((1, 0), CoSpinor2(0, 1))],
+                         ids=["swapped", "two-spinors", "two-cospinors", "tuple"])
+def test_four_spinor_refuses_halves_of_the_wrong_type(s, sbar):
+    with pytest.raises(TypeError, match="^expected a Spinor2 and a CoSpinor2, got "):
+        FourSpinor(s, sbar)
+
+
 # --- the module map ---------------------------------------------------------
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from twospinors import (
     CoSpinor2,
     FourSpinor,
+    NumericalDrift,
     SL2Element,
     Spinor2,
     act,
@@ -261,6 +262,12 @@ def test_cyclic_identity_property(a, b, c):
 
 def test_sl2_rejects_wrong_determinant():
     with pytest.raises(ValueError):
+        SL2Element([[1, 0], [0, 2]])
+
+
+def test_sl2_determinant_refusal_is_typed():
+    with pytest.raises(NumericalDrift, match=r"^determinant \(2\+0j\) differs from 1 by more than 1e-12; "
+                                             "renormalize first$"):
         SL2Element([[1, 0], [0, 2]])
 
 

@@ -59,6 +59,13 @@ def test_rejects_zero_samples():
         run_verification(seed=0, samples=0)
 
 
+@pytest.mark.parametrize("entry", [(-1, 0, 0), (4, 0, 0), (0, -1, 0), (0, 0, 4)])
+def test_corruption_hook_refuses_an_index_outside_the_table(entry):
+    # A negative index would wrap around and corrupt gamma(3) instead.
+    with pytest.raises(ValueError, match=r"^corrupt_gamma indices must be in 0\.\.3, got "):
+        run_verification(seed=0, samples=1, corrupt_gamma=entry)
+
+
 def test_corruption_hook_fails_and_names_relation():
     report = run_verification(seed=0, samples=5, corrupt_gamma=(2, 1, 3))
     assert not report.passed

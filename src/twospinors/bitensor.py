@@ -12,7 +12,6 @@ covers the proper orthochronous Lorentz group two-to-one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -76,32 +75,34 @@ class BiTensor:
         return f"BiTensor({self.t.tolist()!r})"
 
 
-@dataclass(frozen=True)
 class Momentum:
-    """Real four-vector coordinates, p0 timelike: a world vector in the world
-    basis, or a momentum in the dual basis, which makes the duality the
-    identity on coordinates (the pairing of the plane-wave phase)."""
+    """Real four-vector coordinates, p0 timelike, stored once and read-only: a
+    world vector in the world basis, or a momentum in the dual basis, which
+    makes the duality the identity on coordinates (the pairing of the
+    plane-wave phase).  Equality is exact and the hash agrees with it."""
 
-    p0: float
-    p1: float
-    p2: float
-    p3: float
+    __slots__ = ("coords",)
 
-    def __post_init__(self):
-        for name in ("p0", "p1", "p2", "p3"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ValueError("momentum coordinates must be finite")
-            object.__setattr__(self, name, v)
-
-    @property
-    def coords(self) -> np.ndarray:
-        return np.array([self.p0, self.p1, self.p2, self.p3])
+    def __init__(self, p0, p1, p2, p3):
+        self.coords = _stored((p0, p1, p2, p3), float, (4,), "4 coordinates", "momentum coordinates")
 
     @classmethod
     def from_coords(cls, c) -> "Momentum":
-        c = np.asarray(c, dtype=float)
-        return cls(c[0], c[1], c[2], c[3])
+        """The four-vector with coordinates c (copied), by the same checks."""
+        return cls(*_coords(c))
+
+    @property
+    def p0(self) -> float:
+        return float(self.coords[0])
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.coords.tolist() == other.coords.tolist()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.coords.tolist()))
+
+    def __repr__(self) -> str:
+        return f"Momentum({', '.join(map(repr, self.coords.tolist()))})"
 
 
 # World vectors and momenta share one type (see Momentum).
@@ -203,11 +204,10 @@ def _world_stack() -> np.ndarray:
 
 
 def _expand(c, basis) -> np.ndarray:
-    """c0 b0 + c1 b1 + c2 b2 + c3 b3 over four basis matrices, for 4 or stacked
-    (..., 4) coordinates; the kernel under from_minkowski, boost_matrices and
-    slash.  Summed left to right, so every stacked row equals the expansion
-    of its own coordinates bit for bit."""
-    c = np.asarray(c, dtype=float)
+    """c0 b0 + c1 b1 + c2 b2 + c3 b3 over four basis matrices, for coordinates
+    as _coords gives them (one vector or a (..., 4) stack); the kernel under
+    from_minkowski, boost_matrices and slash.  Summed left to right, so every
+    stacked row equals the expansion of its own coordinates bit for bit."""
     # One vector's coordinates as Python floats: the same products as numpy
     # scalars give, at a lower cost per call.
     c = np.moveaxis(c, -1, 0)[..., None, None] if c.ndim > 1 else c.tolist()
@@ -262,7 +262,7 @@ def to_minkowski(T: BiTensor) -> MinkowskiVec:
     coords, defect = _world_coords(T.t)
     if defect > REALITY_TOL:
         raise NotReal(f"reality defect {defect:.3e} exceeds {REALITY_TOL}")
-    return MinkowskiVec(*coords)
+    return MinkowskiVec.from_coords(coords)
 
 
 def h_form(X: BiTensor, Y: BiTensor) -> complex:
@@ -275,14 +275,24 @@ def h_form(X: BiTensor, Y: BiTensor) -> complex:
     return _det2(X.t + Y.t) - _det2(X.t) - _det2(Y.t)
 
 
-def q_form(v) -> float:
-    """Lorentz quadratic form p0^2 - p1^2 - p2^2 - p3^2 of a coordinate vector.
+def _coords(p) -> np.ndarray:
+    """The coordinates of a Momentum, a length-4 sequence or stacked (..., 4)
+    coordinates, as a float array: the one four-vector accessor."""
+    c = p.coords if isinstance(p, Momentum) else np.asarray(p, dtype=float)
+    if c.shape[-1:] != (4,):
+        raise ValueError(f"expected 4 coordinates, got shape {c.shape}")
+    return c
 
-    Accepts a four-vector (a Momentum, which is also the world-vector type)
-    or a plain length-4 sequence.
-    """
-    c = v.coords if hasattr(v, "coords") else np.asarray(v, dtype=float)
-    return float(c[0] ** 2 - c[1] ** 2 - c[2] ** 2 - c[3] ** 2)
+
+def q_form(v):
+    """Lorentz quadratic form p0^2 - p1^2 - p2^2 - p3^2 of a four-vector (a
+    float) or of stacked (..., 4) coordinates (an array): the one shell-defect
+    formula, squares by pow summed left to right, so stacked rows equal the
+    scalar value bit for bit."""
+    sq = np.float_power(_coords(v), 2)
+    # One vector's squares as Python floats, as in _expand.
+    c0, c1, c2, c3 = np.moveaxis(sq, -1, 0) if sq.ndim > 1 else sq.tolist()
+    return ((c0 - c1) - c2) - c3
 
 
 def pi_act(A: SL2Element, T: BiTensor) -> BiTensor:

@@ -15,6 +15,7 @@ rest-eigenspace isomorphism yields a conjugate pair of 2-spinors.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,20 +82,23 @@ def fiber_bound(tol: float, m: float, psi_norm):
 
 def _require_in_fiber(f: FiberElement) -> None:
     """Raise NotInFiber unless f.psi solves slash(p) psi = m psi at f.q: the
-    constructor's check, re-run in case f was altered."""
-    r = fiber_residual(f.q, f.psi)
-    bound = fiber_bound(FIBER_TOL, f.q.m, f.psi.norm())
-    if r > bound:
+    constructor's check, re-run in case f was altered (an overflow fails it)."""
+    with np.errstate(all="ignore"):
+        r = fiber_residual(f.q, f.psi)
+        bound = fiber_bound(FIBER_TOL, f.q.m, f.psi.norm())
+    if not (math.isfinite(r) and r <= bound):
         raise NotInFiber(f"fiber residual {r:.3e} exceeds {bound:.3e}")
 
 
 def _require_class_rep(rep: AssociatedClassRep) -> None:
     """Raise InvalidClassRep unless rep.phi_plus is in the +1 eigenspace of
-    gamma(0): the constructor's check, re-run in case rep was altered."""
+    gamma(0): the constructor's check, re-run in case rep was altered (an
+    overflow fails it)."""
     v = rep.phi_plus.vec
-    d = float(np.linalg.norm(gamma(0) @ v - v))
-    bound = SPLUS_TOL * max(1.0, rep.phi_plus.norm())
-    if d > bound:
+    with np.errstate(all="ignore"):
+        d = float(np.linalg.norm(gamma(0) @ v - v))
+        bound = SPLUS_TOL * max(1.0, rep.phi_plus.norm())
+    if not (math.isfinite(d) and d <= bound):
         raise InvalidClassRep(f"rest-eigenspace defect {d:.3e} exceeds {bound:.3e}")
 
 

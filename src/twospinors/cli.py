@@ -107,16 +107,12 @@ def _record_line(rec: dict) -> str:
 def _pairs(z) -> list:
     """Complex scalar/vector/matrix to nested [re, im] pairs."""
     a = np.asarray(z, dtype=complex)
-    if a.ndim == 0:
-        return [float(a.real), float(a.imag)]
-    return [_pairs(row) for row in a]
+    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
 def _reals(a) -> list:
-    a = np.asarray(a, dtype=float)
-    if a.ndim == 0:
-        return float(a)
-    return [_reals(row) for row in a]
+    """Real scalar/vector/matrix to a float or nested lists of floats."""
+    return np.asarray(a, dtype=float).tolist()
 
 
 def _header(seed=None, tol=None) -> dict:

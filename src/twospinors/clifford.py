@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bitensor import ETA, BiTensor, _expand, h_form, pi_act, world_basis
+from .bitensor import ETA, BiTensor, _coords, _expand, h_form, pi_act, world_basis
 from .spinor import CoSpinor2, SL2Element, Spinor2, _Coefficients, eps, eps_bar
 
 __all__ = [
@@ -123,13 +123,6 @@ def gamma(mu: int) -> np.ndarray:
     return _gamma_table()[mu]
 
 
-def _coords4(p) -> np.ndarray:
-    c = p.coords if hasattr(p, "coords") else np.asarray(p, dtype=float)
-    if c.shape[-1:] != (4,):
-        raise ValueError(f"expected 4 coordinates, got shape {c.shape}")
-    return c
-
-
 def slash(p) -> np.ndarray:
     """Contraction of a 4-vector with the gamma matrices:
     p0 gamma(0) + p1 gamma(1) + p2 gamma(2) + p3 gamma(3).
@@ -139,7 +132,7 @@ def slash(p) -> np.ndarray:
     the shared basis expansion bitensor._expand.  Squares to q_form(p) times
     the identity.
     """
-    return _expand(_coords4(p), _gamma_table())
+    return _expand(_coords(p), _gamma_table())
 
 
 def tau_matrices(a) -> np.ndarray:

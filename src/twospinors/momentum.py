@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitensor import Momentum, _expand, _world_stack, from_minkowski, pi_act, q_form, to_minkowski
+from .bitensor import Momentum, _coords, _expand, _world_stack, from_minkowski, pi_act, q_form, to_minkowski
 from .errors import BadMass, Degenerate, NotOnShell
 from .spinor import SL2_DET_TOL, SL2Element
 
@@ -105,7 +105,7 @@ def boost_matrices(p, m: float) -> np.ndarray:
     rounded images of p0 + p3 and p0 - p3, so by monotone rounding tr H >= 0
     (or nan on overflow): the square root never degenerates.
     """
-    H = _SQRT2 * _expand(p, _world_stack()) / m
+    H = _SQRT2 * _expand(_coords(p), _world_stack()) / m
     tr = (H[..., 0, 0] + H[..., 1, 1]).real
     return (H + _ID2) / np.sqrt(tr + 2.0)[..., None, None]
 
@@ -116,21 +116,19 @@ def accepted_boosts(p: np.ndarray, m: float, A: np.ndarray) -> np.ndarray:
 
     Repeats their checks (finite momentum, forward shell, finite unimodular
     result) on whole arrays, so that a rejected row can be handed to the
-    scalar path for its typed error.  The shell and determinant defects are
-    evaluated as the scalar checks evaluate them on numpy scalars: squares by
-    pow, and complex products in real arithmetic without fused multiply-adds,
-    which numpy's array loops may use.
+    scalar path for its typed error.  The shell defect is the scalar check's
+    q_form; the determinant is evaluated as the scalar check evaluates it:
+    complex products in real arithmetic without fused multiply-adds, which
+    numpy's array loops may use.
     """
     if not (math.isfinite(m) and m > 0):
         return np.zeros(p.shape[:-1], dtype=bool)
-    sq = np.float_power(p, 2)
-    shell = np.abs((((sq[..., 0] - sq[..., 1]) - sq[..., 2]) - sq[..., 3]) - m * m)
     a, b, c, d = A[..., 0, 0], A[..., 1, 1], A[..., 0, 1], A[..., 1, 0]
     det_re = (a.real * b.real - a.imag * b.imag) - (c.real * d.real - c.imag * d.imag)
     det_im = (a.real * b.imag + a.imag * b.real) - (c.real * d.imag + c.imag * d.real)
     return (
         np.isfinite(p).all(axis=-1)
-        & (shell <= _shell_bound(m))
+        & (np.abs(q_form(p) - m * m) <= _shell_bound(m))
         & (p[..., 0] > 0)
         & np.isfinite(A).all(axis=(-2, -1))
         & (np.hypot(det_re - 1.0, det_im) <= SL2_DET_TOL)

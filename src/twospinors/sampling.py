@@ -23,16 +23,16 @@ __all__ = [
 ]
 
 
-def _complex(rng, scale: float) -> complex:
-    return complex(rng.normal(0.0, scale), rng.normal(0.0, scale))
+def _complex(rng) -> complex:
+    return complex(rng.normal(0.0, 1.0), rng.normal(0.0, 1.0))
 
 
-def random_spinor(rng, scale: float = 1.0) -> Spinor2:
-    return Spinor2(_complex(rng, scale), _complex(rng, scale))
+def random_spinor(rng) -> Spinor2:
+    return Spinor2(_complex(rng), _complex(rng))
 
 
-def random_bitensor(rng, scale: float = 1.0) -> BiTensor:
-    return BiTensor(rng.normal(0.0, scale, (2, 2)) + 1j * rng.normal(0.0, scale, (2, 2)))
+def random_bitensor(rng) -> BiTensor:
+    return BiTensor(rng.normal(0.0, 1.0, (2, 2)) + 1j * rng.normal(0.0, 1.0, (2, 2)))
 
 
 def random_sl2(rng, max_norm: float = 4.0) -> SL2Element:
@@ -57,11 +57,10 @@ def random_su2(rng) -> SL2Element:
     return SL2Element([[a, -b.conjugate()], [b, a.conjugate()]])
 
 
-def random_shell_point(rng, m: float | None = None, spread: float = 2.0) -> MassShellPoint:
-    """Forward-shell point with Gaussian spatial momentum of width spread*m."""
-    if m is None:
-        m = float(rng.uniform(0.5, 2.0))
-    sigma = spread * m
+def random_shell_point(rng) -> MassShellPoint:
+    """Forward-shell point of mass uniform in [0.5, 2], spatial momentum Gaussian of width 2m."""
+    m = float(rng.uniform(0.5, 2.0))
+    sigma = 2.0 * m
     return shell_point(m, rng.normal(0.0, sigma), rng.normal(0.0, sigma), rng.normal(0.0, sigma))
 
 
@@ -69,14 +68,14 @@ def random_rest_spinor(rng) -> FourSpinor:
     """Random vector of the rest eigenspace: complex Gaussian coefficients on
     the rest fiber basis."""
     v1, v2 = rest_fiber_basis()
-    return _complex(rng, 1.0) * v1 + _complex(rng, 1.0) * v2
+    return _complex(rng) * v1 + _complex(rng) * v2
 
 
-def random_fiber_element(rng, m: float | None = None) -> FiberElement:
+def random_fiber_element(rng) -> FiberElement:
     """Random bundle element: a random point of the fiber over a random
     shell point, reached through a generic (boost times unitary) action on
     a random rest eigenvector."""
-    q = random_shell_point(rng, m=m)
+    q = random_shell_point(rng)
     A = boost_rep(q) @ random_su2(rng)
     psi = FourSpinor.from_vec(tau(A) @ random_rest_spinor(rng).vec)
     return FiberElement(q, psi)

@@ -194,8 +194,14 @@ class SL2Element:
     # SL2Element.__dict__["__init__"].
     def __init__(self, mat):
         m = _stored(mat, complex, (2, 2), "a 2x2 matrix", "matrix entries")
-        d = _det2(m)
-        if abs(d - 1.0) > SL2_DET_TOL:
+        # The determinant on Python complexes: the same products as numpy
+        # scalars and accepted_boosts give, but an overflow is inf or nan
+        # without a warning, and nan fails the test.  A real part off by more
+        # than 1 is refused first, since abs(d - 1) raises OverflowError past
+        # the float range.
+        (a, b), (c, e) = m.tolist()
+        d = a * e - b * c
+        if not (abs(d.real - 1.0) <= 1.0 and abs(d - 1.0) <= SL2_DET_TOL):
             raise NumericalDrift(
                 f"determinant {d} differs from 1 by more than {SL2_DET_TOL}; "
                 "renormalize first"

@@ -33,6 +33,7 @@ from twospinors import (
     q_form,
     reality_defect,
     shell_point,
+    slash,
     to_minkowski,
     world_basis,
 )
@@ -184,6 +185,63 @@ def test_to_minkowski_rejects_non_hermitian():
 
 def test_momentum_is_minkowski_vec():
     assert twospinors.Momentum is twospinors.MinkowskiVec
+
+
+# --- four-vector storage and the one coordinate accessor ----------------------
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_four_vector_length_is_refused_alike(n):
+    c = [1.0, 0.0, 0.0, 0.0, 7.0][:n]
+    message = rf"^expected 4 coordinates, got shape \({n},\)$"
+    for accessor in (Momentum.from_coords, q_form, slash):
+        with pytest.raises(ValueError, match=message):
+            accessor(c)
+
+
+def test_momentum_coords_are_stored_read_only():
+    q = shell_point(1.0, 0.3, -0.2, 0.1)
+    assert q.p.coords is q.p.coords
+    with pytest.raises(ValueError):
+        q.p.coords[0] = 2.0
+    c = np.array([2.0, 0.1, 0.2, 0.3])
+    p = Momentum.from_coords(c)
+    c[0] = 5.0
+    assert p.p0 == 2.0 and p == Momentum(2.0, 0.1, 0.2, 0.3)
+
+
+def test_momentum_refuses_non_finite_coordinates():
+    for c in ([math.inf, 0, 0, 0], [1.0, 0, math.nan, 0]):
+        with pytest.raises(ValueError, match=r"^momentum coordinates must be finite$"):
+            Momentum.from_coords(c)
+        with pytest.raises(ValueError, match=r"^momentum coordinates must be finite$"):
+            Momentum(*c)
+
+
+def test_momentum_equality_is_exact_and_hash_agrees():
+    a, b = Momentum(1, 0, 0, 0.5), Momentum.from_coords([1.0, 0.0, -0.0, 0.5])
+    assert a == b and hash(a) == hash(b)
+    assert a != Momentum(1.0, 0.0, 0.0, 0.5 + 2**-53)
+    assert a != (1.0, 0.0, 0.0, 0.5)
+    assert len({a, b, Momentum(2, 0, 0, 0)}) == 2
+    assert eval(repr(a), {"Momentum": Momentum}) == a
+    # MassShellPoint's dataclass == and hash compare its Momentum.
+    q1, q2 = shell_point(1.0, 0.3, 0.0, 0.0), shell_point(1.0, 0.3, 0.0, 0.0)
+    assert q1 == q2 and hash(q1) == hash(q2) and len({q1, q2}) == 1
+    assert q1 != shell_point(1.0, 0.3, 0.0, 1e-9)
+
+
+def test_stacked_q_form_equals_rows():
+    rows = expansion_coords(np.random.default_rng(64))
+    rows = rows[np.all(np.abs(rows) < 1e150, axis=-1)]
+    stacked = q_form(rows)
+    assert stacked.shape == rows.shape[:-1]
+    assert stacked.tobytes() == np.array([q_form(c) for c in rows]).tobytes()
+    assert all(type(q_form(c)) is float for c in rows[:5])
+    # A square stack of stacks, where a transposed result would go unnoticed
+    # by its shape.
+    cube = rows[:225].reshape(15, 15, 4)
+    assert q_form(cube).tobytes() == np.array([[q_form(c) for c in plane] for plane in cube]).tobytes()
 
 
 # --- the basis expansion under from_minkowski, boost_matrices and slash ----------

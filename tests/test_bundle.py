@@ -86,9 +86,25 @@ def test_projector_commutes_with_slash():
         assert np.max(np.abs(p_plus @ s - s @ p_plus)) <= 1e-12
 
 
+def test_overflowing_fiber_residual_is_refused():
+    # Residual and bound both overflow to inf; inf <= inf must not accept.
+    psi = FourSpinor.from_vec([1e200, 0, 0, 0])
+    with pytest.raises(NotInFiber, match=r"^fiber residual inf exceeds inf$"):
+        FiberElement(shell_point(1.0, 0, 0, 0), psi)
+    with pytest.raises(InvalidClassRep, match=r"^rest-eigenspace defect inf exceeds inf$"):
+        AssociatedClassRep(SL2Element.identity(), psi, 1.0)
+
+
+def test_huge_rest_eigenvector_is_accepted():
+    # Its norm overflows, but its defect is exactly 0.
+    psi = FourSpinor.from_vec([1e200, 0, 0, -1e200])
+    assert FiberElement(shell_point(1.0, 0, 0, 0), psi).psi is psi
+    assert AssociatedClassRep(SL2Element.identity(), psi, 1.0).phi_plus is psi
+
+
 def test_projector_rejects_corrupted_point():
     q = shell_point(1.0, 0, 0, 0)
-    object.__setattr__(q.p, "p0", 3.0)
+    q.p.coords = np.array([3.0, 0.0, 0.0, 0.0])
     with pytest.raises(NotOnShell):
         fiber_projector(q)
 

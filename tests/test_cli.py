@@ -524,6 +524,19 @@ def test_overflowing_lorentz_defect_reports_only_the_error():
     assert proc.stderr == "error: metric-orthogonality defect inf exceeds 1e-10\n"
 
 
+def test_nan_determinant_reports_only_the_error():
+    # The determinant of this singular matrix is inf - inf = nan.
+    proc = subprocess.run(
+        [sys.executable, "-m", "twospinors", "lorentz", "--"] + ["1e200", "0"] * 4,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == (
+        "error: determinant (nan+0j) differs from 1 by more than 1e-12; renormalize first\n"
+    )
+
+
 def test_overflowing_boost_reports_only_the_typed_error(tmp_path):
     # A subnormal mass: shell_point accepts the first node, its boost overflows.
     proc = subprocess.run(

@@ -271,6 +271,17 @@ def test_sl2_determinant_refusal_is_typed():
         SL2Element([[1, 0], [0, 2]])
 
 
+@pytest.mark.parametrize("mat", [
+    [[1e200, 1e200], [1e200, 1e200]],  # det is inf - inf = nan
+    [[1.3e154, 0], [0, 1.3e154 + 1.3e154j]],  # det finite, |det - 1| overflows
+    [[1e200, 0], [0, 1e200]],  # det is inf
+])
+def test_sl2_refuses_overflowing_determinant(mat):
+    # Tier-1 turns a RuntimeWarning into a failure: the refusal is silent.
+    with pytest.raises(NumericalDrift, match=r"^determinant .* differs from 1 by more than 1e-12"):
+        SL2Element(mat)
+
+
 def test_sl2_rejects_wrong_shape():
     with pytest.raises(ValueError):
         SL2Element(np.eye(3))

@@ -29,7 +29,6 @@ from .bundle import (
     AssociatedClassRep,
     fiber_basis,
     fiber_bound,
-    fiber_residual,
     fiber_residuals,
     rest_fiber_basis,
     rest_transport,
@@ -225,16 +224,11 @@ def _cmd_verify(args) -> int:
 def _solve_payload(m: float, p1: float, p2: float, p3: float, tol: float) -> dict:
     q = shell_point(m, p1, p2, p3)
     A = boost_rep(q)
-    solutions = []
-    for psi in fiber_basis(q):
-        residual = fiber_residual(q, psi)
-        solutions.append(
-            {
-                "psi": _pairs(psi.vec),
-                "residual": residual,
-                "ok": residual <= fiber_bound(tol, m, psi.norm()),
-            }
-        )
+    basis = rest_transport(A.mat)  # fiber_basis(q), from the boost in hand
+    residuals = fiber_residuals(q.p, basis, q.m)
+    ok = residuals <= fiber_bound(tol, m, spinor_norms(basis))
+    solutions = [{"psi": _pairs(psi), "residual": r, "ok": k}
+                 for psi, r, k in zip(basis, residuals.tolist(), ok.tolist())]
     return {
         "header": _header(tol=tol),
         "mass": float(m),

@@ -66,7 +66,8 @@ class FourSpinor(_Coefficients):
         return CoSpinor2.from_vec(self.vec[2:])
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.vec))
+        with np.errstate(all="ignore"):  # inf past the float range, silently
+            return float(np.linalg.norm(self.vec))
 
 
 @lru_cache(maxsize=1)

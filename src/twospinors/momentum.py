@@ -16,7 +16,7 @@ import numpy as np
 
 from .bitensor import Momentum, _coords, _expand, _world_stack, from_minkowski, pi_act, q_form, to_minkowski
 from .errors import BadMass, Degenerate, NotOnShell
-from .spinor import SL2_DET_TOL, SL2Element
+from .spinor import SL2Element, _unimodular
 
 __all__ = [
     "MassShellPoint",
@@ -52,9 +52,10 @@ def _shell_bound(m: float) -> float:
 
 
 def _require_on_shell(q: MassShellPoint) -> None:
-    """Raise NotOnShell unless q.p is on the forward shell of mass q.m (a nan
-    defect is not): the constructor's check, re-run in case q was altered."""
-    defect = abs(q_form(q.p) - q.m * q.m)
+    """Raise NotOnShell unless q.p is on the forward shell of mass q.m (a nan or
+    overflowing defect is not): the constructor's check, re-run in case q was altered."""
+    with np.errstate(all="ignore"):
+        defect = abs(q_form(q.p) - q.m * q.m)
     if not (defect <= _shell_bound(q.m)):
         raise NotOnShell(
             f"dispersion defect {defect:.3e} exceeds tolerance for m={q.m}"
@@ -115,23 +116,17 @@ def accepted_boosts(p: np.ndarray, m: float, A: np.ndarray) -> np.ndarray:
     shell_point and boost_rep succeed.
 
     Repeats their checks (finite momentum, forward shell, finite unimodular
-    result) on whole arrays, so that a rejected row can be handed to the
-    scalar path for its typed error.  The shell defect is the scalar check's
-    q_form; the determinant is evaluated as the scalar check evaluates it:
-    complex products in real arithmetic without fused multiply-adds, which
-    numpy's array loops may use.
+    result) on whole arrays, on the scalar checks' own formulas (q_form and
+    spinor._unimodular), so that a rejected row can be handed to the scalar
+    path for its typed error.
     """
     if not (math.isfinite(m) and m > 0):
         return np.zeros(p.shape[:-1], dtype=bool)
-    a, b, c, d = A[..., 0, 0], A[..., 1, 1], A[..., 0, 1], A[..., 1, 0]
-    det_re = (a.real * b.real - a.imag * b.imag) - (c.real * d.real - c.imag * d.imag)
-    det_im = (a.real * b.imag + a.imag * b.real) - (c.real * d.imag + c.imag * d.real)
     return (
         np.isfinite(p).all(axis=-1)
         & (np.abs(q_form(p) - m * m) <= _shell_bound(m))
         & (p[..., 0] > 0)
-        & np.isfinite(A).all(axis=(-2, -1))
-        & (np.hypot(det_re - 1.0, det_im) <= SL2_DET_TOL)
+        & _unimodular(A)
     )
 
 

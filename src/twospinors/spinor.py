@@ -109,7 +109,10 @@ class _Coefficients:
         return f"{type(self).__name__}.from_vec({self.vec.tolist()!r})"
 
     def norm(self) -> float:
-        return math.hypot(*map(abs, self.vec.tolist()))
+        try:
+            return math.hypot(*map(abs, self.vec.tolist()))
+        except OverflowError:  # abs of a coefficient past the float range
+            return math.inf
 
 
 class Spinor2(_Coefficients):
@@ -151,9 +154,21 @@ def eps_bar(xbar: CoSpinor2, ybar: CoSpinor2) -> complex:
     return eps(xbar, ybar)
 
 
-def _det2(t) -> complex:
-    """Determinant of a 2x2 complex matrix."""
-    return t[0, 0] * t[1, 1] - t[0, 1] * t[1, 0]
+def _det2(t):
+    """Determinant of a 2x2 array (a Python complex, silent on overflow) or of
+    each matrix of a (..., 2, 2) stack, equal to it bit for bit."""
+    # One matrix is a*d - b*c on the complexes of tolist().  Python's complex
+    # product is (ac - bd) + (ad + bc)i in real arithmetic, which a stack
+    # repeats, since numpy's complex array loops round differently.  The
+    # stacked parts are stored exactly: re + 1j * im would multiply.
+    if t.ndim == 2:
+        (a, b), (c, d) = t.tolist()
+        return a * d - b * c
+    a, b, c, d = t[..., 0, 0], t[..., 0, 1], t[..., 1, 0], t[..., 1, 1]
+    det = np.empty(a.shape, dtype=complex)
+    det.real = (a.real * d.real - a.imag * d.imag) - (b.real * c.real - b.imag * c.imag)
+    det.imag = (a.real * d.imag + a.imag * d.real) - (b.real * c.imag + b.imag * c.real)
+    return det
 
 
 def spinor_norms(v) -> np.ndarray:
@@ -181,6 +196,12 @@ def cyclic_defect(a: Spinor2, b: Spinor2, c: Spinor2) -> Spinor2:
     ])
 
 
+def _unimodular(a) -> np.ndarray:
+    """Mask of the stacked (..., 2, 2) matrices that SL2Element accepts."""
+    d = _det2(a)
+    return np.isfinite(a).all(axis=(-2, -1)) & (np.hypot(d.real - 1.0, d.imag) <= SL2_DET_TOL)
+
+
 class SL2Element:
     """A 2x2 complex matrix of determinant 1 (checked at construction).
 
@@ -194,13 +215,9 @@ class SL2Element:
     # SL2Element.__dict__["__init__"].
     def __init__(self, mat):
         m = _stored(mat, complex, (2, 2), "a 2x2 matrix", "matrix entries")
-        # The determinant on Python complexes: the same products as numpy
-        # scalars and accepted_boosts give, but an overflow is inf or nan
-        # without a warning, and nan fails the test.  A real part off by more
-        # than 1 is refused first, since abs(d - 1) raises OverflowError past
-        # the float range.
-        (a, b), (c, e) = m.tolist()
-        d = a * e - b * c
+        d = _det2(m)
+        # nan fails; a real part off by more than 1 is refused before
+        # abs(d - 1) can raise OverflowError past the float range.
         if not (abs(d.real - 1.0) <= 1.0 and abs(d - 1.0) <= SL2_DET_TOL):
             raise NumericalDrift(
                 f"determinant {d} differs from 1 by more than {SL2_DET_TOL}; "

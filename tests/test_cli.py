@@ -237,8 +237,8 @@ def test_record_line_refuses_non_finite():
 
 # Failing grids: the exit code, the last stderr line and the sha256 of the
 # partial file are those of the scalar implementation.  The mid-grid row
-# fails on its eighth node, where numpy's array arithmetic and its scalar
-# arithmetic disagree about the determinant check.
+# fails on its eighth node, whose boost has determinant 1.0000000000010232:
+# spinor._unimodular marks it and SL2Element refuses it.
 SAMPLE_FIELD_ERRORS = {
     "determinant": (
         ["-m", "1", "--grid", "3:-12:12", "--rapidity"],

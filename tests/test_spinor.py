@@ -1,6 +1,7 @@
 """Spinor pairs, conjugation, the symplectic form, and unimodular actions."""
 
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from twospinors import (
     eps,
     eps_bar,
 )
+from twospinors.momentum import boost_matrices, shell_momenta
+from twospinors.spinor import _det2, _unimodular
 
 E1 = Spinor2(1, 0)
 E2 = Spinor2(0, 1)
@@ -345,3 +348,74 @@ def test_conj_matrix_determinant():
     for _ in range(50):
         A = random_sl2(rng)
         assert abs(A.conj().det - A.det.conjugate()) <= 1e-12
+
+
+def _det_stack(rng):
+    # Random complex matrices at Frobenius scales 1e-5..1e5, stacked boosts,
+    # and edge rows: an overflowing product, nan entries, a -0.0 imaginary part.
+    scale = 10.0 ** rng.uniform(-5, 5, (500, 1, 1))
+    random = scale * (rng.normal(size=(500, 2, 2)) + 1j * rng.normal(size=(500, 2, 2)))
+    spatial = rng.normal(size=(3, 200)) * 10.0 ** rng.uniform(-3, 3, 200)
+    boosts = boost_matrices(shell_momenta(1.3, *spatial), 1.3)
+    edges = np.array([
+        [[1e200, 1e200], [1e200, 1e200]],
+        [[1e200, 0], [0, 1e200j]],
+        [[1.3e154, 1], [2, 1.3e154 + 1.3e154j]],
+        [[np.nan, 0], [0, 1]],
+        [[1, complex(0, np.nan)], [2, 1]],
+        [[complex(1, -0.0), 0], [0, complex(1, -0.0)]],
+    ], dtype=complex)
+    return np.concatenate((random, boosts, edges))
+
+
+def test_stacked_det2_equals_one_matrix():
+    stack = _det_stack(np.random.default_rng(71))
+    with np.errstate(over="ignore", invalid="ignore"):
+        stacked = _det2(stack)
+    one = np.array([_det2(t) for t in stack])
+    assert stacked.shape == (len(stack),)
+    assert stacked.tobytes() == one.tobytes()
+    assert math.copysign(1.0, stacked[-1].imag) == -1.0
+    # A (k, n, 2, 2) stack is folded the same way.
+    assert _det2(stack[:500].reshape(20, 25, 2, 2)).tobytes() == one[:500].tobytes()
+
+
+def _sl2_accepts(mat) -> bool:
+    try:
+        SL2Element(mat)
+    except ValueError:
+        return False
+    return True
+
+
+def test_unimodular_mask_agrees_with_sl2_element():
+    rng = np.random.default_rng(72)
+    # The nodes of sample-field's determinant-mid-grid row: one boost's
+    # determinant is 1.0000000000010232.
+    m = 0.2038915621465247
+    axis = m * np.sinh(np.linspace(-8.745101673433474, 9.051056505008884, 4))
+    p = shell_momenta(m, *(c.ravel() for c in np.meshgrid(axis, axis, axis, indexing="ij")))
+    mid_grid = boost_matrices(p, m)
+    assert 1.0000000000010232 + 0j in [_det2(t) for t in mid_grid]
+    stack = np.concatenate((
+        np.array([random_sl2(rng).mat for _ in range(100)]),
+        mid_grid,
+        np.array([
+            [[1e200, 1e200], [1e200, 1e200]],  # det nan
+            [[1 + 1e-12, 0], [0, 1]],
+            [[1 + 2e-12, 0], [0, 1]],
+            [[np.inf, 0], [0, 1]],
+        ], dtype=complex),
+    ))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mask = _unimodular(stack)
+    assert mask.tolist() == [_sl2_accepts(t) for t in stack]
+    assert mask[:100].all() and not mask[-4:].any()
+
+
+def test_overflowing_norm_is_silently_inf():
+    # Tier-1 turns a RuntimeWarning into a failure.
+    assert Spinor2(1.7e308 + 1.7e308j, 0).norm() == math.inf
+    assert CoSpinor2(0, -1.7e308j - 1.7e308).norm() == math.inf
+    assert FourSpinor.from_vec([1.7e308 + 1.7e308j, 0, 0, 0]).norm() == math.inf
+

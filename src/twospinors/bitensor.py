@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NotReal, NumericalDrift
-from .spinor import CoSpinor2, SL2Element, Spinor2, _det2, _stored, conjugate, spinor_norms
+from .spinor import CoSpinor2, SL2Element, Spinor2, _det2, _Frozen, conjugate, spinor_norms
 
 __all__ = [
     "BiTensor",
@@ -49,13 +49,16 @@ REALITY_TOL = 1e-10
 LORENTZ_TOL = 1e-10
 
 
-class BiTensor:
+class BiTensor(_Frozen):
     """Coefficient matrix t, with t[i, j] multiplying the basis tensor (i, j)."""
 
     __slots__ = ("t",)
 
     def __init__(self, t):
-        self.t = _stored(t, complex, (2, 2), "a 2x2 coefficient matrix", "bitensor entries")
+        self._bind("t", t, complex, (2, 2), "a 2x2 coefficient matrix", "bitensor entries")
+
+    def __reduce__(self):
+        return (BiTensor, (self.t.tolist(),))
 
     def __add__(self, other: "BiTensor") -> "BiTensor":
         return BiTensor(self.t + other.t)
@@ -71,11 +74,8 @@ class BiTensor:
     def __neg__(self) -> "BiTensor":
         return BiTensor(-self.t)
 
-    def __repr__(self) -> str:
-        return f"BiTensor({self.t.tolist()!r})"
 
-
-class Momentum:
+class Momentum(_Frozen):
     """Real four-vector coordinates, p0 timelike, stored once and read-only: a
     world vector in the world basis, or a momentum in the dual basis, which
     makes the duality the identity on coordinates (the pairing of the
@@ -84,7 +84,10 @@ class Momentum:
     __slots__ = ("coords",)
 
     def __init__(self, p0, p1, p2, p3):
-        self.coords = _stored((p0, p1, p2, p3), float, (4,), "4 coordinates", "momentum coordinates")
+        self._bind("coords", (p0, p1, p2, p3), float, (4,), "4 coordinates", "momentum coordinates")
+
+    def __reduce__(self):
+        return (Momentum, tuple(self.coords.tolist()))
 
     @classmethod
     def from_coords(cls, c) -> "Momentum":
@@ -101,9 +104,6 @@ class Momentum:
     def __hash__(self) -> int:
         return hash(tuple(self.coords.tolist()))
 
-    def __repr__(self) -> str:
-        return f"Momentum({', '.join(map(repr, self.coords.tolist()))})"
-
 
 # World vectors and momenta share one type (see Momentum).
 MinkowskiVec = Momentum
@@ -116,7 +116,7 @@ def lorentz_defect(m: np.ndarray) -> float:
         return float(np.max(np.abs(m.T @ ETA @ m - ETA)))
 
 
-class LorentzMatrix:
+class LorentzMatrix(_Frozen):
     """Proper orthochronous Lorentz matrix; invariants checked at construction.
 
     The metric, determinant and orthochronicity checks are the only ones on
@@ -126,7 +126,7 @@ class LorentzMatrix:
     __slots__ = ("mat",)
 
     def __init__(self, mat):
-        m = _stored(mat, float, (4, 4), "a 4x4 matrix", "matrix entries")
+        m = self._bind("mat", mat, float, (4, 4), "a 4x4 matrix", "matrix entries")
         defect = lorentz_defect(m)
         if defect > LORENTZ_TOL:
             raise NumericalDrift(f"metric-orthogonality defect {defect:.3e} exceeds {LORENTZ_TOL}")
@@ -135,10 +135,9 @@ class LorentzMatrix:
             raise NumericalDrift(f"determinant {det} is not 1 to within {LORENTZ_TOL}")
         if m[0, 0] < 1.0 - LORENTZ_TOL:
             raise NumericalDrift(f"time-time entry {m[0, 0]} violates orthochronicity")
-        self.mat = m
 
-    def __repr__(self) -> str:
-        return f"LorentzMatrix({self.mat.tolist()!r})"
+    def __reduce__(self):
+        return (LorentzMatrix, (self.mat.tolist(),))
 
 
 def elementary(x: Spinor2, ybar: CoSpinor2) -> BiTensor:
@@ -272,7 +271,9 @@ def h_form(X: BiTensor, Y: BiTensor) -> complex:
     polarization det(X+Y) - det(X) - det(Y) is its bilinear extension,
     exact to rounding and O(1) per evaluation.
     """
-    return _det2(X.t + Y.t) - _det2(X.t) - _det2(Y.t)
+    with np.errstate(all="ignore"):  # an overflowing entry sum gives a nan, silently
+        s = X.t + Y.t
+    return _det2(s) - _det2(X.t) - _det2(Y.t)
 
 
 def _coords(p) -> np.ndarray:

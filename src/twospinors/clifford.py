@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bitensor import ETA, BiTensor, _coords, _expand, h_form, pi_act, world_basis
-from .spinor import CoSpinor2, SL2Element, Spinor2, _Coefficients, eps, eps_bar
+from .spinor import CoSpinor2, SL2Element, Spinor2, _Coefficients, _scaled, eps, eps_bar
 
 __all__ = [
     "FourSpinor",
@@ -57,6 +57,9 @@ class FourSpinor(_Coefficients):
         """The 4-spinor with coefficients v in the order (e1, e2, e1bar, e2bar)."""
         return super().from_vec(v)
 
+    def __reduce__(self):
+        return (FourSpinor, (self.s, self.sbar))
+
     @property
     def s(self) -> Spinor2:
         return Spinor2.from_vec(self.vec[:2])
@@ -66,8 +69,14 @@ class FourSpinor(_Coefficients):
         return CoSpinor2.from_vec(self.vec[2:])
 
     def norm(self) -> float:
-        with np.errstate(all="ignore"):  # inf past the float range, silently
-            return float(np.linalg.norm(self.vec))
+        """np.linalg.norm of the coefficients scaled by a power of two (see
+        _scaled): the same bits where that neither overflows nor underflows,
+        and inf only past the float range."""
+        w, e = _scaled(self.vec)
+        try:
+            return math.ldexp(float(np.linalg.norm(w)), e)
+        except OverflowError:
+            return math.inf
 
 
 @lru_cache(maxsize=1)

@@ -51,29 +51,23 @@ def _shell_bound(m: float) -> float:
     return SHELL_TOL * max(1.0, m * m)
 
 
-def _require_on_shell(q: MassShellPoint) -> None:
-    """Raise NotOnShell unless q.p is on the forward shell of mass q.m (a nan or
-    overflowing defect is not): the constructor's check, re-run in case q was altered."""
-    with np.errstate(all="ignore"):
-        defect = abs(q_form(q.p) - q.m * q.m)
-    if not (defect <= _shell_bound(q.m)):
-        raise NotOnShell(
-            f"dispersion defect {defect:.3e} exceeds tolerance for m={q.m}"
-        )
-    if q.p.p0 <= 0:
-        raise NotOnShell(f"p0 = {q.p.p0} is not on the forward shell")
-
-
 @dataclass(frozen=True)
 class MassShellPoint:
-    """A momentum on the forward shell of mass m: q_form(p) = m^2, p0 > 0."""
+    """A momentum on the forward shell of mass m: q_form(p) = m^2, p0 > 0
+    (a nan or overflowing defect is not)."""
 
     p: Momentum
     m: float
 
     def __post_init__(self):
-        object.__setattr__(self, "m", _require_mass(self.m))
-        _require_on_shell(self)
+        m = _require_mass(self.m)
+        object.__setattr__(self, "m", m)
+        with np.errstate(all="ignore"):
+            defect = abs(q_form(self.p) - m * m)
+        if not (defect <= _shell_bound(m)):
+            raise NotOnShell(f"dispersion defect {defect:.3e} exceeds tolerance for m={m}")
+        if self.p.p0 <= 0:
+            raise NotOnShell(f"p0 = {self.p.p0} is not on the forward shell")
 
 
 def shell_point(m: float, p1: float, p2: float, p3: float) -> MassShellPoint:
@@ -83,6 +77,8 @@ def shell_point(m: float, p1: float, p2: float, p3: float) -> MassShellPoint:
     """
     m = _require_mass(m)
     p0 = math.sqrt(m * m + p1 * p1 + p2 * p2 + p3 * p3)
+    if not math.isfinite(p0):  # the energy passes the float range
+        raise NotOnShell("momentum coordinates must be finite")
     return MassShellPoint(Momentum(p0, p1, p2, p3), m)
 
 
@@ -142,7 +138,6 @@ def boost_rep(q: MassShellPoint) -> SL2Element:
     Raises Degenerate when the closed form overflows, which happens on the
     shell for p/m beyond the double range (e.g. m = 1e-300, |p| = 1e10).
     """
-    _require_on_shell(q)
     with np.errstate(all="ignore"):
         a = boost_matrices(q.p.coords, q.m)
     if not np.isfinite(a).all():

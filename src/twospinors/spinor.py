@@ -34,21 +34,43 @@ __all__ = [
 SL2_DET_TOL = 1e-12
 
 
-def _stored(values, dtype, shape: tuple, expected: str, entries: str) -> np.ndarray:
-    """values as a read-only array of dtype and shape with finite entries; the
-    storage check of every value type.  A wrong shape is refused as not the
-    expected value, a non-finite entry as "<entries> must be finite"."""
-    a = np.array(values, dtype=dtype)
-    if a.shape != shape:
-        raise ValueError(f"expected {expected}, got shape {a.shape}")
-    # Per entry in Python: faster than np.isfinite on arrays this small.
-    if not all(map(cmath.isfinite, a.ravel().tolist())):
-        raise ValueError(f"{entries} must be finite")
-    a.setflags(write=False)
-    return a
+class _Frozen:
+    """Base of the array-backed value types: _bind stores the value's one
+    array, from the constructor; assignment and deletion raise
+    AttributeError.  Copy, deepcopy and pickle rebuild the value through its
+    constructor (__reduce__), so a copy is checked like the original."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        rebuild, args = self.__reduce__()
+        return f"{rebuild.__qualname__}({', '.join(map(repr, args))})"
+
+    def _bind(self, slot: str, values, dtype, shape: tuple, expected: str, entries: str):
+        """Store values in slot as a read-only array of dtype and shape with
+        finite entries, and return it; the storage check of every value type.
+        A wrong shape is refused as not the expected value, a non-finite entry
+        as "<entries> must be finite"."""
+        a = np.array(values, dtype=dtype)
+        if a.shape != shape:
+            raise ValueError(f"expected {expected}, got shape {a.shape}")
+        # Per entry in Python: faster than np.isfinite on arrays this small.
+        if not all(map(cmath.isfinite, a.ravel().tolist())):
+            raise ValueError(f"{entries} must be finite")
+        # setflags(write=True) raises on a view of a read-only owner; only
+        # numpy's .base reaches the owner itself.
+        a.setflags(write=False)
+        a = a.view()
+        object.__setattr__(self, slot, a)
+        return a
 
 
-class _Coefficients:
+class _Coefficients(_Frozen):
     """A read-only vector of finite complex coefficients, the storage of
     Spinor2, CoSpinor2 and FourSpinor.  Arithmetic is Python complex
     arithmetic per entry, so an overflow is refused like a non-finite input;
@@ -61,8 +83,11 @@ class _Coefficients:
         self._store((c1, c2))
 
     def _store(self, coeffs) -> None:
-        self.vec = _stored(coeffs, complex, (self.size,), f"{self.size} coefficients",
-                           f"{type(self).__name__} components")
+        self._bind("vec", coeffs, complex, (self.size,), f"{self.size} coefficients",
+                   f"{type(self).__name__} components")
+
+    def __reduce__(self):
+        return (type(self), tuple(self.vec.tolist()))
 
     @classmethod
     def from_vec(cls, v):
@@ -104,9 +129,6 @@ class _Coefficients:
 
     def __hash__(self) -> int:
         return hash(tuple(self.vec.tolist()))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}.from_vec({self.vec.tolist()!r})"
 
     def norm(self) -> float:
         try:
@@ -183,6 +205,17 @@ def spinor_norms(v) -> np.ndarray:
     return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
 
 
+def _scaled(v: np.ndarray) -> tuple[np.ndarray, int]:
+    """A complex array v times 2**-e, and e, for e the binary exponent of its
+    largest real or imaginary part (0 for zero): every part of the scaled
+    array is below 1 in magnitude.  Scaling by a power of two is exact, so a
+    norm, residual or determinant of the scaled array, scaled back, has the
+    bits of the unscaled one wherever that neither overflows nor underflows."""
+    x = v.view(float)
+    e = math.frexp(max(map(abs, x.ravel().tolist())))[1]
+    return np.ldexp(x, -e).view(complex), e
+
+
 def cyclic_defect(a: Spinor2, b: Spinor2, c: Spinor2) -> Spinor2:
     """Residual eps(b,c)*a + eps(c,a)*b + eps(a,b)*c.
 
@@ -202,7 +235,7 @@ def _unimodular(a) -> np.ndarray:
     return np.isfinite(a).all(axis=(-2, -1)) & (np.hypot(d.real - 1.0, d.imag) <= SL2_DET_TOL)
 
 
-class SL2Element:
+class SL2Element(_Frozen):
     """A 2x2 complex matrix of determinant 1 (checked at construction).
 
     The coefficient matrix is stored read-only; instances are immutable and
@@ -214,7 +247,7 @@ class SL2Element:
     # Kept in this class body: benchmarks/tracer.py traces
     # SL2Element.__dict__["__init__"].
     def __init__(self, mat):
-        m = _stored(mat, complex, (2, 2), "a 2x2 matrix", "matrix entries")
+        m = self._bind("mat", mat, complex, (2, 2), "a 2x2 matrix", "matrix entries")
         d = _det2(m)
         # nan fails; a real part off by more than 1 is refused before
         # abs(d - 1) can raise OverflowError past the float range.
@@ -223,7 +256,9 @@ class SL2Element:
                 f"determinant {d} differs from 1 by more than {SL2_DET_TOL}; "
                 "renormalize first"
             )
-        self.mat = m
+
+    def __reduce__(self):
+        return (SL2Element, (self.mat.tolist(),))
 
     @property
     def det(self) -> complex:
@@ -238,9 +273,14 @@ class SL2Element:
         """Divide by the principal square root of the determinant.
 
         Intended for long products whose determinant has drifted at the
-        machine-epsilon scale.
+        machine-epsilon scale.  mat is first scaled by a power of two
+        (_scaled), so that its determinant neither overflows nor underflows
+        at any scale; the result is the same for every such scaling.
         """
         m = np.array(mat, dtype=complex)
+        if not np.isfinite(m).all():
+            raise ValueError("matrix entries must be finite")
+        m, _ = _scaled(m)
         d = _det2(m)
         if d == 0:
             raise ValueError("cannot renormalize a singular matrix")
@@ -260,9 +300,6 @@ class SL2Element:
 
     def __neg__(self) -> "SL2Element":
         return SL2Element(-self.mat)
-
-    def __repr__(self) -> str:
-        return f"SL2Element({self.mat.tolist()!r})"
 
 
 def act(A: SL2Element, s: Spinor2) -> Spinor2:

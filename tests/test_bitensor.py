@@ -299,6 +299,12 @@ def test_h_form_overflow_is_silent():
     assert cmath.isnan(h)
 
 
+def test_h_form_overflowing_entry_sum_is_silent():
+    # 1e308 + 1e308 passes the float range in the entry sum X + Y itself.
+    X = BiTensor([[1e308, 0], [0, 1]])
+    assert cmath.isnan(h_form(X, X))
+
+
 def test_h_form_matches_dyadic_definition():
     rng = np.random.default_rng(5)
     worst = 0.0

@@ -122,6 +122,12 @@ def test_solve_rejects_bad_mass(capsys):
     assert main(["solve", "-m", "-1", "--", "0", "0", "0"]) == 3
 
 
+def test_solve_refuses_overflowing_energy(capsys):
+    assert main(["solve", "-m", "1", "--", "1e160", "0", "0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: momentum coordinates must be finite\n"
+
+
 # --- planewave-check --------------------------------------------------------------
 
 

@@ -338,3 +338,20 @@ def test_stacked_slash_tau_and_norms_equal_scalar():
     vecs = rng.normal(size=(500, 4)) * 10.0 ** rng.uniform(-3, 3, (500, 4)) + 1j * rng.normal(size=(500, 4))
     for v, n in zip(vecs, spinor_norms(vecs).tolist()):
         assert n == FourSpinor.from_vec(v).norm()
+
+
+def test_four_spinor_norm_equals_numpy_bit_for_bit():
+    # The norm scales the coefficients by a power of two first, which changes
+    # no bit where np.linalg.norm neither overflows nor underflows.
+    rng = np.random.default_rng(61)
+    scales = 10.0 ** rng.uniform(-5, 5, (500, 1))
+    vecs = (rng.normal(size=(500, 4)) + 1j * rng.normal(size=(500, 4))) * scales
+    for v in vecs:
+        assert FourSpinor.from_vec(v).norm() == float(np.linalg.norm(v))
+
+
+@pytest.mark.parametrize("c", [1e200, 1e-200, -3e300j, 5e-324, 1.7e308])
+def test_four_spinor_norm_keeps_its_range(c):
+    # np.linalg.norm gives inf for 1e200 and 0.0 for 1e-200; the 2-spinor
+    # norm (math.hypot) gives the coefficient's modulus, and so does this one.
+    assert FourSpinor.from_vec([0, c, 0, 0]).norm() == Spinor2(0, c).norm() == abs(c)

@@ -77,6 +77,12 @@ def test_mass_shell_point_rejects_backward_shell():
         MassShellPoint(Momentum(-1.0, 0.0, 0.0, 0.0), 1.0)
 
 
+@pytest.mark.parametrize("p", [(1e160, 0, 0), (0, -1e155, 1e155), (0, 0, math.inf)])
+def test_shell_point_refuses_overflowing_energy(p):
+    with pytest.raises(NotOnShell, match=r"^momentum coordinates must be finite$"):
+        shell_point(1.0, *p)
+
+
 def test_dispersion_sweep():
     rng = np.random.default_rng(41)
     for _ in range(1000):
@@ -132,18 +138,21 @@ def test_boost_rep_su2_cocycle_is_unitary():
 
 
 def test_boost_rep_rejects_corrupted_point():
+    # A shell point cannot be altered past its constructor, so boost_rep
+    # needs no second shell check.
     q = shell_point(1.0, 0.5, 0, 0)
-    q.p.coords = np.array([2.0, 0.5, 0.0, 0.0])  # simulate corruption past the constructor
-    with pytest.raises(NotOnShell):
-        boost_rep(q)
+    before = q.p.coords.tolist()
+    with pytest.raises(AttributeError):
+        q.p.coords = np.array([2.0, 0.5, 0.0, 0.0])
+    assert q.p.coords.tolist() == before
 
 
 def test_boost_rep_rejects_backward_corruption():
-    # the backward branch is caught before the square root can degenerate
+    # Nor can it be moved to the backward branch.
     q = shell_point(1.0, 0, 0, 0)
-    q.p.coords = np.array([-1.0, 0.0, 0.0, 0.0])
-    with pytest.raises(NotOnShell):
-        boost_rep(q)
+    with pytest.raises(AttributeError):
+        q.p.coords = np.array([-1.0, 0.0, 0.0, 0.0])
+    assert q.p.coords.tolist() == [1.0, 0.0, 0.0, 0.0]
 
 
 # --- the action on momenta -----------------------------------------------------------

@@ -298,6 +298,23 @@ def test_sl2_renormalize():
     assert abs(A.det - 1) <= 1e-15
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 5e-324, 2.0**-1000, 3.0])
+def test_renormalized_is_scale_free(scale):
+    # The input is scaled by a power of two before the determinant is taken,
+    # so no extreme scale overflows or underflows it.
+    assert SL2Element.renormalized(scale * np.eye(2)).mat.tolist() == np.eye(2).tolist()
+    drifted = np.array([[1.0001, 0.3j], [0.2, 1.0]])
+    for k in (-900, -1, 1, 900):
+        assert (SL2Element.renormalized(np.ldexp(1.0, k) * drifted).mat.tobytes()
+                == SL2Element.renormalized(drifted).mat.tobytes())
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, -math.inf)])
+def test_renormalized_refuses_non_finite_entries_silently(bad):
+    with pytest.raises(ValueError, match=r"^matrix entries must be finite$"):
+        SL2Element.renormalized([[bad, 0], [0, 1]])
+
+
 def test_sl2_inverse_is_adjugate():
     A = SL2Element([[2, 1], [1, 1]])
     np.testing.assert_allclose(A.inverse().mat @ A.mat, np.eye(2), atol=1e-15)

@@ -1,0 +1,117 @@
+"""Value types are immutable: each invariant is checked once, by the
+constructor, and no value can be altered afterwards."""
+
+import copy
+import pickle
+
+import numpy as np
+import pytest
+
+from twospinors import (
+    BiTensor,
+    CoSpinor2,
+    ConjugatePair,
+    FiberElement,
+    FourSpinor,
+    LorentzMatrix,
+    Momentum,
+    SL2Element,
+    Spinor2,
+    beta_inv,
+    conjugate,
+    fiber_basis,
+    lorentz_of,
+    shell_point,
+)
+
+_A = SL2Element([[2.0, 0.5j], [0.0, 0.5]])
+_Q = shell_point(1.0, 0.3, -0.2, 0.75)
+_F = FiberElement(_Q, fiber_basis(_Q)[0])
+
+# Each value with the fields it stores.
+VALUES = {
+    "Spinor2": (Spinor2(1, 2j), ("vec",)),
+    "CoSpinor2": (CoSpinor2(3, -1j), ("vec",)),
+    "FourSpinor": (FourSpinor.from_vec([1, 2, -0.0, 4j]), ("vec",)),
+    "Momentum": (Momentum(1.25, 0.0, 0.0, 0.75), ("coords",)),
+    "BiTensor": (BiTensor([[1, 2j], [-2j, 3]]), ("t",)),
+    "SL2Element": (_A, ("mat",)),
+    "LorentzMatrix": (LorentzMatrix(lorentz_of(_A).mat), ("mat",)),
+    "MassShellPoint": (_Q, ("p", "m")),
+    "FiberElement": (_F, ("q", "psi")),
+    "AssociatedClassRep": (beta_inv(_F), ("A", "phi_plus", "m")),
+    "ConjugatePair": (ConjugatePair(Spinor2(1, 2j), conjugate(Spinor2(1, 2j))), ("s", "sbar")),
+}
+values = pytest.mark.parametrize("value, names", VALUES.values(), ids=VALUES)
+# The seven types that store one array; the rest are frozen dataclasses.
+ARRAY_VALUES = {k: v for k, (v, _) in VALUES.items() if not hasattr(v, "__dataclass_fields__")}
+
+
+def stored_arrays(value):
+    """The arrays a value stores, its fields' arrays included."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, float):
+        return []
+    names = getattr(value, "__dataclass_fields__", None) or [
+        name for cls in type(value).__mro__ for name in getattr(cls, "__slots__", ())]
+    return [a for name in names for a in stored_arrays(getattr(value, name))]
+
+
+def same_value(a, b):
+    # SL2Element, BiTensor and LorentzMatrix (so AssociatedClassRep too)
+    # compare by identity; a repr spells every stored bit, so equal reprs are
+    # equal values.
+    return type(a) is type(b) and repr(a) == repr(b)
+
+
+@values
+def test_fields_refuse_assignment_and_deletion(value, names):
+    before, digest = repr(value), hash(value)
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert repr(value) == before and hash(value) == digest
+
+
+@values
+def test_stored_arrays_cannot_be_made_writeable(value, names):
+    arrays = stored_arrays(value)
+    assert arrays
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="cannot set WRITEABLE flag to True"):
+            a.setflags(write=True)
+
+
+@values
+@pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_copies_are_equal_and_read_only(value, names, duplicate):
+    twin = duplicate(value)
+    assert same_value(twin, value)
+    for a in stored_arrays(twin):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a.setflags(write=True)
+
+
+@pytest.mark.parametrize("value", ARRAY_VALUES.values(), ids=ARRAY_VALUES)
+def test_array_values_are_rebuilt_by_their_constructor(value):
+    # Copy, deepcopy and pickle go through __reduce__, so they run the checks.
+    assert len(ARRAY_VALUES) == 7
+    rebuild, args = value.__reduce__()
+    assert rebuild is type(value)
+    assert same_value(rebuild(*args), value)
+
+
+def test_altered_pickle_is_refused_when_loaded():
+    # Loading runs the constructor's check: a pickle whose entries spell a
+    # matrix of determinant 4 does not load.
+    one, two = pickle.dumps(1.0, protocol=2)[2:-1], pickle.dumps(2.0, protocol=2)[2:-1]
+    data = pickle.dumps(SL2Element.identity(), protocol=2)
+    assert data.count(one) == 2
+    with pytest.raises(ValueError, match=r"^determinant \(4\+0j\) differs from 1"):
+        pickle.loads(data.replace(one, two))

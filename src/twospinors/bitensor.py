@@ -12,12 +12,11 @@ covers the proper orthochronous Lorentz group two-to-one.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import NotReal, NumericalDrift
-from .spinor import CoSpinor2, SL2Element, Spinor2, _det2, _Frozen, conjugate, spinor_norms
+from .spinor import CoSpinor2, SL2Element, Spinor2, _det2, _Frozen, _sealed, conjugate, spinor_norms
 
 __all__ = [
     "BiTensor",
@@ -42,8 +41,7 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 
 # Minkowski metric in the world basis, signature (+,-,-,-).
-ETA = np.diag([1.0, -1.0, -1.0, -1.0])
-ETA.setflags(write=False)
+ETA = _sealed(np.diag([1.0, -1.0, -1.0, -1.0]))
 
 REALITY_TOL = 1e-10
 LORENTZ_TOL = 1e-10
@@ -126,15 +124,15 @@ class LorentzMatrix(_Frozen):
     __slots__ = ("mat",)
 
     def __init__(self, mat):
-        m = self._bind("mat", mat, float, (4, 4), "a 4x4 matrix", "matrix entries")
-        defect = lorentz_defect(m)
+        self._bind("mat", mat, float, (4, 4), "a 4x4 matrix", "matrix entries")
+        defect = lorentz_defect(self.mat)
         if defect > LORENTZ_TOL:
             raise NumericalDrift(f"metric-orthogonality defect {defect:.3e} exceeds {LORENTZ_TOL}")
-        det = np.linalg.det(m)
+        det = np.linalg.det(self.mat)
         if abs(det - 1.0) > LORENTZ_TOL:
             raise NumericalDrift(f"determinant {det} is not 1 to within {LORENTZ_TOL}")
-        if m[0, 0] < 1.0 - LORENTZ_TOL:
-            raise NumericalDrift(f"time-time entry {m[0, 0]} violates orthochronicity")
+        if self.mat[0, 0] < 1.0 - LORENTZ_TOL:
+            raise NumericalDrift(f"time-time entry {self.mat[0, 0]} violates orthochronicity")
 
     def __reduce__(self):
         return (LorentzMatrix, (self.mat.tolist(),))
@@ -174,7 +172,22 @@ def project_real(T: BiTensor) -> BiTensor:
     return BiTensor((T.t + T.t.conj().T) / 2.0)
 
 
-@lru_cache(maxsize=1)
+def _dyad(i: int, j: int) -> BiTensor:
+    e = (Spinor2(1, 0), Spinor2(0, 1))
+    return elementary(e[i], conjugate(e[j]))
+
+
+# The world basis (see world_basis), built once at import, and the same four
+# matrices as one (4, 2, 2) array.
+_WORLD_BASIS = (
+    (_dyad(0, 0) + _dyad(1, 1)) * (1.0 / _SQRT2),
+    (_dyad(0, 1) + _dyad(1, 0)) * (1.0 / _SQRT2),
+    (_dyad(0, 1) - _dyad(1, 0)) * (1j / _SQRT2),
+    (_dyad(0, 0) - _dyad(1, 1)) * (1.0 / _SQRT2),
+)
+_WORLD_STACK = _sealed(np.stack([u.t for u in _WORLD_BASIS]))
+
+
 def world_basis() -> tuple[BiTensor, BiTensor, BiTensor, BiTensor]:
     """Orthogonal basis u0..u3 of the Hermitian subspace, each of unit |form|.
 
@@ -182,24 +195,7 @@ def world_basis() -> tuple[BiTensor, BiTensor, BiTensor, BiTensor]:
     the normalization that makes the induced quadratic form take the values
     (+1, -1, -1, -1) on (u0, u1, u2, u3).
     """
-    e = (Spinor2(1, 0), Spinor2(0, 1))
-
-    def dyad(i, j):
-        return elementary(e[i], conjugate(e[j]))
-
-    u0 = (dyad(0, 0) + dyad(1, 1)) * (1.0 / _SQRT2)
-    u1 = (dyad(0, 1) + dyad(1, 0)) * (1.0 / _SQRT2)
-    u2 = (dyad(0, 1) - dyad(1, 0)) * (1j / _SQRT2)
-    u3 = (dyad(0, 0) - dyad(1, 1)) * (1.0 / _SQRT2)
-    return (u0, u1, u2, u3)
-
-
-@lru_cache(maxsize=1)
-def _world_stack() -> np.ndarray:
-    """The world basis u0..u3 as one read-only (4, 2, 2) array."""
-    u = np.stack([uj.t for uj in world_basis()])
-    u.setflags(write=False)
-    return u
+    return _WORLD_BASIS
 
 
 def _expand(c, basis) -> np.ndarray:
@@ -220,7 +216,7 @@ def from_minkowski(x: MinkowskiVec) -> BiTensor:
     Coordinates whose expansion overflows are refused by BiTensor.
     """
     with np.errstate(all="ignore"):
-        return BiTensor(_expand(x.coords, _world_stack()))
+        return BiTensor(_expand(x.coords, _WORLD_STACK))
 
 
 def _transport(a: np.ndarray, t) -> np.ndarray:
@@ -248,7 +244,7 @@ def _world_coords(t) -> tuple[np.ndarray, np.ndarray]:
     """
     t = np.asarray(t, dtype=complex)
     with np.errstate(all="ignore"):
-        coords = np.trace(_world_stack() @ t[..., None, :, :], axis1=-2, axis2=-1).real
+        coords = np.trace(_WORLD_STACK @ t[..., None, :, :], axis1=-2, axis2=-1).real
         return coords, _reality_defects(t)
 
 
@@ -313,7 +309,7 @@ def lorentz_of(A: SL2Element) -> LorentzMatrix:
     vector, or when LorentzMatrix refuses the result; either signals a badly
     conditioned A (e.g. an extreme boost) rather than a logic error.
     """
-    cols, defects = _world_coords(_transport(A.mat, _world_stack()))
+    cols, defects = _world_coords(_transport(A.mat, _WORLD_STACK))
     # A non-finite entry gives a non-finite defect, which fails the test.
     real = (defects <= REALITY_TOL) & np.isfinite(cols).all(axis=-1)
     if not real.all():

@@ -23,7 +23,7 @@ from .bitensor import Momentum
 from .clifford import FourSpinor, gamma, slash, tau, tau_matrices
 from .errors import InvalidClassRep, NotInFiber
 from .momentum import MassShellPoint, _require_mass, act_momentum, boost_rep
-from .spinor import CoSpinor2, SL2Element, Spinor2, _scaled, conjugate, spinor_norms
+from .spinor import CoSpinor2, SL2Element, Spinor2, _scaled, _sealed, _unscaled, conjugate, spinor_norms
 
 __all__ = [
     "FiberElement",
@@ -53,8 +53,7 @@ FIBER_TOL = 1e-9
 SPLUS_TOL = 1e-10
 
 # The rest-eigenspace basis (e1 - e2bar, e2 + e1bar), one flattened row each.
-_REST = np.array([[1, 0, 0, -1], [0, 1, 1, 0]], dtype=complex)
-_REST.setflags(write=False)
+_REST = _sealed(np.array([[1, 0, 0, -1], [0, 1, 1, 0]], dtype=complex))
 
 
 def fiber_residuals(p, psi, m: float) -> np.ndarray:
@@ -67,9 +66,19 @@ def fiber_residuals(p, psi, m: float) -> np.ndarray:
     return spinor_norms(np.matvec(slash(p), psi) - m * psi)
 
 
+def _scaled_residual(q: MassShellPoint, psi: FourSpinor) -> tuple[float, np.ndarray, int]:
+    """The fiber residual of w = psi * 2**-e, w and e, for e from _scaled: the
+    residual keeps its range; one that overflows even so is inf or nan, silently."""
+    w, e = _scaled(psi.vec)
+    with np.errstate(all="ignore"):
+        return fiber_residuals(q.p, w, q.m), w, e
+
+
 def fiber_residual(q: MassShellPoint, psi: FourSpinor) -> float:
-    """Norm of slash(q.p) psi - m psi, the defining equation of the bundle."""
-    return float(fiber_residuals(q.p, psi.vec, q.m))
+    """Norm of slash(q.p) psi - m psi, the defining equation of the bundle, on psi
+    scaled by a power of two (_scaled_residual): the scale of psi cannot overflow it."""
+    r, _, e = _scaled_residual(q, psi)
+    return _unscaled(r, e)
 
 
 def fiber_bound(tol: float, m: float, psi_norm):
@@ -87,14 +96,12 @@ class FiberElement:
     psi: FourSpinor
 
     def __post_init__(self):
-        # psi scaled by a power of two, so that its norm keeps its range; the
-        # bound is linear in the norm, so the scaled comparison decides.
-        w, e = _scaled(self.psi.vec)
-        with np.errstate(all="ignore"):  # an overflowing residual fails the check
-            r = fiber_residuals(self.q.p, w, self.q.m)
-            bound = fiber_bound(FIBER_TOL, self.q.m, spinor_norms(w))
-            if not (r <= bound):
-                raise NotInFiber(f"fiber residual {np.ldexp(r, e):.3e} exceeds {np.ldexp(bound, e):.3e}")
+        # The bound is linear in psi's norm, so the scaled comparison decides;
+        # an overflowing residual fails it.
+        r, w, e = _scaled_residual(self.q, self.psi)
+        bound = fiber_bound(FIBER_TOL, self.q.m, spinor_norms(w))
+        if not (r <= bound):
+            raise NotInFiber(f"fiber residual {_unscaled(r, e):.3e} exceeds {_unscaled(bound, e):.3e}")
 
 
 @dataclass(frozen=True)

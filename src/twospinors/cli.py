@@ -36,7 +36,7 @@ from .bundle import (
 )
 from .clifford import gamma, gamma_relation_residuals
 from .errors import NumericalDrift
-from .momentum import accepted_boosts, boost_matrices, boost_rep, shell_momenta, shell_point
+from .momentum import _require_mass, accepted_boosts, boost_matrices, boost_rep, shell_momenta, shell_point
 from .planewave import planewave_residual
 from .spinor import SL2Element, spinor_norms
 from .verify import CONVENTIONS, run_verification
@@ -287,16 +287,12 @@ def field_records(m: float, grid: tuple[int, float, float], seed: int, tol: floa
     arrays, with the same arithmetic as shell_point, boost_rep, tau and
     fiber_residual, so memory stays O(n^2).  At the first node those
     functions would reject, the records before it have been yielded and the
-    scalar path is run on that node to raise its typed error.  The two
+    scalar path is run on that node to raise its typed error; a bad mass is
+    refused at the first record, before the axis is built.  The two
     records of a node share their "p" list and all records share the "s" and
     "sbar" lists; treat records as read-only.
     """
     n, lo, hi = grid
-    axis = np.linspace(lo, hi, n)
-    if rapidity:
-        # An axis value that overflows is refused at its first node.
-        with np.errstate(all="ignore"):
-            axis = m * np.sinh(axis)
     header = _header(seed=seed, tol=tol)
     header.update(
         {
@@ -312,6 +308,13 @@ def field_records(m: float, grid: tuple[int, float, float], seed: int, tol: floa
     )
 
     def records():
+        _require_mass(m)
+        # An axis value that overflows, or a span that does, is refused at
+        # its first node.
+        with np.errstate(all="ignore"):
+            axis = np.linspace(lo, hi, n)
+            if rapidity:
+                axis = m * np.sinh(axis)
         basis = rest_fiber_basis()
         # The split of a class (A, v) depends only on v, so the rest class
         # (Id, v) gives every node's s and sbar.

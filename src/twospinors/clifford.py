@@ -15,12 +15,11 @@ map, never hard-coded.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
 from .bitensor import ETA, BiTensor, _coords, _expand, h_form, pi_act, world_basis
-from .spinor import CoSpinor2, SL2Element, Spinor2, _Coefficients, _scaled, eps, eps_bar
+from .spinor import CoSpinor2, SL2Element, Spinor2, _Coefficients, _scaled, _sealed, _unscaled, eps, eps_bar
 
 __all__ = [
     "FourSpinor",
@@ -73,13 +72,9 @@ class FourSpinor(_Coefficients):
         _scaled): the same bits where that neither overflows nor underflows,
         and inf only past the float range."""
         w, e = _scaled(self.vec)
-        try:
-            return math.ldexp(float(np.linalg.norm(w)), e)
-        except OverflowError:
-            return math.inf
+        return _unscaled(np.linalg.norm(w), e)
 
 
-@lru_cache(maxsize=1)
 def _dyad_endomorphisms() -> np.ndarray:
     """Images of the four dyadic basis tensors under the module map.
 
@@ -93,15 +88,13 @@ def _dyad_endomorphisms() -> np.ndarray:
     e = [Spinor2.from_vec(row) for row in np.eye(2)]
     ebar = [CoSpinor2.from_vec(row) for row in np.eye(2)]
     four_basis = [FourSpinor.from_vec(row) for row in np.eye(4)]
-    out = np.zeros((2, 2, 4, 4), dtype=complex)
-    for i, p in enumerate(e):
-        for j, qbar in enumerate(ebar):
-            out[i, j] = np.column_stack([
-                FourSpinor(_SQRT2 * eps_bar(w.sbar, qbar) * p, _SQRT2 * eps(p, w.s) * qbar).vec
-                for w in four_basis
-            ])
-    out.setflags(write=False)
-    return out
+    return np.array([[np.column_stack([
+        FourSpinor(_SQRT2 * eps_bar(w.sbar, qbar) * p, _SQRT2 * eps(p, w.s) * qbar).vec for w in four_basis
+    ]) for qbar in ebar] for p in e])
+
+
+# Both tables are built once, at import, from the module map.
+_DYAD_IMAGES = _sealed(_dyad_endomorphisms())
 
 
 def phi(T: BiTensor) -> np.ndarray:
@@ -109,17 +102,10 @@ def phi(T: BiTensor) -> np.ndarray:
 
     Linear extension of the dyadic rule over the coefficient matrix of T.
     """
-    return np.einsum("ij,ijkl->kl", T.t, _dyad_endomorphisms())
+    return np.einsum("ij,ijkl->kl", T.t, _DYAD_IMAGES)
 
 
-@lru_cache(maxsize=1)
-def _gamma_table() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    # Computed once from the module map; safe under concurrent first use
-    # (worst case the table is built twice with identical contents).
-    table = tuple(phi(u) for u in world_basis())
-    for g in table:
-        g.setflags(write=False)
-    return table
+_GAMMAS = tuple(_sealed(phi(u)) for u in world_basis())
 
 
 def gamma(mu: int) -> np.ndarray:
@@ -130,7 +116,7 @@ def gamma(mu: int) -> np.ndarray:
     """
     if mu not in (0, 1, 2, 3):
         raise ValueError(f"gamma index must be 0..3, got {mu}")
-    return _gamma_table()[mu]
+    return _GAMMAS[mu]
 
 
 def slash(p) -> np.ndarray:
@@ -142,7 +128,7 @@ def slash(p) -> np.ndarray:
     the shared basis expansion bitensor._expand.  Squares to q_form(p) times
     the identity.
     """
-    return _expand(_coords(p), _gamma_table())
+    return _expand(_coords(p), _GAMMAS)
 
 
 def tau_matrices(a) -> np.ndarray:

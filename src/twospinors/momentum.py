@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitensor import Momentum, _coords, _expand, _world_stack, from_minkowski, pi_act, q_form, to_minkowski
+from .bitensor import _WORLD_STACK, Momentum, _coords, _expand, from_minkowski, pi_act, q_form, to_minkowski
 from .errors import BadMass, Degenerate, NotOnShell
-from .spinor import SL2Element, _unimodular
+from .spinor import SL2Element, _sealed, _unimodular
 
 __all__ = [
     "MassShellPoint",
@@ -34,8 +34,7 @@ _SQRT2 = math.sqrt(2.0)
 # Relative dispersion tolerance for membership of the mass shell.
 SHELL_TOL = 1e-9
 
-_ID2 = np.eye(2)
-_ID2.setflags(write=False)
+_ID2 = _sealed(np.eye(2))
 
 
 def _require_mass(m) -> float:
@@ -102,7 +101,7 @@ def boost_matrices(p, m: float) -> np.ndarray:
     rounded images of p0 + p3 and p0 - p3, so by monotone rounding tr H >= 0
     (or nan on overflow): the square root never degenerates.
     """
-    H = _SQRT2 * _expand(_coords(p), _world_stack()) / m
+    H = _SQRT2 * _expand(_coords(p), _WORLD_STACK) / m
     tr = (H[..., 0, 0] + H[..., 1, 1]).real
     return (H + _ID2) / np.sqrt(tr + 2.0)[..., None, None]
 

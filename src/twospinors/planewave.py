@@ -21,17 +21,26 @@ import cmath
 import numpy as np
 
 from .clifford import FourSpinor, gamma
-from .errors import BadStep
+from .errors import BadStep, NumericalDrift
 from .momentum import MassShellPoint
 
 __all__ = ["plane_wave", "planewave_residual"]
 
 
+def _wave(q: MassShellPoint, psi: FourSpinor, x: np.ndarray) -> np.ndarray:
+    # plane_wave under its caller's np.errstate, which costs about as much
+    # as the rest of the call: planewave_residual enters it once, not nine times.
+    px = float(np.dot(q.p.coords, x))
+    if not cmath.isfinite(px):
+        raise NumericalDrift(f"plane-wave phase p.x = {px} at x = {x.tolist()} is not finite")
+    return cmath.exp(-1j * px) * psi.vec
+
+
 def plane_wave(q: MassShellPoint, psi: FourSpinor, x) -> np.ndarray:
-    """Value at the position 4-tuple x of the plane wave carried by (q, psi)."""
-    x = np.asarray(x, dtype=float)
-    phase = cmath.exp(-1j * float(np.dot(q.p.coords, x)))
-    return phase * psi.vec
+    """Value at the position 4-tuple x of the plane wave carried by (q, psi);
+    a phase p.x past the float range is refused, silently, as NumericalDrift."""
+    with np.errstate(all="ignore"):
+        return _wave(q, psi, np.asarray(x, dtype=float))
 
 
 def planewave_residual(
@@ -41,7 +50,7 @@ def planewave_residual(
     h: float,
     analytic: bool = False,
 ) -> float:
-    """Norm of the position-space equation residual at x.
+    """Norm of the position-space equation residual at x; inf or nan, silently, on overflow.
 
     Central differences of step h give a residual of order h^2 times the
     cube of the momentum scale; halving h divides it by about 4.  With
@@ -51,14 +60,15 @@ def planewave_residual(
     if not (h > 0):
         raise BadStep(f"step must be positive, got {h}")
     x = np.asarray(x, dtype=float)
-    value = plane_wave(q, psi, x)
-    acc = np.zeros(4, dtype=complex)
-    for r in range(4):
-        if analytic:
-            deriv = -1j * q.p.coords[r] * value
-        else:
-            step = np.zeros(4)
-            step[r] = h
-            deriv = (plane_wave(q, psi, x + step) - plane_wave(q, psi, x - step)) / (2.0 * h)
-        acc = acc + 1j * (gamma(r) @ deriv)
-    return float(np.linalg.norm(acc - q.m * value))
+    with np.errstate(all="ignore"):
+        value = _wave(q, psi, x)
+        acc = np.zeros(4, dtype=complex)
+        for r in range(4):
+            if analytic:
+                deriv = -1j * q.p.coords[r] * value
+            else:
+                step = np.zeros(4)
+                step[r] = h
+                deriv = (_wave(q, psi, x + step) - _wave(q, psi, x - step)) / (2.0 * h)
+            acc = acc + 1j * (gamma(r) @ deriv)
+        return float(np.linalg.norm(acc - q.m * value))

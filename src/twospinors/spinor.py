@@ -34,6 +34,24 @@ __all__ = [
 SL2_DET_TOL = 1e-12
 
 
+def _sealed(a: np.ndarray) -> np.ndarray:
+    """A copy of a on an immutable bytes buffer, the package's one read-only
+    array: no view of it, nor its .base, can be made writable."""
+    return np.ndarray(a.shape, a.dtype, a.tobytes())
+
+
+def _checked(values, dtype, shape: tuple, expected: str, entries: str) -> np.ndarray:
+    """values as a sealed array of dtype and shape, the storage check of every
+    value type: refuses a wrong shape as not <expected>, and non-finite <entries>."""
+    a = np.asarray(values, dtype=dtype)
+    if a.shape != shape:
+        raise ValueError(f"expected {expected}, got shape {a.shape}")
+    # Per entry in Python: faster than np.isfinite on arrays this small.
+    if not all(map(cmath.isfinite, a.ravel().tolist())):
+        raise ValueError(f"{entries} must be finite")
+    return _sealed(a)
+
+
 class _Frozen:
     """Base of the array-backed value types: _bind stores the value's one
     array, from the constructor; assignment and deletion raise
@@ -51,23 +69,9 @@ class _Frozen:
         rebuild, args = self.__reduce__()
         return f"{rebuild.__qualname__}({', '.join(map(repr, args))})"
 
-    def _bind(self, slot: str, values, dtype, shape: tuple, expected: str, entries: str):
-        """Store values in slot as a read-only array of dtype and shape with
-        finite entries, and return it; the storage check of every value type.
-        A wrong shape is refused as not the expected value, a non-finite entry
-        as "<entries> must be finite"."""
-        a = np.array(values, dtype=dtype)
-        if a.shape != shape:
-            raise ValueError(f"expected {expected}, got shape {a.shape}")
-        # Per entry in Python: faster than np.isfinite on arrays this small.
-        if not all(map(cmath.isfinite, a.ravel().tolist())):
-            raise ValueError(f"{entries} must be finite")
-        # setflags(write=True) raises on a view of a read-only owner; only
-        # numpy's .base reaches the owner itself.
-        a.setflags(write=False)
-        a = a.view()
-        object.__setattr__(self, slot, a)
-        return a
+    def _bind(self, slot: str, *check) -> None:
+        """Store _checked(*check) in slot."""
+        object.__setattr__(self, slot, _checked(*check))
 
 
 class _Coefficients(_Frozen):
@@ -216,6 +220,15 @@ def _scaled(v: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(x, -e).view(complex), e
 
 
+def _unscaled(x, e: int) -> float:
+    """x times 2**e, the inverse of _scaled's factor, as a float: inf past the
+    float range, without an exception or a warning."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.inf
+
+
 def cyclic_defect(a: Spinor2, b: Spinor2, c: Spinor2) -> Spinor2:
     """Residual eps(b,c)*a + eps(c,a)*b + eps(a,b)*c.
 
@@ -235,6 +248,10 @@ def _unimodular(a) -> np.ndarray:
     return np.isfinite(a).all(axis=(-2, -1)) & (np.hypot(d.real - 1.0, d.imag) <= SL2_DET_TOL)
 
 
+# The storage check of an SL2Element, shared with renormalized.
+_MAT2 = (complex, (2, 2), "a 2x2 matrix", "matrix entries")
+
+
 class SL2Element(_Frozen):
     """A 2x2 complex matrix of determinant 1 (checked at construction).
 
@@ -247,8 +264,8 @@ class SL2Element(_Frozen):
     # Kept in this class body: benchmarks/tracer.py traces
     # SL2Element.__dict__["__init__"].
     def __init__(self, mat):
-        m = self._bind("mat", mat, complex, (2, 2), "a 2x2 matrix", "matrix entries")
-        d = _det2(m)
+        self._bind("mat", mat, *_MAT2)
+        d = _det2(self.mat)
         # nan fails; a real part off by more than 1 is refused before
         # abs(d - 1) can raise OverflowError past the float range.
         if not (abs(d.real - 1.0) <= 1.0 and abs(d - 1.0) <= SL2_DET_TOL):
@@ -273,14 +290,11 @@ class SL2Element(_Frozen):
         """Divide by the principal square root of the determinant.
 
         Intended for long products whose determinant has drifted at the
-        machine-epsilon scale.  mat is first scaled by a power of two
-        (_scaled), so that its determinant neither overflows nor underflows
-        at any scale; the result is the same for every such scaling.
+        machine-epsilon scale.  mat, checked as the constructor checks it, is
+        scaled by a power of two (_scaled), so that its determinant neither
+        overflows nor underflows; the result is the same for every scaling.
         """
-        m = np.array(mat, dtype=complex)
-        if not np.isfinite(m).all():
-            raise ValueError("matrix entries must be finite")
-        m, _ = _scaled(m)
+        m, _ = _scaled(_checked(mat, *_MAT2))
         d = _det2(m)
         if d == 0:
             raise ValueError("cannot renormalize a singular matrix")

@@ -387,6 +387,20 @@ def test_fiber_residuals_equal_linalg_reference():
     assert [fiber_residual(q, v) for q, v in zip(qs, psis)] == reference
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 5e-324])
+def test_fiber_residual_keeps_its_range(scale):
+    # psi is scaled by a power of two before the residual, so a norm inside
+    # the float range is returned whole, silently; the exact residual of
+    # (s, 0, 0, 0) at rest is sqrt(2) s.
+    q = shell_point(1, 0, 0, 0)
+    assert fiber_residual(q, FourSpinor.from_vec([scale, 0, 0, 0])) == math.hypot(scale, scale)
+
+
+def test_fiber_residual_past_the_float_range_is_inf():
+    q = shell_point(1e150, 0, 0, 0)
+    assert fiber_residual(q, FourSpinor.from_vec([1e300, 0, 0, 0])) == math.inf
+
+
 def test_fiber_bound_scales_with_mass_above_one():
     assert fiber_bound(1e-9, 0.5, 3.0) == 1e-9 * 1.0 * 3.0
     assert fiber_bound(1e-9, 4.0, 3.0) == 1e-9 * 4.0 * 3.0

@@ -520,6 +520,40 @@ def test_overflowing_axis_reports_only_the_error(tmp_path):
     assert proc.stderr == "error: momentum coordinates must be finite\n"
 
 
+# Inputs whose arithmetic overflows on the way to a typed error: stderr is
+# that one error line, with no numpy warning before it.
+ONLY_THE_ERROR = {
+    "sample-field-span": (
+        ["sample-field", "-m", "1", "--grid", "3:1.7e308:-1.7e308"],
+        "error: momentum coordinates must be finite",
+    ),
+    "sample-field-span-bad-mass": (
+        ["sample-field", "-m", "-3", "--grid", "3:1.7e308:-1.7e308"],
+        "error: mass must be positive, got -3.0",
+    ),
+    "planewave-phase": (
+        ["planewave-check", "-m", "1e154", "--step", "1e-200", "--analytic",
+         "--point", "1e155", "0.5", "1e-150", "1", "--", "1e-8", "5e-324", "1e-8"],
+        "error: plane-wave phase p.x = inf at x = [1e+155, 0.5, 1e-150, 1.0] is not finite",
+    ),
+    # The difference quotient overflows; its nan is refused by the serializer.
+    "planewave-subnormal-step": (
+        ["planewave-check", "-m", "1", "--step", "5e-324", "--", "0.5", "0", "0"],
+        "error: cannot write the non-finite number nan",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, message", ONLY_THE_ERROR.values(), ids=ONLY_THE_ERROR)
+def test_overflow_reports_only_the_typed_error(tmp_path, argv, message):
+    if argv[0] == "sample-field":
+        argv = argv + ["--out", str(tmp_path / "field.ndjson")]
+    proc = subprocess.run([sys.executable, "-m", "twospinors", *argv], capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert "Warning" not in proc.stderr
+    assert proc.stderr == message + "\n"
+
+
 def test_overflowing_lorentz_defect_reports_only_the_error():
     proc = subprocess.run(
         [sys.executable, "-m", "twospinors", "lorentz", "1e150", "0", "0", "0", "0", "0", "1e-150", "0"],

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from twospinors import BadStep, fiber_basis, planewave_residual, shell_point
+from twospinors import BadStep, NumericalDrift, fiber_basis, plane_wave, planewave_residual, shell_point
 
 
 def test_rest_solution_small_residual():
@@ -47,3 +47,17 @@ def test_residual_matches_theory_at_rest():
     r = planewave_residual(q, psi, (0, 0, 0, 0), h=h)
     expected = abs(1.0 - np.sin(h) / h) * psi.norm()
     assert abs(r - expected) <= 1e-12
+
+
+@pytest.mark.parametrize("analytic", [False, True])
+def test_non_finite_phase_is_refused_silently(analytic):
+    # p0 x0 = 1e154 * 1e155 passes the float range; tier-1 turns the
+    # overflow warning of the unchecked dot product into a failure.
+    q = shell_point(1e154, 1e-8, 5e-324, 1e-8)
+    psi = fiber_basis(q)[0]
+    x = (1e155, 0.5, 1e-150, 1.0)
+    message = r"^plane-wave phase p\.x = inf at x = \[1e\+155, 0\.5, 1e-150, 1\.0\] is not finite$"
+    with pytest.raises(NumericalDrift, match=message):
+        plane_wave(q, psi, x)
+    with pytest.raises(NumericalDrift, match=message):
+        planewave_residual(q, psi, x, h=1e-200, analytic=analytic)

@@ -3,11 +3,15 @@ constructor, and no value can be altered afterwards."""
 
 import copy
 import pickle
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import twospinors
 from twospinors import (
+    ETA,
     BiTensor,
     CoSpinor2,
     ConjugatePair,
@@ -20,9 +24,13 @@ from twospinors import (
     beta_inv,
     conjugate,
     fiber_basis,
+    gamma,
     lorentz_of,
+    rest_fiber_basis,
     shell_point,
+    world_basis,
 )
+from twospinors import bitensor, bundle, clifford, momentum
 
 _A = SL2Element([[2.0, 0.5j], [0.0, 0.5]])
 _Q = shell_point(1.0, 0.3, -0.2, 0.75)
@@ -48,11 +56,14 @@ ARRAY_VALUES = {k: v for k, (v, _) in VALUES.items() if not hasattr(v, "__datacl
 
 
 def stored_arrays(value):
-    """The arrays a value stores, its fields' arrays included."""
+    """The arrays a value (or a tuple of values) stores, its fields' arrays
+    included."""
     if isinstance(value, np.ndarray):
         return [value]
     if isinstance(value, float):
         return []
+    if isinstance(value, tuple):
+        return [a for v in value for a in stored_arrays(v)]
     names = getattr(value, "__dataclass_fields__", None) or [
         name for cls in type(value).__mro__ for name in getattr(cls, "__slots__", ())]
     return [a for name in names for a in stored_arrays(getattr(value, name))]
@@ -76,14 +87,41 @@ def test_fields_refuse_assignment_and_deletion(value, names):
     assert repr(value) == before and hash(value) == digest
 
 
-@values
-def test_stored_arrays_cannot_be_made_writeable(value, names):
+# The module tables, public and private: each is made once, at import.
+TABLES = {
+    "ETA": ETA,
+    **{f"gamma({mu})": gamma(mu) for mu in range(4)},
+    "rest_fiber_basis": rest_fiber_basis(),
+    "world_basis": world_basis(),
+    "bitensor._WORLD_STACK": bitensor._WORLD_STACK,
+    "clifford._DYAD_IMAGES": clifford._DYAD_IMAGES,
+    "bundle._REST": bundle._REST,
+    "momentum._ID2": momentum._ID2,
+}
+
+
+def base_chain(a):
+    """a and every array its .base chain reaches."""
+    chain = []
+    while isinstance(a, np.ndarray):
+        chain.append(a)
+        a = a.base
+    return chain
+
+
+@pytest.mark.parametrize("value", [v for v, _ in VALUES.values()] + list(TABLES.values()),
+                         ids=list(VALUES) + list(TABLES))
+def test_stored_arrays_cannot_be_made_writeable(value):
+    # Every read-only array is a copy on an immutable bytes buffer
+    # (spinor._sealed), so no array down its .base chain can be unlocked.
     arrays = stored_arrays(value)
     assert arrays
-    for a in arrays:
-        assert not a.flags.writeable
-        with pytest.raises(ValueError, match="cannot set WRITEABLE flag to True"):
-            a.setflags(write=True)
+    for chain in map(base_chain, arrays):
+        assert isinstance(chain[-1].base, bytes)
+        for a in chain:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="cannot set WRITEABLE flag to True"):
+                a.setflags(write=True)
 
 
 @values
@@ -115,3 +153,19 @@ def test_altered_pickle_is_refused_when_loaded():
     assert data.count(one) == 2
     with pytest.raises(ValueError, match=r"^determinant \(4\+0j\) differs from 1"):
         pickle.loads(data.replace(one, two))
+
+
+def test_sealed_is_the_one_read_only_path():
+    for path in Path(twospinors.__file__).parent.glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        assert "setflags(" not in text, path.name
+        assert "lru_cache" not in text, path.name
+
+
+@pytest.mark.parametrize("mat, shape", [(np.eye(3), (3, 3)), ([1, 2, 3, 4], (4,))])
+def test_renormalized_checks_the_shape_like_the_constructor(mat, shape):
+    message = f"^expected a 2x2 matrix, got shape {re.escape(str(shape))}$"
+    with pytest.raises(ValueError, match=message):
+        SL2Element.renormalized(mat)
+    with pytest.raises(ValueError, match=message):
+        SL2Element(mat)

@@ -32,8 +32,8 @@ __all__ = [
     "FIBER_TOL",
     "SPLUS_TOL",
     "fiber_residual",
-    "fiber_residuals",
     "fiber_bound",
+    "fiber_test",
     "fiber_projector",
     "rest_fiber_basis",
     "rest_transport",
@@ -56,29 +56,23 @@ SPLUS_TOL = 1e-10
 _REST = _sealed(np.array([[1, 0, 0, -1], [0, 1, 1, 0]], dtype=complex))
 
 
-def fiber_residuals(p, psi, m: float) -> np.ndarray:
-    """Norms of slash(p) psi - m psi for stacked (..., 4) momentum coordinates
-    and (..., 4) 4-spinor coefficients; the kernel under fiber_residual.
-
-    Each row equals np.linalg.norm(slash(p) @ psi - m * psi) bit for bit.
-    """
-    psi = np.asarray(psi, dtype=complex)
-    return spinor_norms(np.matvec(slash(p), psi) - m * psi)
-
-
-def _scaled_residual(q: MassShellPoint, psi: FourSpinor) -> tuple[float, np.ndarray, int]:
-    """The fiber residual of w = psi * 2**-e, w and e, for e from _scaled: the
-    residual keeps its range; one that overflows even so is inf or nan, silently."""
-    w, e = _scaled(psi.vec)
+def fiber_test(p, psi, m: float, tol: float):
+    """The residuals |slash(p) psi - m psi| of one 4-spinor or a (..., 4) stack
+    at (..., 4) momentum coordinates p, and whether each is within
+    fiber_bound(tol, m, |psi|): the one fiber test.  Each spinor is scaled by
+    a power of two (_scaled) and compared on the scaled values, so its scale
+    cannot overflow the test; each residual, scaled back, equals
+    np.linalg.norm(slash(p) @ psi - m * psi) bit for bit, or is inf, silently."""
     with np.errstate(all="ignore"):
-        return fiber_residuals(q.p, w, q.m), w, e
+        w, e = _scaled(np.ascontiguousarray(psi, dtype=complex))
+        r = spinor_norms(np.matvec(slash(p), w) - m * w)
+        return np.ldexp(r, e), r <= fiber_bound(tol, m, spinor_norms(w))
 
 
 def fiber_residual(q: MassShellPoint, psi: FourSpinor) -> float:
-    """Norm of slash(q.p) psi - m psi, the defining equation of the bundle, on psi
-    scaled by a power of two (_scaled_residual): the scale of psi cannot overflow it."""
-    r, _, e = _scaled_residual(q, psi)
-    return _unscaled(r, e)
+    """Norm of slash(q.p) psi - m psi, the defining equation of the bundle, by
+    fiber_test: the scale of psi cannot overflow it."""
+    return fiber_test(q.p, psi.vec, q.m, FIBER_TOL)[0]
 
 
 def fiber_bound(tol: float, m: float, psi_norm):
@@ -96,12 +90,10 @@ class FiberElement:
     psi: FourSpinor
 
     def __post_init__(self):
-        # The bound is linear in psi's norm, so the scaled comparison decides;
-        # an overflowing residual fails it.
-        r, w, e = _scaled_residual(self.q, self.psi)
-        bound = fiber_bound(FIBER_TOL, self.q.m, spinor_norms(w))
-        if not (r <= bound):
-            raise NotInFiber(f"fiber residual {_unscaled(r, e):.3e} exceeds {_unscaled(bound, e):.3e}")
+        r, ok = fiber_test(self.q.p, self.psi.vec, self.q.m, FIBER_TOL)
+        if not ok:
+            bound = fiber_bound(FIBER_TOL, self.q.m, self.psi.norm())
+            raise NotInFiber(f"fiber residual {r:.3e} exceeds {bound:.3e}")
 
 
 @dataclass(frozen=True)
@@ -116,11 +108,11 @@ class AssociatedClassRep:
     def __post_init__(self):
         object.__setattr__(self, "m", _require_mass(self.m))
         w, e = _scaled(self.phi_plus.vec)
-        with np.errstate(all="ignore"):  # an overflowing defect fails the check
-            d, n = np.ldexp(spinor_norms([gamma(0) @ w - w, w]), e)
-            bound = SPLUS_TOL * max(1.0, n)
-            if not (np.isfinite(d) and d <= bound):
-                raise InvalidClassRep(f"rest-eigenspace defect {d:.3e} exceeds {bound:.3e}")
+        d, n = (_unscaled(x, e) for x in spinor_norms([gamma(0) @ w - w, w]).tolist())
+        bound = SPLUS_TOL * max(1.0, n)
+        # An overflowing defect fails, even against an overflowing bound.
+        if not (cmath.isfinite(d) and d <= bound):
+            raise InvalidClassRep(f"rest-eigenspace defect {d:.3e} exceeds {bound:.3e}")
 
 
 @dataclass(frozen=True)

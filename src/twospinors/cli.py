@@ -28,8 +28,7 @@ from .bitensor import ETA, lorentz_defect, lorentz_of
 from .bundle import (
     AssociatedClassRep,
     fiber_basis,
-    fiber_bound,
-    fiber_residuals,
+    fiber_test,
     rest_fiber_basis,
     rest_transport,
     split_conjugate_pair,
@@ -38,7 +37,7 @@ from .clifford import gamma, gamma_relation_residuals
 from .errors import NumericalDrift
 from .momentum import _require_mass, accepted_boosts, boost_matrices, boost_rep, shell_momenta, shell_point
 from .planewave import planewave_residual
-from .spinor import SL2Element, spinor_norms
+from .spinor import SL2Element
 from .verify import CONVENTIONS, run_verification
 
 SCHEMA_VERSION = 1
@@ -225,8 +224,7 @@ def _solve_payload(m: float, p1: float, p2: float, p3: float, tol: float) -> dic
     q = shell_point(m, p1, p2, p3)
     A = boost_rep(q)
     basis = rest_transport(A.mat)  # fiber_basis(q), from the boost in hand
-    residuals = fiber_residuals(q.p, basis, q.m)
-    ok = residuals <= fiber_bound(tol, m, spinor_norms(basis))
+    residuals, ok = fiber_test(q.p, basis, q.m, tol)
     solutions = [{"psi": _pairs(psi), "residual": r, "ok": k}
                  for psi, r, k in zip(basis, residuals.tolist(), ok.tolist())]
     return {
@@ -285,7 +283,7 @@ def field_records(m: float, grid: tuple[int, float, float], seed: int, tol: floa
 
     Records are built one plane of nodes (one p1 value) at a time on stacked
     arrays, with the same arithmetic as shell_point, boost_rep, tau and
-    fiber_residual, so memory stays O(n^2).  At the first node those
+    fiber_test, so memory stays O(n^2).  At the first node those
     functions would reject, the records before it have been yielded and the
     scalar path is run on that node to raise its typed error; a bad mass is
     refused at the first record, before the axis is built.  The two
@@ -328,8 +326,7 @@ def field_records(m: float, grid: tuple[int, float, float], seed: int, tol: floa
                 A = boost_matrices(p, m)
                 accepted = accepted_boosts(p, m, A)
                 psi = rest_transport(A)
-                residual = fiber_residuals(p[:, None], psi, m)
-                ok = residual <= fiber_bound(tol, m, spinor_norms(psi))
+                residual, ok = fiber_test(p[:, None], psi, m, tol)
             good = len(p) if accepted.all() else int(np.argmin(accepted))
             rows = zip(
                 p[:good].tolist(),

@@ -18,7 +18,7 @@ class NotOnShell(ValueError):
 
 
 class Degenerate(ValueError):
-    """Boost-representative square root is numerically degenerate."""
+    """A square root is degenerate: the canonical boost overflows, or a matrix to renormalize is singular."""
 
 
 class NotInFiber(ValueError):

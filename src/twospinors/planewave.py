@@ -50,7 +50,7 @@ def planewave_residual(
     h: float,
     analytic: bool = False,
 ) -> float:
-    """Norm of the position-space equation residual at x; inf or nan, silently, on overflow.
+    """Norm of the position-space equation residual at x, refused, silently, as NumericalDrift if not finite.
 
     Central differences of step h give a residual of order h^2 times the
     cube of the momentum scale; halving h divides it by about 4.  With
@@ -71,4 +71,7 @@ def planewave_residual(
                 step[r] = h
                 deriv = (_wave(q, psi, x + step) - _wave(q, psi, x - step)) / (2.0 * h)
             acc = acc + 1j * (gamma(r) @ deriv)
-        return float(np.linalg.norm(acc - q.m * value))
+        residual = float(np.linalg.norm(acc - q.m * value))
+        if not cmath.isfinite(residual):  # a subnormal step, say
+            raise NumericalDrift(f"plane-wave residual {residual} at step {h} is not finite")
+        return residual

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import NumericalDrift
+from .errors import Degenerate, NumericalDrift
 
 __all__ = [
     "Spinor2",
@@ -209,15 +209,18 @@ def spinor_norms(v) -> np.ndarray:
     return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
 
 
-def _scaled(v: np.ndarray) -> tuple[np.ndarray, int]:
-    """A complex array v times 2**-e, and e, for e the binary exponent of its
-    largest real or imaginary part (0 for zero): every part of the scaled
-    array is below 1 in magnitude.  Scaling by a power of two is exact, so a
-    norm, residual or determinant of the scaled array, scaled back, has the
-    bits of the unscaled one wherever that neither overflows nor underflows."""
+def _scaled(v: np.ndarray):
+    """A complex vector v times 2**-e, and the int e, for e the binary exponent
+    of its largest real or imaginary part (0 for zero); a (..., n) stack row by
+    row, with e of shape (...).  Every scaled part is below 1 in magnitude, and
+    a norm or residual of the scaled array, scaled back, has the unscaled bits
+    wherever those neither overflow nor underflow: the scaling is exact."""
     x = v.view(float)
-    e = math.frexp(max(map(abs, x.ravel().tolist())))[1]
-    return np.ldexp(x, -e).view(complex), e
+    if x.ndim == 1:  # Python's frexp, as in _det2: cheaper on one short vector
+        e = math.frexp(max(map(abs, x.tolist())))[1]
+        return np.ldexp(x, -e).view(complex), e
+    e = np.frexp(np.abs(x).max(axis=-1))[1]
+    return np.ldexp(x, -e[..., None]).view(complex), e
 
 
 def _unscaled(x, e: int) -> float:
@@ -240,6 +243,11 @@ def cyclic_defect(a: Spinor2, b: Spinor2, c: Spinor2) -> Spinor2:
         kbc * ai + kca * bi + kab * ci
         for ai, bi, ci in zip(a.vec.tolist(), b.vec.tolist(), c.vec.tolist())
     ])
+
+
+def _exponent(z: complex) -> int:
+    """The binary exponent of the larger part of z, as _scaled takes it."""
+    return math.frexp(max(abs(z.real), abs(z.imag)))[1]
 
 
 def _unimodular(a) -> np.ndarray:
@@ -291,14 +299,23 @@ class SL2Element(_Frozen):
 
         Intended for long products whose determinant has drifted at the
         machine-epsilon scale.  mat, checked as the constructor checks it, is
-        scaled by a power of two (_scaled), so that its determinant neither
-        overflows nor underflows; the result is the same for every scaling.
+        scaled by 2**-k, for 2k the exponent of the larger of the terms a*d
+        and b*c of its determinant, so that neither entries of far-apart
+        magnitudes nor the determinant overflow or underflow; the result is
+        the same for every scaling.  A singular matrix raises Degenerate.
         """
-        m, _ = _scaled(_checked(mat, *_MAT2))
-        d = _det2(m)
-        if d == 0:
-            raise ValueError("cannot renormalize a singular matrix")
-        return cls(m / cmath.sqrt(d))
+        m = _checked(mat, *_MAT2)
+        (a, b), (c, d) = m.tolist()
+        # Zero entries are left out; with no nonzero term the determinant is 0.
+        k = max((_exponent(x) + _exponent(y) for x, y in ((a, d), (b, c)) if x and y), default=0) // 2
+        # An entry scaled or divided past the float range is refused, silently,
+        # by the constructor.
+        with np.errstate(all="ignore"):
+            m = np.ldexp(m.view(float), -k).view(complex)
+            det = _det2(m)
+            if det == 0:
+                raise Degenerate("cannot renormalize a singular matrix")
+            return cls(m / cmath.sqrt(det))
 
     def inverse(self) -> "SL2Element":
         # det == 1, so the inverse is the adjugate: exact entry swaps.

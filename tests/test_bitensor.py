@@ -80,6 +80,12 @@ def test_elementary_outer_product():
 # --- reality involution -----------------------------------------------------
 
 
+def test_bitensor_negation_is_entrywise():
+    X = BiTensor([[1, 2 + 1j], [complex(0.0, -0.0), -3e-300]])
+    assert (-X).t.tobytes() == (-X.t).tobytes()
+    assert (X + -X).t.tolist() == np.zeros((2, 2)).tolist()
+
+
 def test_involution_swaps_dyads():
     np.testing.assert_array_equal(involution_J(BiTensor(E12)).t, E21)
 

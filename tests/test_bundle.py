@@ -36,7 +36,7 @@ from twospinors import (
     split_conjugate_pair,
     tau,
 )
-from twospinors.bundle import fiber_bound, fiber_residuals, spin_characters
+from twospinors.bundle import FIBER_TOL, fiber_bound, fiber_test, spin_characters
 from twospinors.verify import _check_spin_character
 from twospinors.sampling import random_fiber_element, random_su2
 
@@ -381,7 +381,7 @@ def test_fiber_residuals_equal_linalg_reference():
     qs = [shell_point(m, *row.tolist()) for row in spatial]
     psis = [fiber_basis(q)[0] for q in qs]
     psis[::3] = [FourSpinor.from_vec(rng.normal(size=4) + 1j * rng.normal(size=4)) for _ in psis[::3]]
-    stacked = fiber_residuals(np.array([q.p.coords for q in qs]), np.array([v.vec for v in psis]), m)
+    stacked = fiber_test(np.array([q.p.coords for q in qs]), np.array([v.vec for v in psis]), m, FIBER_TOL)[0]
     reference = [np.linalg.norm(slash(q.p) @ v.vec - m * v.vec) for q, v in zip(qs, psis)]
     assert stacked.tolist() == reference
     assert [fiber_residual(q, v) for q, v in zip(qs, psis)] == reference
@@ -394,6 +394,24 @@ def test_fiber_residual_keeps_its_range(scale):
     # (s, 0, 0, 0) at rest is sqrt(2) s.
     q = shell_point(1, 0, 0, 0)
     assert fiber_residual(q, FourSpinor.from_vec([scale, 0, 0, 0])) == math.hypot(scale, scale)
+
+
+@pytest.mark.parametrize("direction", [(1, 0, 0, 0), (1, 0, 0, -1)], ids=["off-fiber", "rest-eigenvector"])
+def test_stacked_fiber_test_keeps_the_scalar_range(direction):
+    # Each row is scaled by its own power of two, so rows 1e400 apart keep
+    # the scalar residual bit for bit, silently, and the scalar verdict.
+    q = shell_point(1, 0, 0, 0)
+    psis = [FourSpinor.from_vec(np.multiply(scale, direction)) for scale in (1e200, 1e-200, 5e-324)]
+    p = np.tile(q.p.coords, (len(psis), 1))
+    residuals, ok = fiber_test(p, np.array([v.vec for v in psis]), q.m, FIBER_TOL)
+    assert residuals.tobytes() == np.array([fiber_residual(q, v) for v in psis]).tobytes()
+    for v, accepted in zip(psis, ok.tolist()):
+        if accepted:
+            assert FiberElement(q, v).psi is v
+        else:
+            with pytest.raises(NotInFiber):
+                FiberElement(q, v)
+    assert ok.tolist() == [direction[3] != 0] * len(psis)
 
 
 def test_fiber_residual_past_the_float_range_is_inf():

@@ -439,6 +439,11 @@ def test_jdump_refuses_non_finite():
             _jdump({"x": [1.0, bad]})
 
 
+def test_jdump_refuses_other_types():
+    with pytest.raises(TypeError, match="^cannot serialize complex$"):
+        _jdump({"x": [1.0, 2j]})
+
+
 def test_sample_field_rapidity_grid(tmp_path, capsys):
     out = tmp_path / "field.ndjson"
     assert main(
@@ -536,10 +541,9 @@ ONLY_THE_ERROR = {
          "--point", "1e155", "0.5", "1e-150", "1", "--", "1e-8", "5e-324", "1e-8"],
         "error: plane-wave phase p.x = inf at x = [1e+155, 0.5, 1e-150, 1.0] is not finite",
     ),
-    # The difference quotient overflows; its nan is refused by the serializer.
     "planewave-subnormal-step": (
         ["planewave-check", "-m", "1", "--step", "5e-324", "--", "0.5", "0", "0"],
-        "error: cannot write the non-finite number nan",
+        "error: plane-wave residual nan at step 5e-324 is not finite",
     ),
 }
 

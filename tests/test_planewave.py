@@ -49,6 +49,15 @@ def test_residual_matches_theory_at_rest():
     assert abs(r - expected) <= 1e-12
 
 
+def test_subnormal_step_is_refused_silently():
+    # 2h = 1e-323: the difference quotient overflows and the residual is
+    # nan; tier-1 turns any warning on the way into a failure.
+    q = shell_point(1.0, 0.5, 0, 0)
+    psi = fiber_basis(q)[0]
+    with pytest.raises(NumericalDrift, match=r"^plane-wave residual nan at step 5e-324 is not finite$"):
+        planewave_residual(q, psi, (0, 0, 0, 0), h=5e-324)
+
+
 @pytest.mark.parametrize("analytic", [False, True])
 def test_non_finite_phase_is_refused_silently(analytic):
     # p0 x0 = 1e154 * 1e155 passes the float range; tier-1 turns the

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from twospinors import (
     CoSpinor2,
+    Degenerate,
     FourSpinor,
     NumericalDrift,
     SL2Element,
@@ -109,6 +110,22 @@ def test_equality_distinguishes_types():
     assert Spinor2(1, 2j) != CoSpinor2(1, 2j)
     assert Spinor2(1, 2j) == Spinor2.from_vec([1, 2j])
     assert len({Spinor2(1, 2j), Spinor2(1.0, complex(-0.0, 2.0)), CoSpinor2(1, 2j)}) == 2
+
+
+def test_coefficient_accessors():
+    s = Spinor2(1 + 2j, -3.0)
+    assert (s.c1, s.c2) == (1 + 2j, -3 + 0j)
+    assert type(s.c1) is complex and type(s.c2) is complex
+
+
+def test_arithmetic_refuses_mixed_types():
+    # Spinor2 and CoSpinor2 are different spaces: neither sum nor difference exists.
+    s, sbar = Spinor2(1, 2j), CoSpinor2(1, 2j)
+    assert s.__add__(sbar) is NotImplemented and s.__sub__(sbar) is NotImplemented
+    with pytest.raises(TypeError):
+        s + sbar
+    with pytest.raises(TypeError):
+        s - sbar
 
 
 def arithmetic_coefficients(rng):
@@ -307,6 +324,32 @@ def test_renormalized_is_scale_free(scale):
     for k in (-900, -1, 1, 900):
         assert (SL2Element.renormalized(np.ldexp(1.0, k) * drifted).mat.tobytes()
                 == SL2Element.renormalized(drifted).mat.tobytes())
+
+
+# The first three have entries of very different magnitudes: scaled by the
+# largest entry alone, the smallest would underflow and the matrix look singular.
+@pytest.mark.parametrize("mat", [
+    [[1e200, 0], [0, 1e-200]],
+    [[3e-170, 0], [0, 1e170]],
+    [[1e300, 1e-300], [0, 1e-300]],
+    [[2, 1], [1e-3, 0.5]],
+    [[1.0001, 0.3j], [0.2, 1]],
+])
+def test_renormalized_divides_by_the_root_of_the_determinant(mat):
+    m = np.array(mat, dtype=complex)
+    assert SL2Element.renormalized(mat).mat.tobytes() == (m / cmath.sqrt(_det2(m))).tobytes()
+
+
+@pytest.mark.parametrize("mat", [np.zeros((2, 2)), [[1, 2], [2, 4]]])
+def test_renormalized_refuses_a_singular_matrix(mat):
+    with pytest.raises(Degenerate, match="^cannot renormalize a singular matrix$"):
+        SL2Element.renormalized(mat)
+
+
+def test_renormalized_refuses_an_unrepresentable_result_silently():
+    # The determinant is about 1e-12, so the first entry would become 1e314.
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        SL2Element.renormalized([[1e308, 0], [0, 1e-320]])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, -math.inf)])

@@ -107,11 +107,14 @@ class Momentum(_Frozen):
 MinkowskiVec = Momentum
 
 
-def lorentz_defect(m: np.ndarray) -> float:
-    """Metric-orthogonality defect max|m^T eta m - eta| of a 4x4 matrix; zero
-    exactly for Lorentz matrices, inf or nan (without a warning) on overflow."""
+def lorentz_defect(m: np.ndarray):
+    """Metric-orthogonality defect max|m^T eta m - eta| of a 4x4 matrix (a
+    float) or of each matrix of a (..., 4, 4) stack (an array, each row equal
+    to the one-matrix defect bit for bit); zero exactly for Lorentz matrices,
+    inf or nan (without a warning) on overflow."""
     with np.errstate(all="ignore"):
-        return float(np.max(np.abs(m.T @ ETA @ m - ETA)))
+        d = np.abs(m.swapaxes(-1, -2) @ ETA @ m - ETA)
+    return float(np.max(d)) if d.ndim == 2 else np.max(d, axis=(-2, -1))
 
 
 class LorentzMatrix(_Frozen):
@@ -138,6 +141,18 @@ class LorentzMatrix(_Frozen):
         return (LorentzMatrix, (self.mat.tolist(),))
 
 
+def _proper_lorentz(m: np.ndarray) -> np.ndarray:
+    """Mask of the stacked (..., 4, 4) matrices that LorentzMatrix accepts, by
+    its own checks: finite entries, metric defect, determinant and L00."""
+    with np.errstate(all="ignore"):
+        return (
+            np.isfinite(m).all(axis=(-2, -1))
+            & (lorentz_defect(m) <= LORENTZ_TOL)
+            & (np.abs(np.linalg.det(m) - 1.0) <= LORENTZ_TOL)
+            & (m[..., 0, 0] >= 1.0 - LORENTZ_TOL)
+        )
+
+
 def elementary(x: Spinor2, ybar: CoSpinor2) -> BiTensor:
     """Dyadic tensor of a spinor and a conjugate spinor.
 
@@ -145,12 +160,24 @@ def elementary(x: Spinor2, ybar: CoSpinor2) -> BiTensor:
     realizes the balancing rule: scaling x by a equals scaling ybar by
     conj(a) before conjugate storage.
     """
-    return BiTensor(np.outer(x.vec, ybar.vec))
+    return BiTensor(_dyads(x.vec, ybar.vec))
+
+
+def _dyads(x, ybar) -> np.ndarray:
+    """Outer products of (..., 2) coefficient rows, broadcast, each equal to
+    np.outer of its row pair bit for bit: the kernel under elementary."""
+    return x[..., :, None] * ybar[..., None, :]
 
 
 def involution_J(T: BiTensor) -> BiTensor:
     """Reality involution: swap tensor slots, i.e. conjugate-transpose."""
-    return BiTensor(T.t.conj().T)
+    return BiTensor(_involution(T.t))
+
+
+def _involution(t) -> np.ndarray:
+    """Conjugate transposes of stacked (..., 2, 2) matrices, in C order as a
+    BiTensor stores them: the kernel under involution_J."""
+    return np.ascontiguousarray(np.conj(t).swapaxes(-1, -2))
 
 
 def _reality_defects(t: np.ndarray) -> np.ndarray:
@@ -221,14 +248,15 @@ def from_minkowski(x: MinkowskiVec) -> BiTensor:
 
 def _transport(a: np.ndarray, t) -> np.ndarray:
     """The move T -> a T a* of stacked (..., 2, 2) bitensor matrices by one
-    2x2 matrix a; the kernel under pi_act and lorentz_of.
+    2x2 matrix a or by a stack of them, broadcast; the kernel under pi_act and
+    lorentz_of.
 
     Multiplies left to right, as A @ T @ A* does, so each row equals the
     unstacked product bit for bit.  Overflow gives non-finite rows without a
     warning; every caller checks its rows.
     """
     with np.errstate(all="ignore"):
-        return (a @ t) @ a.conj().T
+        return (a @ t) @ a.conj().swapaxes(-1, -2)
 
 
 def _world_coords(t) -> tuple[np.ndarray, np.ndarray]:
@@ -267,9 +295,16 @@ def h_form(X: BiTensor, Y: BiTensor) -> complex:
     polarization det(X+Y) - det(X) - det(Y) is its bilinear extension,
     exact to rounding and O(1) per evaluation.
     """
+    return _polar(X.t, Y.t)
+
+
+def _polar(x, y):
+    """det(x+y) - det(x) - det(y) of two 2x2 coefficient matrices (a Python
+    complex) or of each pair of matrices of two (..., 2, 2) stacks, equal to
+    it bit for bit (_det2): the kernel under h_form."""
     with np.errstate(all="ignore"):  # an overflowing entry sum gives a nan, silently
-        s = X.t + Y.t
-    return _det2(s) - _det2(X.t) - _det2(Y.t)
+        s = x + y
+    return _det2(s) - _det2(x) - _det2(y)
 
 
 def _coords(p) -> np.ndarray:
@@ -301,22 +336,30 @@ def pi_act(A: SL2Element, T: BiTensor) -> BiTensor:
     return BiTensor(_transport(A.mat, T.t))
 
 
+def _covering(a: np.ndarray):
+    """The (..., 4, 4) matrices covered by one 2x2 matrix a or a stack of them,
+    column j the world coordinates of a u_j a*, from one stacked transport of
+    the world basis; with the (..., 4) mask of the columns that are finite
+    real vectors and their reality defects.  The kernel under lorentz_of."""
+    cols, defects = _world_coords(_transport(a[..., None, :, :], _WORLD_STACK))
+    # A non-finite entry gives a non-finite defect, which fails the test.
+    real = (defects <= REALITY_TOL) & np.isfinite(cols).all(axis=-1)
+    # C order, as column_stack gives, for the same products in lorentz_defect.
+    return np.ascontiguousarray(cols.swapaxes(-1, -2)), real, defects
+
+
 def lorentz_of(A: SL2Element) -> LorentzMatrix:
-    """The 4x4 Lorentz matrix covered by A: column j is the world coordinates
-    of A u_j A*, from one stacked transport of the world basis.
+    """The 4x4 Lorentz matrix covered by A (see _covering).
 
     Raises NumericalDrift when a transported column is not a finite real
     vector, or when LorentzMatrix refuses the result; either signals a badly
     conditioned A (e.g. an extreme boost) rather than a logic error.
     """
-    cols, defects = _world_coords(_transport(A.mat, _WORLD_STACK))
-    # A non-finite entry gives a non-finite defect, which fails the test.
-    real = (defects <= REALITY_TOL) & np.isfinite(cols).all(axis=-1)
+    mat, real, defects = _covering(A.mat)
     if not real.all():
         j = int(np.argmin(real))
         raise NumericalDrift(
             f"transport of world basis vector u{j} is not a finite real vector "
             f"(reality defect {defects[j]:.3e}, bound {REALITY_TOL})"
         )
-    # C order, as column_stack gives, for the same products in lorentz_defect.
-    return LorentzMatrix(np.ascontiguousarray(cols.T))
+    return LorentzMatrix(mat)

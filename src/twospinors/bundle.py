@@ -20,10 +20,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitensor import Momentum
-from .clifford import FourSpinor, gamma, slash, tau, tau_matrices
+from .clifford import FourSpinor, _tau_act, gamma, slash, tau_matrices
 from .errors import InvalidClassRep, NotInFiber
-from .momentum import MassShellPoint, _require_mass, act_momentum, boost_rep
-from .spinor import CoSpinor2, SL2Element, Spinor2, _scaled, _sealed, _unscaled, conjugate, spinor_norms
+from .momentum import MassShellPoint, _act_momenta, _require_mass, act_momentum, boost_rep
+from .spinor import (
+    CoSpinor2,
+    SL2Element,
+    Spinor2,
+    _adjugate,
+    _max1,
+    _scaled,
+    _sealed,
+    _unscaled,
+    conjugate,
+    spinor_norms,
+)
 
 __all__ = [
     "FiberElement",
@@ -56,30 +67,48 @@ SPLUS_TOL = 1e-10
 _REST = _sealed(np.array([[1, 0, 0, -1], [0, 1, 1, 0]], dtype=complex))
 
 
-def fiber_test(p, psi, m: float, tol: float):
+def _scaled_residuals(p, psi, m):
+    """The residuals |slash(p) w - m w| of w, psi scaled by a power of two
+    (_scaled), with w and the exponents that scale them back: the residual
+    part of fiber_test.  m is one mass, or an array of one mass per row."""
+    w, e = _scaled(np.ascontiguousarray(psi, dtype=complex))
+    mw = m[..., None] * w if isinstance(m, np.ndarray) else m * w
+    return spinor_norms(np.matvec(slash(p), w) - mw), w, e
+
+
+def fiber_test(p, psi, m, tol: float):
     """The residuals |slash(p) psi - m psi| of one 4-spinor or a (..., 4) stack
-    at (..., 4) momentum coordinates p, and whether each is within
-    fiber_bound(tol, m, |psi|): the one fiber test.  Each spinor is scaled by
-    a power of two (_scaled) and compared on the scaled values, so its scale
-    cannot overflow the test; each residual, scaled back, equals
-    np.linalg.norm(slash(p) @ psi - m * psi) bit for bit, or is inf, silently."""
+    at (..., 4) momentum coordinates p and mass m (one, or an array of one per
+    row), and whether each is within fiber_bound(tol, m, |psi|): the one fiber
+    test.  Each spinor is scaled by a power of two (_scaled) and compared on
+    the scaled values, so its scale cannot overflow the test; each residual,
+    scaled back, equals np.linalg.norm(slash(p) @ psi - m * psi) bit for bit,
+    or is inf, silently."""
     with np.errstate(all="ignore"):
-        w, e = _scaled(np.ascontiguousarray(psi, dtype=complex))
-        r = spinor_norms(np.matvec(slash(p), w) - m * w)
+        r, w, e = _scaled_residuals(p, psi, m)
         return np.ldexp(r, e), r <= fiber_bound(tol, m, spinor_norms(w))
 
 
 def fiber_residual(q: MassShellPoint, psi: FourSpinor) -> float:
-    """Norm of slash(q.p) psi - m psi, the defining equation of the bundle, by
-    fiber_test: the scale of psi cannot overflow it."""
-    return fiber_test(q.p, psi.vec, q.m, FIBER_TOL)[0]
+    """Norm of slash(q.p) psi - m psi, the defining equation of the bundle:
+    fiber_test's residual, without its verdict.  The scale of psi cannot
+    overflow it."""
+    return _fiber_residuals(q.p, psi.vec, q.m)
 
 
-def fiber_bound(tol: float, m: float, psi_norm):
+def _fiber_residuals(p, psi, m):
+    """fiber_test's residuals, without its verdict: the kernel under
+    fiber_residual."""
+    with np.errstate(all="ignore"):
+        r, _, e = _scaled_residuals(p, psi, m)
+        return np.ldexp(r, e)
+
+
+def fiber_bound(tol: float, m, psi_norm):
     """Largest accepted fiber residual of a spinor of norm psi_norm over the
     shell of mass m: tol * max(1, m) * psi_norm, so the test stays meaningful
     under large boosts."""
-    return tol * max(1.0, m) * psi_norm
+    return tol * _max1(m) * psi_norm
 
 
 @dataclass(frozen=True)
@@ -109,10 +138,19 @@ class AssociatedClassRep:
         object.__setattr__(self, "m", _require_mass(self.m))
         w, e = _scaled(self.phi_plus.vec)
         d, n = (_unscaled(x, e) for x in spinor_norms([gamma(0) @ w - w, w]).tolist())
-        bound = SPLUS_TOL * max(1.0, n)
+        bound = SPLUS_TOL * _max1(n)
         # An overflowing defect fails, even against an overflowing bound.
         if not (cmath.isfinite(d) and d <= bound):
             raise InvalidClassRep(f"rest-eigenspace defect {d:.3e} exceeds {bound:.3e}")
+
+
+def _in_rest_eigenspace(phi) -> np.ndarray:
+    """Mask of the stacked (..., 4) 4-spinors that AssociatedClassRep accepts
+    as phi_plus, by its own check on its own scaling: silent on overflow."""
+    with np.errstate(all="ignore"):
+        w, e = _scaled(phi)
+        d = np.ldexp(spinor_norms(np.matvec(gamma(0), w) - w), e)
+        return np.isfinite(d) & (d <= SPLUS_TOL * _max1(np.ldexp(spinor_norms(w), e)))
 
 
 @dataclass(frozen=True)
@@ -162,9 +200,21 @@ def beta(rep: AssociatedClassRep) -> FiberElement:
     Well-defined on classes: replacing (A, psi) by (A T, tau(T)^-1 psi) for
     unitary unimodular T gives the same output.
     """
-    p = act_momentum(rep.A, Momentum(rep.m, 0.0, 0.0, 0.0))
-    psi = FourSpinor.from_vec(tau(rep.A) @ rep.phi_plus.vec)
+    p, ok, psi = _beta(rep.A.mat, rep.phi_plus.vec, rep.m)
+    # A refused momentum raises act_momentum's typed error.
+    p = Momentum.from_coords(p) if ok else act_momentum(rep.A, Momentum(rep.m, 0.0, 0.0, 0.0))
+    psi = FourSpinor.from_vec(psi)
     return FiberElement(MassShellPoint(p, rep.m), psi)
+
+
+def _beta(a, phi, m):
+    """beta of one class (a, phi, m), or of each row of stacked (..., 2, 2)
+    matrices, (..., 4) rest spinors and (...) masses: the momentum
+    coordinates, the mask of the ones act_momentum accepts, and the
+    4-spinors, each equal to beta's bit for bit.  The kernel under beta."""
+    rest = np.zeros(np.shape(m) + (4,))
+    rest[..., 0] = m
+    return (*_act_momenta(a, rest), _tau_act(a, phi))
 
 
 def beta_inv(f: FiberElement) -> AssociatedClassRep:
@@ -175,8 +225,13 @@ def beta_inv(f: FiberElement) -> AssociatedClassRep:
     unitary factor.
     """
     A = boost_rep(f.q)
-    phi_plus = FourSpinor.from_vec(tau(A.inverse()) @ f.psi.vec)
-    return AssociatedClassRep(A, phi_plus, f.q.m)
+    return AssociatedClassRep(A, FourSpinor.from_vec(_to_rest(A.mat, f.psi.vec)), f.q.m)
+
+
+def _to_rest(a, psi) -> np.ndarray:
+    """tau(a)^-1 psi for unimodular a, the inverse the adjugate, for one matrix
+    and 4-spinor or row by row for stacks: the kernel under beta_inv."""
+    return _tau_act(_adjugate(a), psi)
 
 
 def split_conjugate_pair(rep: AssociatedClassRep) -> ConjugatePair:
@@ -187,8 +242,14 @@ def split_conjugate_pair(rep: AssociatedClassRep) -> ConjugatePair:
     coefficients are the first two coefficients of the representative; the
     conjugate partner is its coefficient conjugation.
     """
-    s = rep.phi_plus.s
+    s = Spinor2.from_vec(_split(rep.phi_plus.vec))
     return ConjugatePair(s, conjugate(s))
+
+
+def _split(phi) -> np.ndarray:
+    """The spinor coefficients of rest spinors (one, or a (..., 4) stack): the
+    first two, by the isomorphism of split_conjugate_pair."""
+    return phi[..., :2]
 
 
 def spin_characters(ts) -> np.ndarray:

@@ -18,12 +18,26 @@ import math
 
 import numpy as np
 
-from .bitensor import ETA, BiTensor, _coords, _expand, h_form, pi_act, world_basis
-from .spinor import CoSpinor2, SL2Element, Spinor2, _Coefficients, _scaled, _sealed, _unscaled, eps, eps_bar
+from .bitensor import ETA, BiTensor, _coords, _expand, _polar, _transport, pi_act, world_basis
+from .spinor import (
+    CoSpinor2,
+    SL2Element,
+    Spinor2,
+    _act,
+    _adjugate,
+    _cmul,
+    _Coefficients,
+    _scaled,
+    _sealed,
+    eps,
+    eps_bar,
+    spinor_norms,
+)
 
 __all__ = [
     "FourSpinor",
     "phi",
+    "phi_matrices",
     "gamma",
     "slash",
     "tau",
@@ -71,8 +85,16 @@ class FourSpinor(_Coefficients):
         """np.linalg.norm of the coefficients scaled by a power of two (see
         _scaled): the same bits where that neither overflows nor underflows,
         and inf only past the float range."""
-        w, e = _scaled(self.vec)
-        return _unscaled(np.linalg.norm(w), e)
+        return float(_norms4(self.vec))
+
+
+def _norms4(psi):
+    """FourSpinor.norm of a coefficient vector or of each row of a (..., 4)
+    stack: spinor_norms (np.linalg.norm's kernel) of the scaled coefficients,
+    scaled back, silently inf past the float range."""
+    with np.errstate(all="ignore"):
+        w, e = _scaled(psi)
+        return np.ldexp(spinor_norms(w), e)
 
 
 def _dyad_endomorphisms() -> np.ndarray:
@@ -97,12 +119,18 @@ def _dyad_endomorphisms() -> np.ndarray:
 _DYAD_IMAGES = _sealed(_dyad_endomorphisms())
 
 
+def phi_matrices(t) -> np.ndarray:
+    """Stacked phi: (..., 2, 2) bitensor coefficient matrices to their (..., 4, 4)
+    endomorphisms, each equal to phi of one matrix bit for bit."""
+    return np.einsum("...ij,ijkl->...kl", t, _DYAD_IMAGES)
+
+
 def phi(T: BiTensor) -> np.ndarray:
     """Clifford module map: the 4x4 endomorphism acting by T.
 
     Linear extension of the dyadic rule over the coefficient matrix of T.
     """
-    return np.einsum("ij,ijkl->kl", T.t, _DYAD_IMAGES)
+    return phi_matrices(T.t)
 
 
 _GAMMAS = tuple(_sealed(phi(u)) for u in world_basis())
@@ -147,10 +175,23 @@ def tau(A: SL2Element) -> np.ndarray:
     return tau_matrices(A.mat)
 
 
+def _tau_act(a, psi) -> np.ndarray:
+    """tau(a) psi for one 2x2 matrix and 4-spinor, or row by row for stacks,
+    broadcast, each row equal to tau(A) @ psi bit for bit (spinor._act)."""
+    return _act(tau_matrices(a), psi)
+
+
 def anticommutator_defect(X: BiTensor, Y: BiTensor) -> np.ndarray:
     """phi(X) phi(Y) + phi(Y) phi(X) - 2 h(X, Y) Id; zero for all bitensors."""
-    px, py = phi(X), phi(Y)
-    return px @ py + py @ px - 2.0 * h_form(X, Y) * np.eye(4)
+    return _anticommutators(X.t, Y.t)
+
+
+def _anticommutators(x, y) -> np.ndarray:
+    """anticommutator_defect of two coefficient matrices, or of each pair of
+    matrices of two (..., 2, 2) stacks (equal to it bit for bit); 2 h is
+    Python's product 2.0 * h (spinor._cmul)."""
+    px, py = phi_matrices(x), phi_matrices(y)
+    return px @ py + py @ px - _cmul(2.0, _polar(x, y))[..., None, None] * np.eye(4)
 
 
 def gamma_relation_residuals(gammas) -> np.ndarray:
@@ -173,6 +214,17 @@ def equivariance_defect(A: SL2Element, X: BiTensor) -> np.ndarray:
     exact for determinant-1 matrices.  The defect magnitude scales like
     norm(A)**4 times machine epsilon.
     """
-    t, t_inv = tau(A), tau(A.inverse())
-    return phi(pi_act(A, X)) - t @ phi(X) @ t_inv
+    d = _equivariance(A.mat, X.t)
+    if not np.isfinite(d).all():
+        pi_act(A, X)  # refuses an A X A* past the float range
+    return d
+
+
+def _equivariance(a, x) -> np.ndarray:
+    """equivariance_defect of one matrix and coefficient matrix, or of each
+    pair of rows of (..., 2, 2) stacks (equal to it bit for bit), with the
+    inverse the adjugate; non-finite, silently, where a x a* overflows."""
+    t = tau_matrices(a)
+    with np.errstate(all="ignore"):
+        return phi_matrices(_transport(a, x)) - t @ phi_matrices(x) @ tau_matrices(_adjugate(a))
 

@@ -14,9 +14,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitensor import _WORLD_STACK, Momentum, _coords, _expand, from_minkowski, pi_act, q_form, to_minkowski
+from .bitensor import (
+    _WORLD_STACK,
+    REALITY_TOL,
+    Momentum,
+    _coords,
+    _expand,
+    _transport,
+    _world_coords,
+    from_minkowski,
+    pi_act,
+    q_form,
+    to_minkowski,
+)
 from .errors import BadMass, Degenerate, NotOnShell
-from .spinor import SL2Element, _sealed, _unimodular
+from .spinor import SL2Element, _max1, _sealed, _unimodular
 
 __all__ = [
     "MassShellPoint",
@@ -45,9 +57,10 @@ def _require_mass(m) -> float:
     return m
 
 
-def _shell_bound(m: float) -> float:
-    """Largest accepted dispersion defect |q_form(p) - m^2| on the shell of mass m."""
-    return SHELL_TOL * max(1.0, m * m)
+def _shell_bound(m):
+    """Largest accepted dispersion defect |q_form(p) - m^2| on the shell of mass
+    m (a float, or an array of masses)."""
+    return SHELL_TOL * _max1(m * m)
 
 
 @dataclass(frozen=True)
@@ -106,23 +119,26 @@ def boost_matrices(p, m: float) -> np.ndarray:
     return (H + _ID2) / np.sqrt(tr + 2.0)[..., None, None]
 
 
+def _on_shell(p: np.ndarray, m) -> np.ndarray:
+    """Mask of the stacked (..., 4) momenta that MassShellPoint accepts at mass
+    m (one mass, or one per row), by its own checks on their own formulas
+    (_require_mass, q_form and _shell_bound).  Silent on overflow."""
+    with np.errstate(all="ignore"):
+        return (
+            np.isfinite(m) & (m > 0)
+            & np.isfinite(p).all(axis=-1)
+            & (np.abs(q_form(p) - m * m) <= _shell_bound(m))
+            & (p[..., 0] > 0)
+        )
+
+
 def accepted_boosts(p: np.ndarray, m: float, A: np.ndarray) -> np.ndarray:
     """Mask of the rows of shell_momenta / boost_matrices output on which
-    shell_point and boost_rep succeed.
-
-    Repeats their checks (finite momentum, forward shell, finite unimodular
-    result) on whole arrays, on the scalar checks' own formulas (q_form and
-    spinor._unimodular), so that a rejected row can be handed to the scalar
-    path for its typed error.
+    shell_point and boost_rep succeed: on the forward shell (_on_shell), with
+    a finite unimodular boost (spinor._unimodular), so that a rejected row can
+    be handed to the scalar path for its typed error.
     """
-    if not (math.isfinite(m) and m > 0):
-        return np.zeros(p.shape[:-1], dtype=bool)
-    return (
-        np.isfinite(p).all(axis=-1)
-        & (np.abs(q_form(p) - m * m) <= _shell_bound(m))
-        & (p[..., 0] > 0)
-        & _unimodular(A)
-    )
+    return _on_shell(p, m) & _unimodular(A)
 
 
 def boost_rep(q: MassShellPoint) -> SL2Element:
@@ -149,4 +165,24 @@ def act_momentum(A: SL2Element, q: Momentum) -> Momentum:
 
     Preserves the quadratic form, and preserves the forward cone p0 > 0.
     """
+    coords, ok = _act_momenta(A.mat, q.coords)
+    if ok:
+        return Momentum.from_coords(coords)
+    # The typed error of the first refusal, from the values' own checks.
     return to_minkowski(pi_act(A, from_minkowski(q)))
+
+
+def _act_momenta(a, p):
+    """act_momentum of one matrix and momentum, or row by row of (..., 2, 2)
+    matrices and (..., 4) coordinates, broadcast: the world coordinates of
+    a T a* for T the expansion of p (each equal to act_momentum's bit for
+    bit), and the mask of the rows act_momentum accepts: a finite expansion
+    and transport (BiTensor's check), within REALITY_TOL of real
+    (to_minkowski's) and finite coordinates (Momentum's).  Silent on
+    overflow; the kernel under act_momentum."""
+    with np.errstate(all="ignore"):
+        # A non-finite expansion gives a non-finite transport.
+        t = _transport(a, _expand(p, _WORLD_STACK))
+        coords, defects = _world_coords(t)
+        ok = np.isfinite(t).all(axis=(-2, -1)) & (defects <= REALITY_TOL) & np.isfinite(coords).all(axis=-1)
+    return coords, ok

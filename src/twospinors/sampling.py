@@ -1,4 +1,10 @@
-"""Seeded random generators for sweep-style verification of the identities."""
+"""Seeded random generators for sweep-style verification of the identities.
+
+Each generator is split in two: a draw, which takes raw numbers from the
+generator and builds no value object, and a build from those numbers, which
+works on one draw or on a stack of them.  verify draws its samples one at a
+time and builds them as stacks.
+"""
 
 from __future__ import annotations
 
@@ -6,38 +12,22 @@ import cmath
 
 import numpy as np
 
-from .bitensor import BiTensor
-from .bundle import FiberElement, rest_fiber_basis
-from .clifford import FourSpinor, tau
-from .momentum import MassShellPoint, boost_rep, shell_point
-from .spinor import SL2Element, Spinor2, _det2
+from .bundle import _REST, FiberElement
+from .clifford import FourSpinor, _tau_act
+from .momentum import boost_rep, shell_point
+from .spinor import SL2Element, _cmul, _det2
 
 __all__ = [
-    "random_spinor",
-    "random_bitensor",
     "random_sl2",
     "random_su2",
-    "random_shell_point",
-    "random_rest_spinor",
     "random_fiber_element",
 ]
 
 
-def _complex(rng) -> complex:
-    return complex(rng.normal(0.0, 1.0), rng.normal(0.0, 1.0))
-
-
-def random_spinor(rng) -> Spinor2:
-    return Spinor2(_complex(rng), _complex(rng))
-
-
-def random_bitensor(rng) -> BiTensor:
-    return BiTensor(rng.normal(0.0, 1.0, (2, 2)) + 1j * rng.normal(0.0, 1.0, (2, 2)))
-
-
-def random_sl2(rng, max_norm: float = 4.0) -> SL2Element:
-    """Determinant-normalized complex Gaussian matrix with bounded Frobenius
-    norm; near-singular draws are rejected to keep the bound effective."""
+def _sl2_matrix(rng, max_norm: float = 4.0) -> np.ndarray:
+    """The matrix of random_sl2: a determinant-normalized complex Gaussian 2x2
+    array with bounded Frobenius norm; near-singular draws are rejected to
+    keep the bound effective."""
     while True:
         m = rng.normal(0.0, 1.0, (2, 2)) + 1j * rng.normal(0.0, 1.0, (2, 2))
         d = _det2(m)
@@ -45,37 +35,56 @@ def random_sl2(rng, max_norm: float = 4.0) -> SL2Element:
             continue
         m = m / cmath.sqrt(d)
         if np.linalg.norm(m) <= max_norm:
-            return SL2Element(m)
+            return m
+
+
+def random_sl2(rng, max_norm: float = 4.0) -> SL2Element:
+    """Determinant-normalized complex Gaussian matrix with bounded Frobenius
+    norm; near-singular draws are rejected to keep the bound effective."""
+    return SL2Element(_sl2_matrix(rng, max_norm))
+
+
+def _su2_matrices(v) -> np.ndarray:
+    """The unitary unimodular matrices [[a, -conj(b)], [b, conj(a)]] of (..., 4)
+    Gaussian draws v, normalized to unit quaternions a = v0 + i v1,
+    b = v2 + i v3: (..., 2, 2), each row as one draw gives it."""
+    # np.vecdot is the dot kernel of np.linalg.norm (see spinor.spinor_norms).
+    u = v / np.sqrt(np.vecdot(v, v))[..., None]
+    # Real and imaginary parts of a, -conj(b), b, conj(a), stored exactly.
+    out = np.empty(u.shape[:-1] + (2, 2), dtype=complex)
+    out.real = (u[..., [0, 2, 2, 0]] * [1.0, -1.0, 1.0, 1.0]).reshape(out.shape)
+    out.imag = (u[..., [1, 3, 3, 1]] * [1.0, 1.0, 1.0, -1.0]).reshape(out.shape)
+    return out
 
 
 def random_su2(rng) -> SL2Element:
     """Haar-uniform unitary unimodular matrix via a unit quaternion."""
-    v = rng.normal(0.0, 1.0, 4)
-    v = v / np.linalg.norm(v)
-    a = complex(v[0], v[1])
-    b = complex(v[2], v[3])
-    return SL2Element([[a, -b.conjugate()], [b, a.conjugate()]])
+    return SL2Element(_su2_matrices(rng.normal(0.0, 1.0, 4)))
 
 
-def random_shell_point(rng) -> MassShellPoint:
-    """Forward-shell point of mass uniform in [0.5, 2], spatial momentum Gaussian of width 2m."""
+def _rest_spinors(z) -> np.ndarray:
+    """Vectors of the rest eigenspace from (..., 4) Gaussian draws z: the
+    complex coefficients z0 + i z1 and z2 + i z3 on the rest fiber basis,
+    multiplied and summed as Python's complex arithmetic does: (..., 4)."""
+    c = np.ascontiguousarray(z, dtype=float).view(complex)[..., None]
+    return _cmul(_REST[0], c[..., 0, :]) + _cmul(_REST[1], c[..., 1, :])
+
+
+def _fiber_draw(rng) -> list[float]:
+    """The raw numbers of one random_fiber_element, in drawing order: a mass m
+    uniform in [0.5, 2], a spatial momentum Gaussian of width 2m, then the
+    four Gaussians of a unitary (_su2_matrices) and the four of a rest
+    eigenvector (_rest_spinors)."""
     m = float(rng.uniform(0.5, 2.0))
-    sigma = 2.0 * m
-    return shell_point(m, rng.normal(0.0, sigma), rng.normal(0.0, sigma), rng.normal(0.0, sigma))
-
-
-def random_rest_spinor(rng) -> FourSpinor:
-    """Random vector of the rest eigenspace: complex Gaussian coefficients on
-    the rest fiber basis."""
-    v1, v2 = rest_fiber_basis()
-    return _complex(rng) * v1 + _complex(rng) * v2
+    return [m, *rng.normal(0.0, 2.0 * m, 3).tolist(), *rng.normal(0.0, 1.0, 8).tolist()]
 
 
 def random_fiber_element(rng) -> FiberElement:
     """Random bundle element: a random point of the fiber over a random
     shell point, reached through a generic (boost times unitary) action on
     a random rest eigenvector."""
-    q = random_shell_point(rng)
-    A = boost_rep(q) @ random_su2(rng)
-    psi = FourSpinor.from_vec(tau(A) @ random_rest_spinor(rng).vec)
+    m, p1, p2, p3, *g = _fiber_draw(rng)
+    q = shell_point(m, p1, p2, p3)
+    A = boost_rep(q) @ SL2Element(_su2_matrices(np.array(g[:4])))
+    psi = FourSpinor.from_vec(_tau_act(A.mat, _rest_spinors(g[4:])))
     return FiberElement(q, psi)

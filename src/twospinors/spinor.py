@@ -135,10 +135,16 @@ class _Coefficients(_Frozen):
         return hash(tuple(self.vec.tolist()))
 
     def norm(self) -> float:
-        try:
-            return math.hypot(*map(abs, self.vec.tolist()))
-        except OverflowError:  # abs of a coefficient past the float range
-            return math.inf
+        return _hypot_norm(self.vec.tolist())
+
+
+def _hypot_norm(c) -> float:
+    """math.hypot of the abs of the complexes c: the norm of a Spinor2 or a
+    CoSpinor2, from its coefficient list; inf past the float range."""
+    try:
+        return math.hypot(*map(abs, c))
+    except OverflowError:  # abs of a coefficient past the float range
+        return math.inf
 
 
 class Spinor2(_Coefficients):
@@ -168,8 +174,7 @@ def conjugate(s):
 
 def eps(x: Spinor2, y: Spinor2) -> complex:
     """Symplectic form on S: the determinant x1*y2 - x2*y1 of the pair."""
-    (x1, x2), (y1, y2) = x.vec.tolist(), y.vec.tolist()
-    return x1 * y2 - x2 * y1
+    return _eps(x.vec, y.vec)
 
 
 def eps_bar(xbar: CoSpinor2, ybar: CoSpinor2) -> complex:
@@ -180,21 +185,45 @@ def eps_bar(xbar: CoSpinor2, ybar: CoSpinor2) -> complex:
     return eps(xbar, ybar)
 
 
+def _cmul(x, y) -> np.ndarray:
+    """Entrywise products of complex (or real) arrays x and y, broadcast, as
+    Python's complex product rounds them: (ac - bd) + (ad + bc)i in real
+    arithmetic, where numpy's complex array loops round differently.  A real
+    operand is the complex number with imaginary part +0.0, as Python's
+    complex * float is.  The parts are stored exactly: re + 1j * im would
+    multiply."""
+    re = x.real * y.real - x.imag * y.imag
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real = re
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
 def _det2(t):
     """Determinant of a 2x2 array (a Python complex, silent on overflow) or of
     each matrix of a (..., 2, 2) stack, equal to it bit for bit."""
-    # One matrix is a*d - b*c on the complexes of tolist().  Python's complex
-    # product is (ac - bd) + (ad + bc)i in real arithmetic, which a stack
-    # repeats, since numpy's complex array loops round differently.  The
-    # stacked parts are stored exactly: re + 1j * im would multiply.
+    # One matrix is a*d - b*c on the complexes of tolist(); a stack repeats
+    # Python's complex products with _cmul.
     if t.ndim == 2:
         (a, b), (c, d) = t.tolist()
         return a * d - b * c
-    a, b, c, d = t[..., 0, 0], t[..., 0, 1], t[..., 1, 0], t[..., 1, 1]
-    det = np.empty(a.shape, dtype=complex)
-    det.real = (a.real * d.real - a.imag * d.imag) - (b.real * c.real - b.imag * c.imag)
-    det.imag = (a.real * d.imag + a.imag * d.real) - (b.real * c.imag + b.imag * c.real)
-    return det
+    return _cmul(t[..., 0, 0], t[..., 1, 1]) - _cmul(t[..., 0, 1], t[..., 1, 0])
+
+
+def _eps(x, y):
+    """x1*y2 - x2*y1 of two coefficient vectors (a Python complex) or of each
+    pair of rows of two (..., 2) stacks, equal to it bit for bit (as _det2);
+    the kernel under eps."""
+    if x.ndim == 1:
+        (x1, x2), (y1, y2) = x.tolist(), y.tolist()
+        return x1 * y2 - x2 * y1
+    return _cmul(x[..., 0], y[..., 1]) - _cmul(x[..., 1], y[..., 0])
+
+
+def _max1(x):
+    """max(1.0, x) of a float, or of each entry of an array (np.fmax, so that a
+    nan entry gives 1.0, as max does): the floor of every scale and bound."""
+    return np.fmax(1.0, x) if isinstance(x, np.ndarray) else max(1.0, x)
 
 
 def spinor_norms(v) -> np.ndarray:
@@ -238,11 +267,17 @@ def cyclic_defect(a: Spinor2, b: Spinor2, c: Spinor2) -> Spinor2:
     Any three vectors of a 2-dimensional space are linearly dependent with
     these symplectic coefficients, so the result is zero up to rounding.
     """
-    kbc, kca, kab = eps(b, c), eps(c, a), eps(a, b)
-    return Spinor2.from_vec([
-        kbc * ai + kca * bi + kab * ci
-        for ai, bi, ci in zip(a.vec.tolist(), b.vec.tolist(), c.vec.tolist())
-    ])
+    return Spinor2.from_vec(_cyclic(a.vec, b.vec, c.vec))
+
+
+def _cyclic(a, b, c):
+    """The cyclic residual of three coefficient vectors (a list of Python
+    complexes) or of each triple of rows of three (..., 2) stacks (an array,
+    each row equal to it bit for bit); the kernel under cyclic_defect."""
+    kbc, kca, kab = _eps(b, c), _eps(c, a), _eps(a, b)
+    if a.ndim == 1:
+        return [kbc * ai + kca * bi + kab * ci for ai, bi, ci in zip(a.tolist(), b.tolist(), c.tolist())]
+    return _cmul(kbc[..., None], a) + _cmul(kca[..., None], b) + _cmul(kab[..., None], c)
 
 
 def _exponent(z: complex) -> int:
@@ -254,6 +289,21 @@ def _unimodular(a) -> np.ndarray:
     """Mask of the stacked (..., 2, 2) matrices that SL2Element accepts."""
     d = _det2(a)
     return np.isfinite(a).all(axis=(-2, -1)) & (np.hypot(d.real - 1.0, d.imag) <= SL2_DET_TOL)
+
+
+def _adjugate(t):
+    """Adjugate [[d, -b], [-c, a]] of a 2x2 array (nested lists of Python
+    complexes) or of each matrix of a (..., 2, 2) stack (an array), by exact
+    swaps and negations: the inverse of a unimodular matrix."""
+    if t.ndim == 2:  # as in _det2: cheaper on one matrix
+        (a, b), (c, d) = t.tolist()
+        return [[d, -b], [-c, a]]
+    adj = np.empty_like(t)
+    adj[..., 0, 0] = t[..., 1, 1]
+    adj[..., 0, 1] = -t[..., 0, 1]
+    adj[..., 1, 0] = -t[..., 1, 0]
+    adj[..., 1, 1] = t[..., 0, 0]
+    return adj
 
 
 # The storage check of an SL2Element, shared with renormalized.
@@ -318,9 +368,8 @@ class SL2Element(_Frozen):
             return cls(m / cmath.sqrt(det))
 
     def inverse(self) -> "SL2Element":
-        # det == 1, so the inverse is the adjugate: exact entry swaps.
-        m = self.mat
-        return SL2Element([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
+        # det == 1, so the inverse is the adjugate.
+        return SL2Element(_adjugate(self.mat))
 
     def conj(self) -> "SL2Element":
         """Entrywise conjugate; the matrix of the conjugate transformation."""
@@ -335,7 +384,14 @@ class SL2Element(_Frozen):
 
 def act(A: SL2Element, s: Spinor2) -> Spinor2:
     """Apply a unimodular transformation to a spinor."""
-    return Spinor2.from_vec(A.mat @ s.vec)
+    return Spinor2.from_vec(_act(A.mat, s.vec))
+
+
+def _act(a, s) -> np.ndarray:
+    """a s for one matrix and vector, or row by row for (..., n, n) matrices
+    and (..., n) vectors, broadcast: np.matvec, equal to a @ s bit for bit on
+    one pair.  The kernel under act and clifford's tau actions."""
+    return np.matvec(a, s)
 
 
 def act_bar(A: SL2Element, sbar: CoSpinor2) -> CoSpinor2:

@@ -37,7 +37,7 @@ from twospinors import (
     to_minkowski,
     world_basis,
 )
-from twospinors.bitensor import REALITY_TOL
+from twospinors.bitensor import REALITY_TOL, _covering, _dyads, _involution, _polar, _proper_lorentz, _transport, lorentz_defect
 
 from test_spinor import random_sl2
 
@@ -550,6 +550,45 @@ def sweep_matrices(rng):
     return mats
 
 
+def test_covering_of_a_stack_equals_lorentz_of():
+    # A stack of matrices through the same transport, coordinates and mask
+    # gives lorentz_of's matrix and metric defect bit for bit where it
+    # succeeds, and a rejected row where it refuses.
+    rng = np.random.default_rng(61)
+    mats = sweep_matrices(rng) + [SL2Element(np.diag([1e200, 1e-200])), SL2Element([[0, 1j], [1j, 0]])]
+    L, real, _ = _covering(np.array([A.mat for A in mats]))
+    accepted = real.all(axis=-1) & _proper_lorentz(L)
+    stacked_defects = lorentz_defect(L)
+    for A, row, d, ok in zip(mats, L, stacked_defects.tolist(), accepted.tolist()):
+        try:
+            mat = lorentz_of(A).mat
+        except NumericalDrift:
+            assert not ok
+        else:
+            assert ok and row.tobytes() == mat.tobytes()
+            assert np.float64(d).tobytes() == np.float64(lorentz_defect(mat)).tobytes()
+    assert 0 < accepted.sum() < len(mats)
+
+
+def test_proper_lorentz_mask_refuses_what_lorentz_matrix_refuses():
+    refused = [2 * np.eye(4), np.diag([1.0, 1.0, 1.0, -1.0]), np.diag([-1.0, -1.0, 1.0, 1.0]),
+               np.full((4, 4), math.nan), identity_with(0, 0, math.inf), identity_with(1, 2, 1e-9)]
+    for m in refused:
+        with pytest.raises(ValueError):
+            LorentzMatrix(m)
+    assert _proper_lorentz(np.array(refused)).tolist() == [False] * len(refused)
+    assert _proper_lorentz(np.array([np.eye(4), lorentz_of(boost_rep(shell_point(1, 3, 0, 0))).mat])).all()
+
+
+def test_stacked_transport_equals_pi_act():
+    rng = np.random.default_rng(62)
+    mats = [random_sl2(rng) for _ in range(50)]
+    tensors = [random_bitensor(rng) for _ in range(50)]
+    stacked = _transport(np.array([A.mat for A in mats]), np.array([T.t for T in tensors]))
+    for A, T, row in zip(mats, tensors, stacked):
+        assert row.tobytes() == pi_act(A, T).t.tobytes()
+
+
 def test_stacked_lorentz_of_equals_column_by_column():
     rng = np.random.default_rng(60)
     mats = sweep_matrices(rng)
@@ -639,3 +678,19 @@ def test_transport_errors_print_no_warning(call):
     # The tier-1 configuration turns RuntimeWarnings into errors.
     with pytest.raises(ValueError):
         call()
+
+
+def test_stacked_form_dyads_and_involution_equal_one_bitensor():
+    # The kernels under h_form, elementary and involution_J, on stacks, give
+    # each row of the one-value result bit for bit.
+    rng = np.random.default_rng(63)
+    xs = [random_bitensor(rng, 10.0 ** e) for e in rng.uniform(-100, 100, 60)]
+    ys = [random_bitensor(rng) for _ in xs]
+    s = rng.normal(size=(2, 60, 2)) + 1j * rng.normal(size=(2, 60, 2))
+    forms = _polar(np.array([X.t for X in xs]), np.array([Y.t for Y in ys]))
+    dyads = _dyads(s[0], np.conj(s[1]))
+    flips = _involution(np.array([X.t for X in xs]))
+    for X, Y, a, b, h, d, j in zip(xs, ys, s[0], s[1], forms, dyads, flips):
+        assert np.complex128(h_form(X, Y)).tobytes() == h.tobytes()
+        assert elementary(Spinor2.from_vec(a), conjugate(Spinor2.from_vec(b))).t.tobytes() == d.tobytes()
+        assert involution_J(X).t.tobytes() == j.tobytes()

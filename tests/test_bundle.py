@@ -36,7 +36,7 @@ from twospinors import (
     split_conjugate_pair,
     tau,
 )
-from twospinors.bundle import FIBER_TOL, fiber_bound, fiber_test, spin_characters
+from twospinors.bundle import FIBER_TOL, _beta, _in_rest_eigenspace, _split, _to_rest, fiber_bound, fiber_test, spin_characters
 from twospinors.verify import _check_spin_character
 from twospinors.sampling import random_fiber_element, random_su2
 
@@ -414,6 +414,50 @@ def test_stacked_fiber_test_keeps_the_scalar_range(direction):
     assert ok.tolist() == [direction[3] != 0] * len(psis)
 
 
+@pytest.mark.parametrize("direction", [(1, 0, 0, 0), (1, 0, 0, -1), (0.3, -0.2j, 1e-3, 0.7)],
+                         ids=["off-fiber", "rest-eigenvector", "generic"])
+def test_fiber_residual_is_the_fiber_test_residual(direction):
+    # fiber_residual skips fiber_test's verdict, not a bit of its residual.
+    rng = np.random.default_rng(17)
+    for q in [shell_point(1, 0, 0, 0), random_shell(rng), shell_point(0.3, 40.0, -7.0, 2.0)]:
+        for scale in (1e200, 1e-200, 5e-324):
+            v = FourSpinor.from_vec(np.multiply(scale, direction))
+            expected = np.float64(fiber_test(q.p, v.vec, q.m, FIBER_TOL)[0]).tobytes()
+            assert np.float64(fiber_residual(q, v)).tobytes() == expected
+
+
+def test_fiber_test_takes_a_mass_per_row():
+    # A mass per row gives each row the residual and the verdict of its own
+    # one-row call, a rejected row included.
+    rng = np.random.default_rng(23)
+    qs = [random_shell(rng) for _ in range(30)]
+    psis = [fiber_basis(q)[k % 2].vec * 10.0 ** rng.uniform(-200, 200) for k, q in enumerate(qs)]
+    psis[7] = psis[7] + 1e-3 * np.abs(psis[7]).max()
+    p = np.array([q.p.coords for q in qs])
+    m = np.array([q.m for q in qs])
+    residuals, ok = fiber_test(p, np.array(psis), m, FIBER_TOL)
+    for q, v, r, accepted in zip(qs, psis, residuals.tolist(), ok.tolist()):
+        r1, ok1 = fiber_test(q.p, v, q.m, FIBER_TOL)
+        assert (np.float64(r).tobytes(), accepted) == (np.float64(r1).tobytes(), bool(ok1))
+    assert ok.tolist() == [k != 7 for k in range(30)]
+
+
+def test_rest_eigenspace_mask_matches_the_class_rep_constructor():
+    v1, v2 = (v.vec for v in rest_fiber_basis())
+    rows = [s * (c1 * v1 + c2 * v2) for s in (1.0, 1e200, 1e-200, 5e-324, 1e300)
+            for c1, c2 in ((1, 0), (0.5j, -2), (1, 1e-3))]
+    rows += [np.array([1, 0, 0, 0]), np.array([1, 0, 0, -1 + 1e-9]), np.array([1e300, 0, 0, -1e-300])]
+    mask = _in_rest_eigenspace(np.array(rows, dtype=complex))
+    for v, accepted in zip(rows, mask.tolist()):
+        psi = FourSpinor.from_vec(v)
+        if accepted:
+            assert AssociatedClassRep(SL2Element.identity(), psi, 1.0).phi_plus is psi
+        else:
+            with pytest.raises(InvalidClassRep):
+                AssociatedClassRep(SL2Element.identity(), psi, 1.0)
+    assert not mask[-3:].any() and mask[:-3].all()
+
+
 def test_fiber_residual_past_the_float_range_is_inf():
     q = shell_point(1e150, 0, 0, 0)
     assert fiber_residual(q, FourSpinor.from_vec([1e300, 0, 0, 0])) == math.inf
@@ -441,3 +485,22 @@ def test_stacked_spin_characters_equal_scalar():
     grid = np.linspace(0.0, 2.0 * math.pi, 100)
     worst = max(abs(reference_spin_character(t) - 2.0 * math.cos(t)) for t in grid)
     assert _check_spin_character(None, 1).max_defect == worst
+
+
+def test_stacked_bundle_maps_equal_one_class():
+    # The kernels under beta, beta_inv and split_conjugate_pair, on stacks,
+    # give each one-value result bit for bit, a mass per row.
+    rng = np.random.default_rng(29)
+    reps = [AssociatedClassRep(random_sl2(rng), random_rest_eigenvector(rng), float(rng.uniform(0.5, 2.0)))
+            for _ in range(60)]
+    a = np.array([r.A.mat for r in reps])
+    phi = np.array([r.phi_plus.vec for r in reps])
+    p, ok, psi = _beta(a, phi, np.array([r.m for r in reps]))
+    images = [beta(r) for r in reps]
+    back = _to_rest(a, psi)
+    for r, f, row_p, row_psi, row_back, s in zip(reps, images, p, psi, back, _split(phi)):
+        assert (f.q.p.coords.tobytes(), f.psi.vec.tobytes()) == (row_p.tobytes(), row_psi.tobytes())
+        rest = tau(r.A.inverse()) @ f.psi.vec
+        assert row_back.tobytes() == rest.tobytes()
+        assert split_conjugate_pair(r).s.vec.tobytes() == s.tobytes()
+    assert ok.all()

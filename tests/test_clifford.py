@@ -31,7 +31,7 @@ from twospinors import (
     world_basis,
 )
 
-from twospinors.clifford import tau_matrices
+from twospinors.clifford import _anticommutators, _equivariance, _norms4, phi_matrices, tau_matrices
 from twospinors.spinor import spinor_norms
 
 from test_spinor import random_sl2
@@ -120,6 +120,15 @@ def test_phi_matches_dyadic_rule():
         expected = phi_dyad_reference(p, qbar, w)
         worst = max(worst, np.max(np.abs(mat @ w.vec - expected.vec)))
     assert worst <= 1e-13
+
+
+def test_stacked_phi_equals_one_bitensor():
+    rng = np.random.default_rng(75)
+    tensors = [random_bitensor(rng) for _ in range(100)] + list(world_basis())
+    stacked = phi_matrices(np.array([T.t for T in tensors]))
+    assert stacked.shape == (len(tensors), 4, 4)
+    for T, row in zip(tensors, stacked):
+        assert row.tobytes() == phi(T).tobytes()
 
 
 def test_phi_is_linear_in_coefficients():
@@ -355,3 +364,27 @@ def test_four_spinor_norm_keeps_its_range(c):
     # np.linalg.norm gives inf for 1e200 and 0.0 for 1e-200; the 2-spinor
     # norm (math.hypot) gives the coefficient's modulus, and so does this one.
     assert FourSpinor.from_vec([0, c, 0, 0]).norm() == Spinor2(0, c).norm() == abs(c)
+
+
+def test_stacked_clifford_defects_and_norms_equal_one_value():
+    # The kernels under anticommutator_defect, equivariance_defect and
+    # FourSpinor.norm, on stacks, give each one-value result bit for bit.
+    rng = np.random.default_rng(77)
+    xs = [random_bitensor(rng) for _ in range(60)]
+    ys = [random_bitensor(rng) for _ in xs]
+    mats = [random_sl2(rng, 10.0) for _ in xs]
+    vecs = (rng.normal(size=(60, 4)) + 1j * rng.normal(size=(60, 4))) * 10.0 ** rng.uniform(-320, 300, (60, 1))
+    anti = _anticommutators(np.array([X.t for X in xs]), np.array([Y.t for Y in ys]))
+    equi = _equivariance(np.array([A.mat for A in mats]), np.array([X.t for X in xs]))
+    norms = _norms4(vecs)
+    for X, Y, A, v, d1, d2, n in zip(xs, ys, mats, vecs, anti, equi, norms):
+        assert anticommutator_defect(X, Y).tobytes() == d1.tobytes()
+        assert equivariance_defect(A, X).tobytes() == d2.tobytes()
+        assert np.float64(FourSpinor.from_vec(v).norm()).tobytes() == n.tobytes()
+
+
+def test_equivariance_defect_refuses_an_overflowing_transport_silently():
+    # A X A* past the float range is refused as pi_act refuses it, without a
+    # warning (RuntimeWarnings fail the tier-1 run).
+    with pytest.raises(ValueError, match="^bitensor entries must be finite$"):
+        equivariance_defect(SL2Element(np.diag([1e200, 1e-200])), BiTensor(np.ones((2, 2))))

@@ -21,7 +21,7 @@ from twospinors import (
     shell_point,
 )
 
-from twospinors.momentum import accepted_boosts, boost_matrices, shell_momenta
+from twospinors.momentum import _act_momenta, _on_shell, accepted_boosts, boost_matrices, shell_momenta
 
 from test_bitensor import outcome, reference_pi_act, reference_to_minkowski, sweep_matrices
 from test_spinor import random_sl2
@@ -239,6 +239,28 @@ def test_accepted_boosts_agree_with_scalar_checks(m, lo, hi):
             assert ok
 
 
+def test_shell_mask_takes_a_mass_per_row():
+    # Each row against its own mass, as MassShellPoint checks one point.
+    rng = np.random.default_rng(41)
+    rows, masses = [], []
+    for _ in range(40):
+        q = random_shell(rng)
+        rows.append(q.p.coords)
+        masses.append(q.m)
+    rows += [[1.0, 0, 0, 0], [2.0, 0, 0, 0], [-1.0, 0, 0, 0], [math.inf, 0, 0, 0], [1.0, 0, 0, 0]]
+    masses += [1.0, 1.0, 1.0, 1.0, -1.0]
+    p, m = np.array(rows), np.array(masses)
+    mask = _on_shell(p, m)
+    for row, mass, ok in zip(rows, masses, mask.tolist()):
+        try:
+            MassShellPoint(Momentum(*row), mass)
+        except ValueError:
+            assert not ok
+        else:
+            assert ok
+    assert mask.tolist() == [True] * 41 + [False] * 4
+
+
 @pytest.mark.parametrize("m, p3", [(1e-300, 1e10), (1e-315, 3e-7)], ids=["tiny-mass", "subnormal-mass"])
 def test_boost_rep_overflow_is_degenerate(m, p3):
     # shell_point accepts these points; the closed form overflows, and no
@@ -263,3 +285,17 @@ def test_stacked_act_momentum_equals_scalar():
     momenta.append(Momentum(1.0, 0.0, 0.0, 0.5))
     for A, q in zip(mats, momenta):
         assert outcome(act_momentum, A, q) == outcome(reference_act_momentum, A, q)
+
+
+def test_stacked_act_momenta_equal_act_momentum():
+    # Each row of the kernel under act_momentum has act_momentum's bits where
+    # its mask accepts the row, and act_momentum refuses every rejected row.
+    rng = np.random.default_rng(63)
+    mats = sweep_matrices(rng) + [SL2Element(np.diag([1e200, 1e-200])), SL2Element.identity()]
+    coords = [rng.normal(size=4) * 10.0 ** rng.uniform(-3, 3) for _ in mats[:-1]] + [[1.7e308, 0, 0, 1.7e308]]
+    coords[-2] = [1.0, 0.0, 0.0, 0.5]
+    moved, ok = _act_momenta(np.array([A.mat for A in mats]), np.array(coords))
+    for A, c, row, accepted in zip(mats, coords, moved, ok.tolist()):
+        result = outcome(act_momentum, A, Momentum.from_coords(c))
+        assert result == row.tobytes() if accepted else isinstance(result, tuple)
+    assert ok[:-2].any() and not ok[-2:].any()

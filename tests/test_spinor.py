@@ -23,7 +23,7 @@ from twospinors import (
     eps_bar,
 )
 from twospinors.momentum import boost_matrices, shell_momenta
-from twospinors.spinor import _det2, _unimodular
+from twospinors.spinor import _adjugate, _cmul, _cyclic, _det2, _eps, _unimodular
 
 E1 = Spinor2(1, 0)
 E2 = Spinor2(0, 1)
@@ -440,6 +440,33 @@ def test_stacked_det2_equals_one_matrix():
     assert _det2(stack[:500].reshape(20, 25, 2, 2)).tobytes() == one[:500].tobytes()
 
 
+def test_cmul_equals_python_products():
+    # Complex by complex, complex by float (Python's complex * float is the
+    # complex product with imaginary part +0.0) and float by complex, signed
+    # zeros and non-finite parts included.
+    rng = np.random.default_rng(73)
+    x = np.concatenate([rng.normal(size=300) + 1j * rng.normal(size=300),
+                        [complex(-0.0, 2), complex(0.0, -0.0), complex(np.inf, 1), complex(1e300, 1e300)]])
+    y = np.concatenate([rng.normal(size=300) + 1j * rng.normal(size=300),
+                        [complex(3, -0.0), complex(-0.0, -0.0), complex(0.0, 1), complex(1e10, -1e300)]])
+    f = np.concatenate([rng.normal(size=300), [-0.0, 0.0, -2.0, 1e300]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        pairs = [(_cmul(x, y), [a * b for a, b in zip(x.tolist(), y.tolist())]),
+                 (_cmul(x, f), [a * b for a, b in zip(x.tolist(), f.tolist())]),
+                 (_cmul(f, y), [a * b for a, b in zip(f.tolist(), y.tolist())])]
+    for stacked, python in pairs:
+        assert stacked.tobytes() == np.array(python, dtype=complex).tobytes()
+
+
+def test_stacked_adjugate_equals_inverse():
+    rng = np.random.default_rng(74)
+    mats = [random_sl2(rng) for _ in range(100)] + [SL2Element([[complex(1, -0.0), 0], [0, 1]])]
+    stacked = _adjugate(np.array([A.mat for A in mats]))
+    for A, row in zip(mats, stacked):
+        assert row.tobytes() == A.inverse().mat.tobytes()
+        np.testing.assert_allclose((A @ A.inverse()).mat, np.eye(2), atol=1e-12)
+
+
 def _sl2_accepts(mat) -> bool:
     try:
         SL2Element(mat)
@@ -479,3 +506,16 @@ def test_overflowing_norm_is_silently_inf():
     assert CoSpinor2(0, -1.7e308j - 1.7e308).norm() == math.inf
     assert FourSpinor.from_vec([1.7e308 + 1.7e308j, 0, 0, 0]).norm() == math.inf
 
+
+
+def test_stacked_eps_and_cyclic_equal_one_triple():
+    # The stacked rows of the kernels under eps and cyclic_defect equal the
+    # one-value results, which take the Python-complex path, bit for bit.
+    rng = np.random.default_rng(76)
+    v = (rng.normal(size=(3, 200, 2)) + 1j * rng.normal(size=(3, 200, 2))) * 10.0 ** rng.uniform(-50, 50, (3, 200, 1))
+    x, y, z = v
+    stacked_eps, stacked_cyclic = _eps(x, y), _cyclic(x, y, z)
+    for a, b, c, e, r in zip(x, y, z, stacked_eps, stacked_cyclic):
+        s = [Spinor2.from_vec(u) for u in (a, b, c)]
+        assert np.complex128(eps(s[0], s[1])).tobytes() == e.tobytes()
+        assert cyclic_defect(*s).vec.tobytes() == r.tobytes()

@@ -1,9 +1,13 @@
-"""The verification report: determinism, coverage, and the corruption hook."""
+"""The verification report: determinism, coverage, the corruption hook, and
+each stacked check against its scalar reference."""
+
+import math
 
 import numpy as np
 import pytest
+import scalar_verify
 
-from twospinors import run_verification
+from twospinors import NumericalDrift, run_verification, sampling, verify, world_basis
 from twospinors.verify import CONVENTIONS, _sweep
 
 EXPECTED_CHECKS = {
@@ -78,10 +82,8 @@ def test_corruption_hook_fails_and_names_relation():
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), np.float64("nan")])
 def test_sweep_fails_on_non_finite_defect(bad):
     @_sweep("probe", 1.0)
-    def probe(rng):
-        yield 0.25
-        yield bad
-        yield 0.5
+    def probe(rng, n):
+        return np.array([[0.25, bad, 0.5]])
 
     result = probe(np.random.default_rng(0), 1)
     assert not result.passed
@@ -90,11 +92,137 @@ def test_sweep_fails_on_non_finite_defect(bad):
 
 
 def test_sweep_names_first_non_finite_sample():
-    defects = iter([0.1, 0.2, float("nan"), 0.3, float("nan")])
-
     @_sweep("probe", 1.0)
-    def probe(rng):
-        yield next(defects)
+    def probe(rng, n):
+        return np.array([0.1, 0.2, float("nan"), 0.3, float("nan")])
 
     result = probe(np.random.default_rng(0), 5)
     assert (result.passed, result.max_defect, result.detail) == (False, 0.3, "non-finite defect at sample 2")
+
+
+def test_sweep_reports_no_negative_zero():
+    @_sweep("probe", 0.0)
+    def probe(rng, n):
+        return np.full((n, 2), -0.0)
+
+    result = probe(np.random.default_rng(0), 3)
+    assert result.passed and math.copysign(1.0, result.max_defect) == 1.0
+
+
+@pytest.mark.parametrize("samples", [1, 10, 200])
+@pytest.mark.parametrize("name", list(scalar_verify.CHECKS))
+def test_stacked_check_equals_scalar_reference(name, samples):
+    # Same draws (the generator ends in the same state) and the same fold of
+    # the same defects, bit for bit, as the scalar API one sample at a time.
+    reference, stacked = scalar_verify.CHECKS[name], getattr(verify, "_check_" + name)
+    for seed in range(8):
+        r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert stacked(r2, samples) == reference(r1, samples), seed
+        assert r2.bit_generator.state == r1.bit_generator.state, seed
+
+
+def test_every_sampled_check_has_a_reference():
+    sampled = {name[len("_check_"):] for name, value in vars(verify).items()
+               if name.startswith("_check_") and callable(value)}
+    assert sampled - set(scalar_verify.CHECKS) == {"signature", "gamma_relations", "rest_fiber", "spin_character"}
+
+
+def test_signature_names_the_worst_gram_entry(monkeypatch):
+    # Right eigenvalue signs but a Gram defect over the bound: detail names
+    # the entry, as the gamma-table check does.
+    u = list(world_basis())
+    u[2] = u[2] * (1.0 + 1e-12)
+    monkeypatch.setattr(verify, "world_basis", lambda: tuple(u))
+    result = verify._check_signature(None, 1)
+    assert not result.passed
+    assert result.detail == "worst entry: u(2), u(2)"
+
+
+def test_passing_signature_has_no_detail():
+    assert verify._check_signature(None, 1).detail == ""
+
+
+def test_samplers_draw_and_build_as_the_scalar_generators():
+    # random_sl2, random_su2 and random_fiber_element wrap the raw draws the
+    # stacked checks use; they give the scalar generators' values and leave
+    # the generator in the same state.
+    for seed in range(8):
+        r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(20):
+            assert sampling.random_sl2(r2, 10.0).mat.tobytes() == scalar_verify.random_sl2(r1, 10.0).mat.tobytes()
+            assert sampling.random_su2(r2).mat.tobytes() == scalar_verify.random_su2(r1).mat.tobytes()
+            f, g = sampling.random_fiber_element(r2), scalar_verify.random_fiber_element(r1)
+            assert (f.q.p.coords.tobytes(), f.q.m, f.psi.vec.tobytes()) == (
+                g.q.p.coords.tobytes(), g.q.m, g.psi.vec.tobytes())
+        assert r2.bit_generator.state == r1.bit_generator.state
+
+
+def test_rejected_sample_raises_the_constructor_error(monkeypatch):
+    # A draw the stacked mask rejects goes to the scalar constructor.
+    bad = np.array([[1.0, 0.0], [0.0, 2.0]], dtype=complex)
+    monkeypatch.setattr(verify, "_sl2_matrix", lambda rng, max_norm=4.0: bad)
+    with pytest.raises(NumericalDrift, match="^determinant \\(2\\+0j\\) differs from 1 by more than 1e-12"):
+        verify._check_duality(np.random.default_rng(0), 3)
+
+
+def test_mask_rejecting_what_the_scalar_path_accepts_is_reported(monkeypatch):
+    monkeypatch.setattr(verify, "_unimodular", lambda a: np.arange(len(a)) != 1)
+    with pytest.raises(NumericalDrift, match="^stacked check rejected sample 1, which the scalar path accepts$"):
+        verify._check_covering_hom(np.random.default_rng(0), 3)
+
+
+def test_first_refused_sample_in_drawing_order_raises(monkeypatch):
+    # Sample 1 passes the determinant mask but overflows act_momentum; sample
+    # 3 fails the determinant mask, which the check applies first.  The error
+    # is sample 1's, as the one-sample scalar path raised it.  The fake draw
+    # keys its matrix to the generator's output, so a redraw repeats it.
+    bad = {1: np.diag([1e200, 1e-200]).astype(complex), 3: np.diag([1.0, 2.0]).astype(complex)}
+    order = {}
+
+    def draw(rng, max_norm=4.0):
+        i = order.setdefault(rng.uniform(), len(order))
+        return bad.get(i, np.eye(2, dtype=complex))
+
+    monkeypatch.setattr(verify, "_sl2_matrix", draw)
+    with pytest.raises(ValueError) as info:
+        verify._check_duality(np.random.default_rng(0), 6)
+    assert (type(info.value), str(info.value)) == (ValueError, "bitensor entries must be finite")
+    # Alone, sample 3 raises the determinant error.
+    del bad[1]
+    order.clear()
+    with pytest.raises(NumericalDrift, match="^determinant"):
+        verify._check_duality(np.random.default_rng(0), 6)
+
+
+@pytest.mark.parametrize("name", list(scalar_verify.CHECKS))
+def test_blocks_draw_and_fold_as_one_block(monkeypatch, name):
+    # A check runs in blocks of _BLOCK samples; blocks of 7 draw the same
+    # samples, leave the generator in the same state and fold to the same
+    # result as one block.
+    check = getattr(verify, "_check_" + name)
+    r1, r2 = np.random.default_rng(5), np.random.default_rng(5)
+    whole = check(r1, 30)
+    monkeypatch.setattr(verify, "_BLOCK", 7)
+    assert check(r2, 30) == whole
+    assert r2.bit_generator.state == r1.bit_generator.state
+
+
+def test_blocks_name_the_first_non_finite_sample(monkeypatch):
+    monkeypatch.setattr(verify, "_BLOCK", 2)
+    defects = iter([[0.1, 0.2], [0.3, float("nan")], [float("inf")]])
+
+    @_sweep("probe", 1.0)
+    def probe(rng, n):
+        return np.array(next(defects))
+
+    result = probe(np.random.default_rng(0), 5)
+    assert (result.passed, result.max_defect, result.detail) == (False, 0.3, "non-finite defect at sample 3")
+
+
+def test_a_rejected_copy_names_its_sample(monkeypatch):
+    # The two-to-one check stacks A and -A: row n + i is a copy of sample i.
+    # Here the mask rejects -A of sample 1 (row 4 of 6, row 3 of 4), which
+    # lorentz_of accepts.
+    monkeypatch.setattr(verify, "_proper_lorentz", lambda L: np.arange(len(L)) != len(L) // 2 + 1)
+    with pytest.raises(NumericalDrift, match="^stacked check rejected sample 1, which the scalar path accepts$"):
+        verify._check_covering_two_to_one(np.random.default_rng(0), 3)

@@ -15,6 +15,7 @@ rest-eigenspace isomorphism yields a conjugate pair of 2-spinors.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -252,10 +253,24 @@ def _split(phi) -> np.ndarray:
     return phi[..., :2]
 
 
+def _phases(ts) -> tuple[np.ndarray, np.ndarray]:
+    """cos t and sin t of each angle of ts, by math: exactly the parts of
+    cmath.exp(1j * t), which are exp(0) * cos t and exp(0) * sin t.  A
+    non-finite angle gives nan parts, as cmath.exp does (math.cos raises on
+    inf)."""
+    t = np.asarray(ts, dtype=float)
+    t = np.where(np.isinf(t), np.nan, t).tolist()
+    return np.array(list(map(math.cos, t))), np.array(list(map(math.sin, t)))
+
+
 def spin_characters(ts) -> np.ndarray:
     """spin_character at every angle of ts, as one stacked trace on the rest
     eigenspace of tau; each entry equals spin_character of that angle."""
-    a = np.array([[[cmath.exp(1j * t), 0.0], [0.0, cmath.exp(-1j * t)]] for t in ts], dtype=complex)
+    cos, sin = _phases(ts)
+    # The diagonal phases exp(it) and exp(-it), parts stored exactly.
+    a = np.zeros(cos.shape + (2, 2), dtype=complex)
+    a.real[:, 0, 0] = a.real[:, 1, 1] = cos
+    a.imag[:, 0, 0], a.imag[:, 1, 1] = sin, -sin
     p_plus = (gamma(0) + np.eye(4)) / 2.0
     return np.trace(p_plus @ tau_matrices(a), axis1=-2, axis2=-1)
 

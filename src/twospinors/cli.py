@@ -12,15 +12,16 @@ Commands
 All numeric output is decimal with 17 significant digits; files are UTF-8
 with LF line endings, one record object per line, header line first.  Exit
 codes: 0 success, 1 verification failure, 2 usage error, 3 numeric
-precondition failure.
+precondition failure.  The argument parser is built once per process, on
+the first call of main, and reused by every later call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
@@ -197,7 +198,7 @@ def _cmd_verify(args) -> int:
     payload = {
         "header": _header(seed=args.seed),
         "samples": report.samples,
-        "checks": [asdict(c) for c in report.checks],
+        "checks": [vars(c) for c in report.checks],
         "passed": report.passed,
     }
 
@@ -512,9 +513,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of main, built on its first call: one per process.  A parse
+    fills a fresh namespace, so no call sees another's arguments."""
+    return _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:  # every typed numeric error is a ValueError

@@ -29,7 +29,12 @@ def _sl2_matrix(rng, max_norm: float = 4.0) -> np.ndarray:
     array with bounded Frobenius norm; near-singular draws are rejected to
     keep the bound effective."""
     while True:
-        m = rng.normal(0.0, 1.0, (2, 2)) + 1j * rng.normal(0.0, 1.0, (2, 2))
+        # One generator call per try: the four real parts, then the four
+        # imaginary parts, stored exactly (re + 1j * im would multiply).
+        g = rng.normal(0.0, 1.0, 8)
+        m = np.empty((2, 2), dtype=complex)
+        m.real = g[:4].reshape(2, 2)
+        m.imag = g[4:].reshape(2, 2)
         d = _det2(m)
         if abs(d) < 0.25:
             continue

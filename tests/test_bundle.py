@@ -37,6 +37,7 @@ from twospinors import (
     tau,
 )
 from twospinors.bundle import FIBER_TOL, _beta, _in_rest_eigenspace, _split, _to_rest, fiber_bound, fiber_test, spin_characters
+from twospinors.clifford import tau_matrices
 from twospinors.verify import _check_spin_character
 from twospinors.sampling import random_fiber_element, random_su2
 
@@ -485,6 +486,31 @@ def test_stacked_spin_characters_equal_scalar():
     grid = np.linspace(0.0, 2.0 * math.pi, 100)
     worst = max(abs(reference_spin_character(t) - 2.0 * math.cos(t)) for t in grid)
     assert _check_spin_character(None, 1).max_defect == worst
+
+
+def cmath_spin_characters(ts):
+    # The diagonal phases as cmath.exp gives them, built from nested lists.
+    a = np.array([[[cmath.exp(1j * t), 0.0], [0.0, cmath.exp(-1j * t)]] for t in ts], dtype=complex)
+    p_plus = (gamma(0) + np.eye(4)) / 2.0
+    return np.trace(p_plus @ tau_matrices(a), axis1=-2, axis2=-1)
+
+
+@pytest.mark.parametrize("ts", [
+    np.linspace(0.0, 2.0 * math.pi, 100),
+    [0.0, -0.0, math.pi, -math.pi, 2.0 * math.pi, 1e300, -1e300, -2.5, 5e-324, -5e-324],
+], ids=["grid", "special"])
+def test_spin_characters_equal_the_cmath_phases(ts):
+    # The phases from math.cos and math.sin give the characters of the
+    # cmath.exp phases bit for bit, signed zeros included.
+    assert spin_characters(ts).tobytes() == cmath_spin_characters(ts).tobytes()
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_spin_character_of_a_non_finite_angle_is_nan(t):
+    # math.cos raises on inf where cmath.exp(1j * inf) is nan.
+    c = spin_character(t)
+    assert math.isnan(c.real) and math.isnan(c.imag)
+    assert np.isnan(cmath_spin_characters([t])).all()
 
 
 def test_stacked_bundle_maps_equal_one_class():

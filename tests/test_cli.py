@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from twospinors import fiber_projector, shell_point
+from twospinors import cli, fiber_projector, shell_point
 from twospinors.cli import _build_parser, _jdump, _parse_grid, _record_line, field_records, main
 
 GAMMA0 = [
@@ -500,6 +500,37 @@ def test_unread_option_is_a_usage_error(capsys, argv, flag):
 @pytest.mark.parametrize("argv, attr, value", KEPT_FLAGS.values(), ids=KEPT_FLAGS)
 def test_read_option_parses(argv, attr, value):
     assert getattr(_build_parser().parse_args(argv), attr) == value
+
+
+def call_main(capsys, argv):
+    """Exit code and stdout of one main call, a usage error included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    # main parses with one parser per process.  Each call of a sequence gives
+    # the exit code and stdout of the same call on a freshly built parser: no
+    # corruption, usage error or option carries over to the next call.
+    assert cli._parser() is cli._parser()
+    out = str(tmp_path / "field.ndjson")
+    calls = [
+        (["verify", "--samples", "5", "--corrupt-gamma", "0,1,1"], 1),
+        (["verify", "--samples", "5"], 0),
+        (["solve", "-m", "1", "--seed", "1", "--", "0", "0", "0"], 2),
+        (["solve", "-m", "1", "--", "0.3", "-0.2", "0.1"], 0),
+        (["sample-field", "-m", "1", "--grid", "2:-1:1", "--out", out, "--format", "json"], 0),
+        (["planewave-check", "-m", "1", "--", "0.5", "0.3", "0.4"], 0),
+    ]
+    shared = [call_main(capsys, argv) for argv, _ in calls]
+    assert [code for code, _ in shared] == [code for _, code in calls]
+    field = (tmp_path / "field.ndjson").read_bytes()
+    monkeypatch.setattr(cli, "_parser", _build_parser)
+    assert [call_main(capsys, argv) for argv, _ in calls] == shared
+    assert (tmp_path / "field.ndjson").read_bytes() == field
 
 
 # --- process-level behavior ----------------------------------------------------------

@@ -1,13 +1,17 @@
 """The verification report: determinism, coverage, the corruption hook, and
 each stacked check against its scalar reference."""
 
+import cmath
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 import scalar_verify
 
 from twospinors import NumericalDrift, run_verification, sampling, verify, world_basis
+from twospinors.bitensor import _polar
+from twospinors.spinor import _cyclic, _det2, _eps
 from twospinors.verify import CONVENTIONS, _sweep
 
 EXPECTED_CHECKS = {
@@ -109,6 +113,50 @@ def test_sweep_reports_no_negative_zero():
     assert result.passed and math.copysign(1.0, result.max_defect) == 1.0
 
 
+# Stacked kernels on (n, 8) complex rows z; each one's defect is its modulus.
+STACKED_KERNELS = {
+    "det2": lambda z: _det2(z[:, :4].reshape(-1, 2, 2)),
+    "eps": lambda z: _eps(z[:, :2], z[:, 2:4]),
+    "cyclic": lambda z: _cyclic(z[:, :2], z[:, 2:4], z[:, 4:6]),
+    "polar": lambda z: _polar(z[:, :4].reshape(-1, 2, 2), z[:, 4:].reshape(-1, 2, 2)),
+}
+
+
+@pytest.mark.parametrize("kernel", STACKED_KERNELS.values(), ids=STACKED_KERNELS)
+def test_overflowing_stacked_kernel_is_a_non_finite_defect(kernel):
+    # Sample 2 scaled to 1e160 overflows each kernel, which numpy warns of
+    # (an error in this suite); inside a sweep the overflow is silent, as on
+    # the one-value path, and fails the check at that sample.
+    def scaled(rng, n):
+        z = verify._complexes(rng.normal(0.0, 1.0, (n, 16)))
+        z[2] *= 1e160
+        return z
+
+    with pytest.raises(RuntimeWarning, match="overflow"):
+        kernel(scaled(np.random.default_rng(0), 4))
+
+    @_sweep("probe", 1.0)
+    def probe(rng, n):
+        return verify._cabs(kernel(scaled(rng, n))).reshape(n, -1)
+
+    result = probe(np.random.default_rng(0), 4)
+    assert (result.passed, result.detail) == (False, "non-finite defect at sample 2")
+
+
+def test_overflowing_cyclic_check_is_a_non_finite_defect(monkeypatch):
+    # The cyclic check itself, fed spinors scaled to 1e150 at sample 1: the
+    # products of eps with a coefficient pass the float range.
+    draw, samples = verify._uniform_spinors, iter(range(3))
+
+    def scaled(rng):
+        scale = 1e150 if next(samples) == 1 else 1.0
+        return [x * scale for x in draw(rng)]
+
+    monkeypatch.setattr(verify, "_uniform_spinors", scaled)
+    result = verify._check_cyclic(np.random.default_rng(0), 3)
+    assert (result.passed, result.detail) == (False, "non-finite defect at sample 1")
+
+
 @pytest.mark.parametrize("samples", [1, 10, 200])
 @pytest.mark.parametrize("name", list(scalar_verify.CHECKS))
 def test_stacked_check_equals_scalar_reference(name, samples):
@@ -155,6 +203,38 @@ def test_samplers_draw_and_build_as_the_scalar_generators():
             assert (f.q.p.coords.tobytes(), f.q.m, f.psi.vec.tobytes()) == (
                 g.q.p.coords.tobytes(), g.q.m, g.psi.vec.tobytes())
         assert r2.bit_generator.state == r1.bit_generator.state
+
+
+def old_sl2_tries(rng, max_norm):
+    """The outcome of each try of the two-call draw loop up to its next
+    accepted matrix: "singular", "norm" or "accepted"."""
+    outcomes = []
+    while outcomes[-1:] != ["accepted"]:
+        m = rng.normal(0.0, 1.0, (2, 2)) + 1j * rng.normal(0.0, 1.0, (2, 2))
+        d = _det2(m)
+        if abs(d) < 0.25:
+            outcomes.append("singular")
+        else:
+            outcomes.append("norm" if np.linalg.norm(m / cmath.sqrt(d)) > max_norm else "accepted")
+    return outcomes
+
+
+@pytest.mark.parametrize("max_norm", [4.0, 10.0])
+def test_sl2_draw_is_the_two_call_stream(max_norm):
+    # One generator call of eight normals per try gives the matrices of the
+    # two (2, 2) calls re + 1j * im, and the same generator state after every
+    # draw.  The loop counts the rejections the draws pass through; a norm
+    # rejection is too rare to meet at max_norm 10 (none in 30,000 draws).
+    outcomes = Counter()
+    for seed in range(100):
+        r1, r2, r3 = (np.random.default_rng(seed) for _ in range(3))
+        for _ in range(20):
+            assert sampling._sl2_matrix(r2, max_norm).tobytes() == scalar_verify.random_sl2(r1, max_norm).mat.tobytes()
+            assert r2.bit_generator.state == r1.bit_generator.state
+            outcomes.update(old_sl2_tries(r3, max_norm))
+        assert r3.bit_generator.state == r1.bit_generator.state
+    assert outcomes["singular"] > 0
+    assert outcomes["norm"] > 0 or max_norm == 10.0
 
 
 def test_rejected_sample_raises_the_constructor_error(monkeypatch):

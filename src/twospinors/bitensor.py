@@ -111,10 +111,8 @@ def lorentz_defect(m: np.ndarray):
     """Metric-orthogonality defect max|m^T eta m - eta| of a 4x4 matrix (a
     float) or of each matrix of a (..., 4, 4) stack (an array, each row equal
     to the one-matrix defect bit for bit); zero exactly for Lorentz matrices,
-    inf or nan (without a warning) on overflow."""
-    with np.errstate(all="ignore"):
-        d = np.abs(m.swapaxes(-1, -2) @ ETA @ m - ETA)
-    return float(np.max(d)) if d.ndim == 2 else np.max(d, axis=(-2, -1))
+    inf or nan (without a warning) on overflow: _lorentz_test's defect."""
+    return _lorentz_test(m)[0]
 
 
 class LorentzMatrix(_Frozen):
@@ -128,29 +126,30 @@ class LorentzMatrix(_Frozen):
 
     def __init__(self, mat):
         self._bind("mat", mat, float, (4, 4), "a 4x4 matrix", "matrix entries")
-        defect = lorentz_defect(self.mat)
-        if defect > LORENTZ_TOL:
+        defect, det, (metric, unit, forward) = _lorentz_test(self.mat)
+        if not metric:
             raise NumericalDrift(f"metric-orthogonality defect {defect:.3e} exceeds {LORENTZ_TOL}")
-        det = np.linalg.det(self.mat)
-        if abs(det - 1.0) > LORENTZ_TOL:
+        if not unit:
             raise NumericalDrift(f"determinant {det} is not 1 to within {LORENTZ_TOL}")
-        if self.mat[0, 0] < 1.0 - LORENTZ_TOL:
+        if not forward:
             raise NumericalDrift(f"time-time entry {self.mat[0, 0]} violates orthochronicity")
 
     def __reduce__(self):
         return (LorentzMatrix, (self.mat.tolist(),))
 
 
-def _proper_lorentz(m: np.ndarray) -> np.ndarray:
-    """Mask of the stacked (..., 4, 4) matrices that LorentzMatrix accepts, by
-    its own checks: finite entries, metric defect, determinant and L00."""
+def _lorentz_test(m: np.ndarray):
+    """LorentzMatrix's test of one 4x4 matrix or a (..., 4, 4) stack: the
+    metric defect (a float for one) and the determinant, and the verdicts
+    (metric, det = 1, L00 >= 1), each within LORENTZ_TOL; nan fails each,
+    silently.  A stack's mask is these verdicts and finite entries."""
     with np.errstate(all="ignore"):
-        return (
-            np.isfinite(m).all(axis=(-2, -1))
-            & (lorentz_defect(m) <= LORENTZ_TOL)
-            & (np.abs(np.linalg.det(m) - 1.0) <= LORENTZ_TOL)
-            & (m[..., 0, 0] >= 1.0 - LORENTZ_TOL)
-        )
+        d = np.abs(m.swapaxes(-1, -2) @ ETA @ m - ETA)
+        det = np.linalg.det(m)
+    defect = float(np.max(d)) if m.ndim == 2 else np.max(d, axis=(-2, -1))
+    # One matrix's L00 a numpy float: cheaper to compare than a 0-d array.
+    l00 = m[0, 0] if m.ndim == 2 else m[..., 0, 0]
+    return defect, det, (defect <= LORENTZ_TOL, abs(det - 1.0) <= LORENTZ_TOL, l00 >= 1.0 - LORENTZ_TOL)
 
 
 def elementary(x: Spinor2, ybar: CoSpinor2) -> BiTensor:
@@ -180,18 +179,10 @@ def _involution(t) -> np.ndarray:
     return np.ascontiguousarray(np.conj(t).swapaxes(-1, -2))
 
 
-def _reality_defects(t: np.ndarray) -> np.ndarray:
-    """Frobenius distances of stacked (..., 2, 2) matrices from their conjugate
-    transposes, each np.linalg.norm of one row's T - T* (inf on overflow)."""
-    d = t - np.conj(np.swapaxes(t, -1, -2))
-    return spinor_norms(d.reshape(d.shape[:-2] + (4,)))
-
-
 def reality_defect(T: BiTensor) -> float:
     """Frobenius distance of T from its involution image (0 iff Hermitian;
-    inf, without a warning, when T - T* overflows)."""
-    with np.errstate(all="ignore"):
-        return float(_reality_defects(T.t))
+    inf, without a warning, when T - T* overflows): _world_coords' defect."""
+    return float(_world_coords(T.t)[1])
 
 
 def project_real(T: BiTensor) -> BiTensor:
@@ -259,21 +250,24 @@ def _transport(a: np.ndarray, t) -> np.ndarray:
         return (a @ t) @ a.conj().swapaxes(-1, -2)
 
 
-def _world_coords(t) -> tuple[np.ndarray, np.ndarray]:
+def _world_coords(t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """World coordinates (..., 4) and reality defects (...) of stacked
-    (..., 2, 2) bitensor matrices; the kernel under to_minkowski.
+    (..., 2, 2) bitensor matrices, and whether each defect is within
+    REALITY_TOL: the reality test, and the kernel under to_minkowski.
 
     Coordinate i is tr(u_i T), which recovers the coefficient of u_i because
     the u_i are trace-orthonormal: tr(u_i u_j) = delta_ij.  The stacked
     np.trace sums each diagonal as the unstacked one does (signed zeros
-    included), so every row equals the scalar result bit for bit.  A row with
-    a non-finite entry gets a non-finite defect.
-    Overflow gives non-finite values without a warning.
+    included), so every row equals the scalar result bit for bit.  A
+    non-finite entry gives a non-finite defect; overflow is silent.
     """
     t = np.asarray(t, dtype=complex)
     with np.errstate(all="ignore"):
         coords = np.trace(_WORLD_STACK @ t[..., None, :, :], axis1=-2, axis2=-1).real
-        return coords, _reality_defects(t)
+        # Each defect is np.linalg.norm of one row's T - T*.
+        d = t - np.conj(np.swapaxes(t, -1, -2))
+        defects = spinor_norms(d.reshape(d.shape[:-2] + (4,)))
+    return coords, defects, defects <= REALITY_TOL
 
 
 def to_minkowski(T: BiTensor) -> MinkowskiVec:
@@ -282,8 +276,8 @@ def to_minkowski(T: BiTensor) -> MinkowskiVec:
     Raises NotReal rather than silently projecting when T fails the
     Hermitian check: a non-real input signals an upstream bug.
     """
-    coords, defect = _world_coords(T.t)
-    if defect > REALITY_TOL:
+    coords, defect, real = _world_coords(T.t)
+    if not real:
         raise NotReal(f"reality defect {defect:.3e} exceeds {REALITY_TOL}")
     return MinkowskiVec.from_coords(coords)
 
@@ -341,9 +335,9 @@ def _covering(a: np.ndarray):
     column j the world coordinates of a u_j a*, from one stacked transport of
     the world basis; with the (..., 4) mask of the columns that are finite
     real vectors and their reality defects.  The kernel under lorentz_of."""
-    cols, defects = _world_coords(_transport(a[..., None, :, :], _WORLD_STACK))
+    cols, defects, real = _world_coords(_transport(a[..., None, :, :], _WORLD_STACK))
     # A non-finite entry gives a non-finite defect, which fails the test.
-    real = (defects <= REALITY_TOL) & np.isfinite(cols).all(axis=-1)
+    real &= np.isfinite(cols).all(axis=-1)
     # C order, as column_stack gives, for the same products in lorentz_defect.
     return np.ascontiguousarray(cols.swapaxes(-1, -2)), real, defects
 

@@ -14,7 +14,6 @@ rest-eigenspace isomorphism yields a conjugate pair of 2-spinors.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -137,21 +136,21 @@ class AssociatedClassRep:
 
     def __post_init__(self):
         object.__setattr__(self, "m", _require_mass(self.m))
-        w, e = _scaled(self.phi_plus.vec)
-        d, n = (_unscaled(x, e) for x in spinor_norms([gamma(0) @ w - w, w]).tolist())
-        bound = SPLUS_TOL * _max1(n)
-        # An overflowing defect fails, even against an overflowing bound.
-        if not (cmath.isfinite(d) and d <= bound):
+        d, bound, ok = _in_rest_eigenspace(self.phi_plus.vec)
+        if not ok:
             raise InvalidClassRep(f"rest-eigenspace defect {d:.3e} exceeds {bound:.3e}")
 
 
-def _in_rest_eigenspace(phi) -> np.ndarray:
-    """Mask of the stacked (..., 4) 4-spinors that AssociatedClassRep accepts
-    as phi_plus, by its own check on its own scaling: silent on overflow."""
-    with np.errstate(all="ignore"):
-        w, e = _scaled(phi)
-        d = np.ldexp(spinor_norms(np.matvec(gamma(0), w) - w), e)
-        return np.isfinite(d) & (d <= SPLUS_TOL * _max1(np.ldexp(spinor_norms(w), e)))
+def _in_rest_eigenspace(phi):
+    """AssociatedClassRep's test of one 4-spinor or a (..., 4) stack: the
+    defect |gamma(0) psi - psi| and the bound SPLUS_TOL * max(1, |psi|), each
+    taken on psi scaled by a power of two (_scaled) and scaled back exactly
+    (inf past the float range, silently), and whether the defect is finite
+    and within the bound."""
+    w, e = _scaled(phi)
+    d, n = _unscaled(spinor_norms([np.matvec(gamma(0), w) - w, w]), e)
+    bound = SPLUS_TOL * _max1(n)
+    return d, bound, (d <= bound) & (d < math.inf)
 
 
 @dataclass(frozen=True)

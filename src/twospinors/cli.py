@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from .bitensor import ETA, lorentz_defect, lorentz_of
+from .bitensor import ETA, _lorentz_test, lorentz_of
 from .bundle import (
     AssociatedClassRep,
     fiber_basis,
@@ -175,12 +175,13 @@ def _cmd_lorentz(args) -> int:
     mat = [[complex(e[0], e[1]), complex(e[2], e[3])], [complex(e[4], e[5]), complex(e[6], e[7])]]
     A = SL2Element(mat)
     lam = lorentz_of(A).mat
+    eta_defect, det, _ = _lorentz_test(lam)
     payload = {
         "header": _header(),
         "sl2": _pairs(np.asarray(mat)),
         "lorentz": _reals(lam),
-        "eta_defect": lorentz_defect(lam),
-        "det_defect": float(abs(np.linalg.det(lam) - 1.0)),
+        "eta_defect": eta_defect,
+        "det_defect": float(abs(det - 1.0)),
     }
 
     def render(p):

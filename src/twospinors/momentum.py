@@ -16,7 +16,6 @@ import numpy as np
 
 from .bitensor import (
     _WORLD_STACK,
-    REALITY_TOL,
     Momentum,
     _coords,
     _expand,
@@ -57,10 +56,16 @@ def _require_mass(m) -> float:
     return m
 
 
-def _shell_bound(m):
-    """Largest accepted dispersion defect |q_form(p) - m^2| on the shell of mass
-    m (a float, or an array of masses)."""
-    return SHELL_TOL * _max1(m * m)
+def _shell_test(p, m):
+    """MassShellPoint's test of one four-vector's coordinates or a (..., 4)
+    stack, at one mass or one per row: the defect |q_form(p) - m^2| and the
+    verdicts (on the shell: within SHELL_TOL * max(1, m^2), nan fails;
+    forward: p0 > 0), silently.  A stack's mask adds a valid mass and finite p."""
+    with np.errstate(all="ignore"):
+        defect = abs(q_form(p) - m * m)
+        on_shell = defect <= SHELL_TOL * _max1(m * m)
+    # One vector's p0 as a numpy scalar: cheaper than a 0-d comparison.
+    return defect, (on_shell, (p[0] if p.ndim == 1 else p[..., 0]) > 0)
 
 
 @dataclass(frozen=True)
@@ -74,11 +79,10 @@ class MassShellPoint:
     def __post_init__(self):
         m = _require_mass(self.m)
         object.__setattr__(self, "m", m)
-        with np.errstate(all="ignore"):
-            defect = abs(q_form(self.p) - m * m)
-        if not (defect <= _shell_bound(m)):
+        defect, (on_shell, forward) = _shell_test(self.p.coords, m)
+        if not on_shell:
             raise NotOnShell(f"dispersion defect {defect:.3e} exceeds tolerance for m={m}")
-        if self.p.p0 <= 0:
+        if not forward:
             raise NotOnShell(f"p0 = {self.p.p0} is not on the forward shell")
 
 
@@ -119,26 +123,16 @@ def boost_matrices(p, m: float) -> np.ndarray:
     return (H + _ID2) / np.sqrt(tr + 2.0)[..., None, None]
 
 
-def _on_shell(p: np.ndarray, m) -> np.ndarray:
-    """Mask of the stacked (..., 4) momenta that MassShellPoint accepts at mass
-    m (one mass, or one per row), by its own checks on their own formulas
-    (_require_mass, q_form and _shell_bound).  Silent on overflow."""
-    with np.errstate(all="ignore"):
-        return (
-            np.isfinite(m) & (m > 0)
-            & np.isfinite(p).all(axis=-1)
-            & (np.abs(q_form(p) - m * m) <= _shell_bound(m))
-            & (p[..., 0] > 0)
-        )
-
-
-def accepted_boosts(p: np.ndarray, m: float, A: np.ndarray) -> np.ndarray:
+def accepted_boosts(p: np.ndarray, m, A: np.ndarray) -> np.ndarray:
     """Mask of the rows of shell_momenta / boost_matrices output on which
-    shell_point and boost_rep succeed: on the forward shell (_on_shell), with
-    a finite unimodular boost (spinor._unimodular), so that a rejected row can
-    be handed to the scalar path for its typed error.
-    """
-    return _on_shell(p, m) & _unimodular(A)
+    shell_point and boost_rep succeed, at one mass or one per row: on the
+    forward shell (_shell_test) with a finite unimodular boost (_unimodular),
+    so that a rejected row can go to the scalar path for its typed error."""
+    with np.errstate(all="ignore"):
+        _, (on_shell, forward) = _shell_test(p, m)
+        _, unimodular = _unimodular(A)
+        return (np.isfinite(m) & (m > 0) & np.isfinite(p).all(axis=-1) & on_shell & forward
+                & np.isfinite(A).all(axis=(-2, -1)) & unimodular)
 
 
 def boost_rep(q: MassShellPoint) -> SL2Element:
@@ -177,12 +171,12 @@ def _act_momenta(a, p):
     matrices and (..., 4) coordinates, broadcast: the world coordinates of
     a T a* for T the expansion of p (each equal to act_momentum's bit for
     bit), and the mask of the rows act_momentum accepts: a finite expansion
-    and transport (BiTensor's check), within REALITY_TOL of real
-    (to_minkowski's) and finite coordinates (Momentum's).  Silent on
-    overflow; the kernel under act_momentum."""
+    and transport (BiTensor's check), real (to_minkowski's) and finite
+    coordinates (Momentum's).  Silent on overflow; the kernel under
+    act_momentum."""
     with np.errstate(all="ignore"):
         # A non-finite expansion gives a non-finite transport.
         t = _transport(a, _expand(p, _WORLD_STACK))
-        coords, defects = _world_coords(t)
-        ok = np.isfinite(t).all(axis=(-2, -1)) & (defects <= REALITY_TOL) & np.isfinite(coords).all(axis=-1)
+        coords, _, real = _world_coords(t)
+        ok = np.isfinite(t).all(axis=(-2, -1)) & real & np.isfinite(coords).all(axis=-1)
     return coords, ok

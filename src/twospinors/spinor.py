@@ -252,13 +252,17 @@ def _scaled(v: np.ndarray):
     return np.ldexp(x, -e[..., None]).view(complex), e
 
 
-def _unscaled(x, e: int) -> float:
-    """x times 2**e, the inverse of _scaled's factor, as a float: inf past the
-    float range, without an exception or a warning."""
-    try:
-        return math.ldexp(x, e)
-    except OverflowError:
-        return math.inf
+def _unscaled(x, e):
+    """The array x times 2**e, the inverse of _scaled's factor, inf past the
+    float range, silently: for one vector's e (an int), a list of Python
+    floats by math.ldexp, as _scaled takes e by math.frexp."""
+    if isinstance(e, int):
+        try:
+            return [math.ldexp(v, e) for v in x.tolist()]
+        except OverflowError:  # past the float range: numpy's inf
+            pass
+    with np.errstate(all="ignore"):
+        return np.ldexp(x, e)
 
 
 def cyclic_defect(a: Spinor2, b: Spinor2, c: Spinor2) -> Spinor2:
@@ -285,10 +289,16 @@ def _exponent(z: complex) -> int:
     return math.frexp(max(abs(z.real), abs(z.imag)))[1]
 
 
-def _unimodular(a) -> np.ndarray:
-    """Mask of the stacked (..., 2, 2) matrices that SL2Element accepts."""
+def _unimodular(a):
+    """SL2Element's test: _det2 of one 2x2 matrix or of a (..., 2, 2) stack,
+    and whether |det - 1| <= SL2_DET_TOL (the C library's hypot in both; nan
+    fails).  A stack's mask is this verdict and finite entries."""
     d = _det2(a)
-    return np.isfinite(a).all(axis=(-2, -1)) & (np.hypot(d.real - 1.0, d.imag) <= SL2_DET_TOL)
+    if a.ndim == 2:
+        # A real part off by more than 1 is refused before abs(d - 1) can raise
+        # OverflowError past the float range.
+        return d, abs(d.real - 1.0) <= 1.0 and abs(d - 1.0) <= SL2_DET_TOL
+    return d, np.hypot(d.real - 1.0, d.imag) <= SL2_DET_TOL
 
 
 def _adjugate(t):
@@ -323,10 +333,8 @@ class SL2Element(_Frozen):
     # SL2Element.__dict__["__init__"].
     def __init__(self, mat):
         self._bind("mat", mat, *_MAT2)
-        d = _det2(self.mat)
-        # nan fails; a real part off by more than 1 is refused before
-        # abs(d - 1) can raise OverflowError past the float range.
-        if not (abs(d.real - 1.0) <= 1.0 and abs(d - 1.0) <= SL2_DET_TOL):
+        d, ok = _unimodular(self.mat)
+        if not ok:
             raise NumericalDrift(
                 f"determinant {d} differs from 1 by more than {SL2_DET_TOL}; "
                 "renormalize first"

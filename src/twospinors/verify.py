@@ -13,9 +13,9 @@ value object.  The check then computes all its defects as one (n, k) array
 on the kernels under the scalar API (eps, h_form, act_momentum, beta, ...
 each calls its kernel on one value), so each row is what the scalar API
 gives for that sample, bit for bit.  Every invariant a value constructor
-would check is checked as a stacked mask; the first sample, in drawing
-order, that a mask rejects is handed to its scalar constructor, which
-raises its typed error.
+would check is checked by that constructor's own test, on the stack; the
+first sample, in drawing order, that a mask rejects is handed to its scalar
+constructor, which raises its typed error.
 """
 
 from __future__ import annotations
@@ -31,11 +31,10 @@ from .bitensor import (
     _covering,
     _dyads,
     _involution,
+    _lorentz_test,
     _polar,
-    _proper_lorentz,
     _transport,
     h_form,
-    lorentz_defect,
     lorentz_of,
     q_form,
     world_basis,
@@ -70,7 +69,8 @@ from .errors import NumericalDrift
 from .momentum import (
     MassShellPoint,
     _act_momenta,
-    _on_shell,
+    _shell_test,
+    accepted_boosts,
     act_momentum,
     boost_matrices,
     boost_rep,
@@ -253,16 +253,18 @@ def _norms2(v: np.ndarray) -> np.ndarray:
 
 def _sl2(a: np.ndarray) -> np.ndarray:
     """Stacked (n, 2, 2) matrices, checked as SL2Element checks one."""
-    _require(_unimodular(a), lambda i: SL2Element(a[i]))
+    _require(np.isfinite(a).all(axis=(-2, -1)) & _unimodular(a)[1], lambda i: SL2Element(a[i]))
     return a
 
 
-def _lorentz(a: np.ndarray) -> np.ndarray:
+def _lorentz(a: np.ndarray):
     """The (n, 4, 4) Lorentz matrices covered by stacked a, the kernel under
-    lorentz_of, checked as lorentz_of checks each."""
+    lorentz_of, checked as lorentz_of checks each, and their metric defects."""
     L, real, _ = _covering(a)
-    _require(real.all(axis=-1) & _proper_lorentz(L), lambda i: lorentz_of(SL2Element(a[i])))
-    return L
+    # Finite real columns, then LorentzMatrix's test.
+    defect, _, (metric, unit, forward) = _lorentz_test(L)
+    _require(real.all(axis=-1) & metric & unit & forward, lambda i: lorentz_of(SL2Element(a[i])))
+    return L, defect
 
 
 def _moved(a: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -274,14 +276,14 @@ def _moved(a: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 def _class_reps(a: np.ndarray, phi: np.ndarray, m: np.ndarray) -> None:
     """Check stacked class representatives as AssociatedClassRep checks one."""
-    _require(_in_rest_eigenspace(phi),
+    _require(_in_rest_eigenspace(phi)[2],
              lambda i: AssociatedClassRep(SL2Element(a[i]), FourSpinor.from_vec(phi[i]), m[i]))
 
 
 def _fibers(p: np.ndarray, psi: np.ndarray, m: np.ndarray, build) -> None:
-    """Check stacked fiber elements as MassShellPoint and FiberElement check
-    one; the first rejected sample goes to build(i)."""
-    _require(_on_shell(p, m) & fiber_test(p, psi, m, FIBER_TOL)[1], build)
+    """Check stacked fiber elements (finite p, accepted m) as MassShellPoint and
+    FiberElement check one; the first rejected sample goes to build(i)."""
+    _require(np.all(_shell_test(p, m)[1], axis=0) & fiber_test(p, psi, m, FIBER_TOL)[1], build)
 
 
 def _betas(a: np.ndarray, phi: np.ndarray, m: np.ndarray):
@@ -304,9 +306,8 @@ def _fiber_elements(d: np.ndarray):
     m = d[:, 0]
     p = shell_momenta(m, d[:, 1], d[:, 2], d[:, 3])
     boost = boost_matrices(p, m[:, None, None])
-    ok = _on_shell(p, m) & np.isfinite(boost).all(axis=(-2, -1))
-    _require(ok, lambda i: boost_rep(shell_point(*d[i, :4].tolist())))
-    a = _sl2(_sl2(boost) @ _sl2(_su2_matrices(d[:, 4:8])))
+    _require(accepted_boosts(p, m, boost), lambda i: boost_rep(shell_point(*d[i, :4].tolist())))
+    a = _sl2(boost @ _sl2(_su2_matrices(d[:, 4:8])))
     psi = _tau_act(a, _rest_spinors(d[:, 8:]))
     _fibers(p, psi, m, lambda i: FiberElement(
         MassShellPoint(Momentum.from_coords(p[i]), m[i]), FourSpinor.from_vec(psi[i])))
@@ -407,7 +408,7 @@ def _check_covering_hom(rng, n):
     a, b = _draw(rng, n, _sl2_matrix, _sl2_matrix)
     a, b = _sl2(a), _sl2(b)
     # One stacked covering of A B, A and B.
-    L = _lorentz(np.concatenate([_sl2(a @ b), a, b]))
+    L, _ = _lorentz(np.concatenate([_sl2(a @ b), a, b]))
     return np.max(np.abs(L[:n] - L[n:2 * n] @ L[2 * n:]), axis=(1, 2))
 
 
@@ -415,7 +416,7 @@ def _check_covering_hom(rng, n):
 def _check_covering_two_to_one(rng, n):
     (a,) = _draw(rng, n, _sl2_matrix)
     a = _sl2(a)
-    L = _lorentz(np.concatenate([a, -a]))
+    L, _ = _lorentz(np.concatenate([a, -a]))
     # Equal images give 0, which the fold cannot tell from no defect.
     return np.max(np.abs(L[:n] - L[n:]), axis=(1, 2))
 
@@ -423,7 +424,7 @@ def _check_covering_two_to_one(rng, n):
 @_sweep("lorentz metric orthogonality", 1e-10)
 def _check_eta_orthogonality(rng, n):
     (a,) = _draw(rng, n, _sl2_matrix)
-    return lorentz_defect(_lorentz(_sl2(a)))
+    return _lorentz(_sl2(a))[1]
 
 
 def _check_rest_fiber(rng, n: int) -> CheckResult:
@@ -503,7 +504,8 @@ def _check_bundle_equivariance(rng, n):
     a = _sl2(a)
     p_moved = _moved(a, p)
     psi_moved = _tau_act(a, psi)
-    _require(_on_shell(p_moved, m), lambda i: MassShellPoint(Momentum.from_coords(p_moved[i]), m[i]))
+    _require(np.all(_shell_test(p_moved, m)[1], axis=0),
+             lambda i: MassShellPoint(Momentum.from_coords(p_moved[i]), m[i]))
     scale = _max1(m) * _max1(_norms4(psi_moved)) * _max1(p_moved[:, 0] / m)
     return _fiber_residuals(p_moved, psi_moved, m) / scale
 

@@ -37,7 +37,7 @@ from twospinors import (
     to_minkowski,
     world_basis,
 )
-from twospinors.bitensor import REALITY_TOL, _covering, _dyads, _involution, _polar, _proper_lorentz, _transport, lorentz_defect
+from twospinors.bitensor import REALITY_TOL, _covering, _dyads, _involution, _lorentz_test, _polar, _transport, lorentz_defect
 
 from test_spinor import random_sl2
 
@@ -557,7 +557,7 @@ def test_covering_of_a_stack_equals_lorentz_of():
     rng = np.random.default_rng(61)
     mats = sweep_matrices(rng) + [SL2Element(np.diag([1e200, 1e-200])), SL2Element([[0, 1j], [1j, 0]])]
     L, real, _ = _covering(np.array([A.mat for A in mats]))
-    accepted = real.all(axis=-1) & _proper_lorentz(L)
+    accepted = real.all(axis=-1) & lorentz_mask(L)
     stacked_defects = lorentz_defect(L)
     for A, row, d, ok in zip(mats, L, stacked_defects.tolist(), accepted.tolist()):
         try:
@@ -570,14 +570,21 @@ def test_covering_of_a_stack_equals_lorentz_of():
     assert 0 < accepted.sum() < len(mats)
 
 
+def lorentz_mask(L):
+    """LorentzMatrix's check of stacked matrices: finite entries and the three
+    verdicts of its test."""
+    _, _, (metric, unit, forward) = _lorentz_test(L)
+    return np.isfinite(L).all(axis=(-2, -1)) & metric & unit & forward
+
+
 def test_proper_lorentz_mask_refuses_what_lorentz_matrix_refuses():
     refused = [2 * np.eye(4), np.diag([1.0, 1.0, 1.0, -1.0]), np.diag([-1.0, -1.0, 1.0, 1.0]),
                np.full((4, 4), math.nan), identity_with(0, 0, math.inf), identity_with(1, 2, 1e-9)]
     for m in refused:
         with pytest.raises(ValueError):
             LorentzMatrix(m)
-    assert _proper_lorentz(np.array(refused)).tolist() == [False] * len(refused)
-    assert _proper_lorentz(np.array([np.eye(4), lorentz_of(boost_rep(shell_point(1, 3, 0, 0))).mat])).all()
+    assert lorentz_mask(np.array(refused)).tolist() == [False] * len(refused)
+    assert lorentz_mask(np.array([np.eye(4), lorentz_of(boost_rep(shell_point(1, 3, 0, 0))).mat])).all()
 
 
 def test_stacked_transport_equals_pi_act():

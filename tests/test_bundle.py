@@ -448,8 +448,11 @@ def test_rest_eigenspace_mask_matches_the_class_rep_constructor():
     rows = [s * (c1 * v1 + c2 * v2) for s in (1.0, 1e200, 1e-200, 5e-324, 1e300)
             for c1, c2 in ((1, 0), (0.5j, -2), (1, 1e-3))]
     rows += [np.array([1, 0, 0, 0]), np.array([1, 0, 0, -1 + 1e-9]), np.array([1e300, 0, 0, -1e-300])]
-    mask = _in_rest_eigenspace(np.array(rows, dtype=complex))
-    for v, accepted in zip(rows, mask.tolist()):
+    defects, bounds, mask = _in_rest_eigenspace(np.array(rows, dtype=complex))
+    for v, accepted, d, bound in zip(rows, mask.tolist(), defects, bounds):
+        # Each row's defect and bound are the one-spinor call's, bit for bit.
+        d1, bound1, _ = _in_rest_eigenspace(np.asarray(v, dtype=complex))
+        assert (np.float64(d1).tobytes(), np.float64(bound1).tobytes()) == (d.tobytes(), bound.tobytes())
         psi = FourSpinor.from_vec(v)
         if accepted:
             assert AssociatedClassRep(SL2Element.identity(), psi, 1.0).phi_plus is psi

@@ -21,7 +21,7 @@ from twospinors import (
     shell_point,
 )
 
-from twospinors.momentum import _act_momenta, _on_shell, accepted_boosts, boost_matrices, shell_momenta
+from twospinors.momentum import _act_momenta, _shell_test, accepted_boosts, boost_matrices, shell_momenta
 
 from test_bitensor import outcome, reference_pi_act, reference_to_minkowski, sweep_matrices
 from test_spinor import random_sl2
@@ -250,14 +250,18 @@ def test_shell_mask_takes_a_mass_per_row():
     rows += [[1.0, 0, 0, 0], [2.0, 0, 0, 0], [-1.0, 0, 0, 0], [math.inf, 0, 0, 0], [1.0, 0, 0, 0]]
     masses += [1.0, 1.0, 1.0, 1.0, -1.0]
     p, m = np.array(rows), np.array(masses)
-    mask = _on_shell(p, m)
-    for row, mass, ok in zip(rows, masses, mask.tolist()):
+    defects, (on_shell, forward) = _shell_test(p, m)
+    # The mask: a finite positive mass, finite coordinates, both verdicts.
+    mask = np.isfinite(m) & (m > 0) & np.isfinite(p).all(axis=-1) & on_shell & forward
+    for row, mass, ok, d in zip(rows, masses, mask.tolist(), defects):
         try:
             MassShellPoint(Momentum(*row), mass)
         except ValueError:
             assert not ok
         else:
             assert ok
+        # Each row's defect is the one-vector call's, bit for bit.
+        assert np.float64(_shell_test(np.array(row, dtype=float), mass)[0]).tobytes() == d.tobytes()
     assert mask.tolist() == [True] * 41 + [False] * 4
 
 

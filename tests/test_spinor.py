@@ -495,9 +495,13 @@ def test_unimodular_mask_agrees_with_sl2_element():
         ], dtype=complex),
     ))
     with np.errstate(over="ignore", invalid="ignore"):
-        mask = _unimodular(stack)
+        dets, ok = _unimodular(stack)
+    mask = np.isfinite(stack).all(axis=(-2, -1)) & ok
     assert mask.tolist() == [_sl2_accepts(t) for t in stack]
     assert mask[:100].all() and not mask[-4:].any()
+    # Each row's determinant is the one-matrix call's, bit for bit.
+    for t, d in zip(stack, dets):
+        assert np.complex128(_unimodular(t)[0]).tobytes() == d.tobytes()
 
 
 def test_overflowing_norm_is_silently_inf():

@@ -10,7 +10,7 @@ import pytest
 import scalar_verify
 
 from twospinors import NumericalDrift, run_verification, sampling, verify, world_basis
-from twospinors.bitensor import _polar
+from twospinors.bitensor import _polar, lorentz_defect
 from twospinors.spinor import _cyclic, _det2, _eps
 from twospinors.verify import CONVENTIONS, _sweep
 
@@ -246,7 +246,7 @@ def test_rejected_sample_raises_the_constructor_error(monkeypatch):
 
 
 def test_mask_rejecting_what_the_scalar_path_accepts_is_reported(monkeypatch):
-    monkeypatch.setattr(verify, "_unimodular", lambda a: np.arange(len(a)) != 1)
+    monkeypatch.setattr(verify, "_unimodular", lambda a: (_det2(a), np.arange(len(a)) != 1))
     with pytest.raises(NumericalDrift, match="^stacked check rejected sample 1, which the scalar path accepts$"):
         verify._check_covering_hom(np.random.default_rng(0), 3)
 
@@ -303,6 +303,7 @@ def test_a_rejected_copy_names_its_sample(monkeypatch):
     # The two-to-one check stacks A and -A: row n + i is a copy of sample i.
     # Here the mask rejects -A of sample 1 (row 4 of 6, row 3 of 4), which
     # lorentz_of accepts.
-    monkeypatch.setattr(verify, "_proper_lorentz", lambda L: np.arange(len(L)) != len(L) // 2 + 1)
+    monkeypatch.setattr(verify, "_lorentz_test",
+                        lambda L: (lorentz_defect(L), None, (np.arange(len(L)) != len(L) // 2 + 1, True, True)))
     with pytest.raises(NumericalDrift, match="^stacked check rejected sample 1, which the scalar path accepts$"):
         verify._check_covering_two_to_one(np.random.default_rng(0), 3)

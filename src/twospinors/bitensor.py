@@ -58,14 +58,18 @@ class BiTensor(_Frozen):
     def __reduce__(self):
         return (BiTensor, (self.t.tolist(),))
 
+    # Arithmetic that overflows is refused, silently, by the constructor.
     def __add__(self, other: "BiTensor") -> "BiTensor":
-        return BiTensor(self.t + other.t)
+        with np.errstate(all="ignore"):
+            return BiTensor(self.t + other.t)
 
     def __sub__(self, other: "BiTensor") -> "BiTensor":
-        return BiTensor(self.t - other.t)
+        with np.errstate(all="ignore"):
+            return BiTensor(self.t - other.t)
 
     def __mul__(self, scalar) -> "BiTensor":
-        return BiTensor(self.t * scalar)
+        with np.errstate(all="ignore"):
+            return BiTensor(self.t * scalar)
 
     __rmul__ = __mul__
 
@@ -159,7 +163,8 @@ def elementary(x: Spinor2, ybar: CoSpinor2) -> BiTensor:
     realizes the balancing rule: scaling x by a equals scaling ybar by
     conj(a) before conjugate storage.
     """
-    return BiTensor(_dyads(x.vec, ybar.vec))
+    with np.errstate(all="ignore"):  # an overflow is refused by BiTensor
+        return BiTensor(_dyads(x.vec, ybar.vec))
 
 
 def _dyads(x, ybar) -> np.ndarray:
@@ -187,7 +192,8 @@ def reality_defect(T: BiTensor) -> float:
 
 def project_real(T: BiTensor) -> BiTensor:
     """Average with the involution image: the Hermitian part of T."""
-    return BiTensor((T.t + T.t.conj().T) / 2.0)
+    with np.errstate(all="ignore"):  # an overflow is refused by BiTensor
+        return BiTensor((T.t + T.t.conj().T) / 2.0)
 
 
 def _dyad(i: int, j: int) -> BiTensor:

@@ -22,7 +22,7 @@ import numpy as np
 from .bitensor import Momentum
 from .clifford import FourSpinor, _tau_act, gamma, slash, tau_matrices
 from .errors import InvalidClassRep, NotInFiber
-from .momentum import MassShellPoint, _act_momenta, _require_mass, act_momentum, boost_rep
+from .momentum import MassShellPoint, _act_momenta, _refuse_act, _require_mass, boost_rep
 from .spinor import (
     CoSpinor2,
     SL2Element,
@@ -169,9 +169,11 @@ class ConjugatePair:
 def fiber_projector(q: MassShellPoint) -> np.ndarray:
     """Projector onto the fiber at q: (slash(q.p)/m + Id)/2.
 
-    Idempotent of rank 2; commutes with slash(q.p).
+    Idempotent of rank 2; commutes with slash(q.p).  Entries past the float
+    range are inf, without a warning.
     """
-    return (slash(q.p) / q.m + np.eye(4)) / 2.0
+    with np.errstate(all="ignore"):
+        return (slash(q.p) / q.m + np.eye(4)) / 2.0
 
 
 def rest_fiber_basis() -> tuple[FourSpinor, FourSpinor]:
@@ -201,10 +203,9 @@ def beta(rep: AssociatedClassRep) -> FiberElement:
     unitary unimodular T gives the same output.
     """
     p, ok, psi = _beta(rep.A.mat, rep.phi_plus.vec, rep.m)
-    # A refused momentum raises act_momentum's typed error.
-    p = Momentum.from_coords(p) if ok else act_momentum(rep.A, Momentum(rep.m, 0.0, 0.0, 0.0))
-    psi = FourSpinor.from_vec(psi)
-    return FiberElement(MassShellPoint(p, rep.m), psi)
+    if not ok:  # act_momentum's typed error
+        _refuse_act(rep.A, Momentum(rep.m, 0.0, 0.0, 0.0))
+    return FiberElement(MassShellPoint(Momentum.from_coords(p), rep.m), FourSpinor.from_vec(psi))
 
 
 def _beta(a, phi, m):

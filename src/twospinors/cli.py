@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import math
 import sys
 
@@ -47,13 +48,17 @@ SCHEMA_VERSION = 1
 # ---------------------------------------------------------------------------
 # Deterministic serialization: every float is rendered with %.17g so that
 # identical inputs produce byte-identical output.  JSON has no inf or nan, so
-# a non-finite value is refused rather than written.
+# a non-finite value is refused rather than written.  A string is escaped
+# as RFC 8259 asks (the stdlib encoder, with non-ASCII text left as is).
 
 def _g17(x: float) -> str:
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"cannot write the non-finite number {x!r}")
     return "%.17g" % x
+
+
+_jstr = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def _jdump(obj) -> str:
@@ -63,7 +68,7 @@ def _jdump(obj) -> str:
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_jdump(v) for v in obj) + "]"
     if isinstance(obj, str):
-        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
+        return _jstr(obj)
     if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):

@@ -182,8 +182,10 @@ def _tau_act(a, psi) -> np.ndarray:
 
 
 def anticommutator_defect(X: BiTensor, Y: BiTensor) -> np.ndarray:
-    """phi(X) phi(Y) + phi(Y) phi(X) - 2 h(X, Y) Id; zero for all bitensors."""
-    return _anticommutators(X.t, Y.t)
+    """phi(X) phi(Y) + phi(Y) phi(X) - 2 h(X, Y) Id; zero for all bitensors,
+    non-finite, without a warning, where it overflows."""
+    with np.errstate(all="ignore"):
+        return _anticommutators(X.t, Y.t)
 
 
 def _anticommutators(x, y) -> np.ndarray:

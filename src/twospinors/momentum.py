@@ -26,7 +26,7 @@ from .bitensor import (
     q_form,
     to_minkowski,
 )
-from .errors import BadMass, Degenerate, NotOnShell
+from .errors import BadMass, Degenerate, NotOnShell, NumericalDrift
 from .spinor import SL2Element, _max1, _sealed, _unimodular
 
 __all__ = [
@@ -160,10 +160,16 @@ def act_momentum(A: SL2Element, q: Momentum) -> Momentum:
     Preserves the quadratic form, and preserves the forward cone p0 > 0.
     """
     coords, ok = _act_momenta(A.mat, q.coords)
-    if ok:
-        return Momentum.from_coords(coords)
-    # The typed error of the first refusal, from the values' own checks.
-    return to_minkowski(pi_act(A, from_minkowski(q)))
+    if not ok:
+        _refuse_act(A, q)
+    return Momentum.from_coords(coords)
+
+
+def _refuse_act(A: SL2Element, q: Momentum) -> None:
+    """Raise the typed error of the values' own checks of A acting on q, or
+    NumericalDrift if they accept it: act_momentum's refusal."""
+    to_minkowski(pi_act(A, from_minkowski(q)))
+    raise NumericalDrift(f"the kernel rejected the action on p = {q.coords.tolist()}, which the scalar path accepts")
 
 
 def _act_momenta(a, p):

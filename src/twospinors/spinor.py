@@ -384,7 +384,8 @@ class SL2Element(_Frozen):
         return SL2Element(np.conj(self.mat))
 
     def __matmul__(self, other: "SL2Element") -> "SL2Element":
-        return SL2Element(self.mat @ other.mat)
+        with np.errstate(all="ignore"):  # an overflow is refused by the constructor
+            return SL2Element(self.mat @ other.mat)
 
     def __neg__(self) -> "SL2Element":
         return SL2Element(-self.mat)
@@ -392,7 +393,8 @@ class SL2Element(_Frozen):
 
 def act(A: SL2Element, s: Spinor2) -> Spinor2:
     """Apply a unimodular transformation to a spinor."""
-    return Spinor2.from_vec(_act(A.mat, s.vec))
+    with np.errstate(all="ignore"):  # an overflow is refused by Spinor2
+        return Spinor2.from_vec(_act(A.mat, s.vec))
 
 
 def _act(a, s) -> np.ndarray:
@@ -407,4 +409,5 @@ def act_bar(A: SL2Element, sbar: CoSpinor2) -> CoSpinor2:
 
     Intertwines with conjugation: act_bar(A, conjugate(s)) == conjugate(act(A, s)).
     """
-    return CoSpinor2.from_vec(np.conj(A.mat) @ sbar.vec)
+    with np.errstate(all="ignore"):  # an overflow is refused by CoSpinor2
+        return CoSpinor2.from_vec(np.conj(A.mat) @ sbar.vec)

@@ -13,9 +13,10 @@ value object.  The check then computes all its defects as one (n, k) array
 on the kernels under the scalar API (eps, h_form, act_momentum, beta, ...
 each calls its kernel on one value), so each row is what the scalar API
 gives for that sample, bit for bit.  Every invariant a value constructor
-would check is checked by that constructor's own test, on the stack; the
-first sample, in drawing order, that a mask rejects is handed to its scalar
-constructor, which raises its typed error.
+would check is checked by that constructor's own test, on the stack.  The
+first row that the first failing mask rejects is handed to its scalar
+constructor, which raises its typed error; a row the constructor accepts
+is a NumericalDrift that names its sample.
 """
 
 from __future__ import annotations
@@ -121,42 +122,20 @@ _BLOCK = 1024
 
 
 class _Rejected(Exception):
-    """A stacked mask rejected row r of its stack; build(r) is the scalar
-    constructor of that row's value.  A stack of n samples holds one or more
-    copies of n rows (A B, A and B, say), so r is a row of sample r % n."""
-
-    def __init__(self, row: int, build):
-        super().__init__(row)
-        self.row, self.build = row, build
+    """A stacked mask rejected row r (the one argument) of its stack, which
+    the scalar constructor of that row's value accepts.  A stack of n samples
+    holds one or more copies of n rows (A B, A and B, say), so r is a row of
+    sample r % n."""
 
 
 def _require(ok: np.ndarray, build) -> None:
-    """Reject the first row that the stacked mask ok refuses; build(r) raises
-    that row's typed error (see _first_refusal)."""
+    """Hand the first row that the stacked mask ok rejects to build, the
+    scalar constructor of that row's value, which raises its typed error;
+    if build accepts the row, raise _Rejected."""
     if not ok.all():
-        raise _Rejected(int(np.argmin(ok)), build)
-
-
-def _first_refusal(defects, rng, state, i: int, offset: int):
-    """Raise the typed error of the first sample, in drawing order, that the
-    scalar path refuses, given that a mask rejected sample i of a block drawn
-    from generator state state.  A shorter block draws a prefix of the same
-    samples, so the block is redrawn on prefixes until every sample before i
-    passes every mask; the first mask to reject sample i then hands it to its
-    scalar constructor."""
-    while i > 0:
-        rng.bit_generator.state = state
-        try:
-            defects(rng, i)
-            break
-        except _Rejected as rejected:
-            i = rejected.row % i
-    rng.bit_generator.state = state
-    try:
-        defects(rng, i + 1)
-    except _Rejected as rejected:
-        rejected.build(rejected.row)
-    raise NumericalDrift(f"stacked check rejected sample {offset + i}, which the scalar path accepts")
+        row = int(np.argmin(ok))
+        build(row)
+        raise _Rejected(row)
 
 
 def _sweep(name: str, tol: float):
@@ -172,7 +151,6 @@ def _sweep(name: str, tol: float):
             worst, bad = 0.0, None
             for offset in range(0, n, _BLOCK):
                 k = min(_BLOCK, n - offset)
-                state = rng.bit_generator.state
                 # A stacked kernel is as silent on overflow as its one-value
                 # path (Python's complex arithmetic), here and in every mask;
                 # the fold reports the non-finite defect.
@@ -180,7 +158,8 @@ def _sweep(name: str, tol: float):
                     try:
                         d = np.asarray(defects(rng, k), dtype=float).reshape(k, -1)
                     except _Rejected as rejected:
-                        _first_refusal(defects, rng, state, rejected.row % k, offset)
+                        sample = offset + rejected.args[0] % k
+                        raise NumericalDrift(f"stacked check rejected sample {sample}, which the scalar path accepts")
                 finite = np.isfinite(d)
                 worst = max(worst, float(np.max(d, where=finite, initial=0.0)))
                 if bad is None and not finite.all():
@@ -280,23 +259,15 @@ def _class_reps(a: np.ndarray, phi: np.ndarray, m: np.ndarray) -> None:
              lambda i: AssociatedClassRep(SL2Element(a[i]), FourSpinor.from_vec(phi[i]), m[i]))
 
 
-def _fibers(p: np.ndarray, psi: np.ndarray, m: np.ndarray, build) -> None:
-    """Check stacked fiber elements (finite p, accepted m) as MassShellPoint and
-    FiberElement check one; the first rejected sample goes to build(i)."""
-    _require(np.all(_shell_test(p, m)[1], axis=0) & fiber_test(p, psi, m, FIBER_TOL)[1], build)
-
-
 def _betas(a: np.ndarray, phi: np.ndarray, m: np.ndarray):
-    """beta of stacked classes (a, phi, m), by its kernel: the momenta and the
-    4-spinors, checked as beta checks its result."""
+    """beta of stacked classes (a, phi, m), by its kernel: the momenta, the
+    4-spinors and their fiber residuals, checked as beta checks its result
+    (act_momentum, MassShellPoint and FiberElement)."""
     p, ok, psi = _beta(a, phi, m)
-
-    def build(i):
-        return beta(AssociatedClassRep(SL2Element(a[i]), FourSpinor.from_vec(phi[i]), m[i]))
-
-    _require(ok, build)
-    _fibers(p, psi, m, build)
-    return p, psi
+    r, in_fiber = fiber_test(p, psi, m, FIBER_TOL)
+    _require(ok & np.all(_shell_test(p, m)[1], axis=0) & in_fiber,
+             lambda i: beta(AssociatedClassRep(SL2Element(a[i]), FourSpinor.from_vec(phi[i]), m[i])))
+    return p, psi, r
 
 
 def _fiber_elements(d: np.ndarray):
@@ -309,7 +280,8 @@ def _fiber_elements(d: np.ndarray):
     _require(accepted_boosts(p, m, boost), lambda i: boost_rep(shell_point(*d[i, :4].tolist())))
     a = _sl2(boost @ _sl2(_su2_matrices(d[:, 4:8])))
     psi = _tau_act(a, _rest_spinors(d[:, 8:]))
-    _fibers(p, psi, m, lambda i: FiberElement(
+    # accepted_boosts has checked the shell points.
+    _require(fiber_test(p, psi, m, FIBER_TOL)[1], lambda i: FiberElement(
         MassShellPoint(Momentum.from_coords(p[i]), m[i]), FourSpinor.from_vec(psi[i])))
     return m, p, psi, boost
 
@@ -449,7 +421,7 @@ def _check_beta_well_defined(rng, n):
     at, moved = _sl2(a @ t), _to_rest(t, psi)
     _class_reps(at, moved, m)
     # One stacked beta of both representatives of each class.
-    p, f = _betas(np.concatenate([a, at]), np.concatenate([psi, moved]), np.ones(2 * n))
+    p, f, _ = _betas(np.concatenate([a, at]), np.concatenate([psi, moved]), np.ones(2 * n))
     return np.stack([
         np.max(np.abs(p[:n] - p[n:]), axis=-1),
         spinor_norms(f[:n] - f[n:]) / _max1(_norms4(f[:n])),
@@ -463,7 +435,7 @@ def _check_beta_round_trip(rng, n):
     # beta_inv takes the canonical boost of the same point: boost again.
     phi = _to_rest(boost, psi)
     _class_reps(boost, phi, m)
-    p2, psi2 = _betas(boost, phi, m)
+    p2, psi2, _ = _betas(boost, phi, m)
     return np.stack([
         np.max(np.abs(p - p2), axis=-1) / _max1(p[:, 0]),
         spinor_norms(psi - psi2) / _max1(_norms4(psi)),
@@ -475,8 +447,8 @@ def _check_beta_fiber_membership(rng, n):
     a, g, m = _draw(rng, n, _sl2_matrix, _gaussians(4), _mass)
     a, psi = _sl2(a), _rest_spinors(g)
     _class_reps(a, psi, m)
-    p, f = _betas(a, psi, m)
-    return _fiber_residuals(p, f, m) / (_max1(m) * _max1(_norms4(f)))
+    _, f, r = _betas(a, psi, m)
+    return r / (_max1(m) * _max1(_norms4(f)))
 
 
 @_sweep("conjugate-pair split equivariance", 1e-11)

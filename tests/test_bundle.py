@@ -17,6 +17,7 @@ from twospinors import (
     MassShellPoint,
     Momentum,
     NotInFiber,
+    NumericalDrift,
     SL2Element,
     Spinor2,
     act,
@@ -36,6 +37,7 @@ from twospinors import (
     split_conjugate_pair,
     tau,
 )
+from twospinors import bundle
 from twospinors.bundle import FIBER_TOL, _beta, _in_rest_eigenspace, _split, _to_rest, fiber_bound, fiber_test, spin_characters
 from twospinors.clifford import tau_matrices
 from twospinors.verify import _check_spin_character
@@ -215,6 +217,16 @@ def test_beta_lands_in_fiber():
         m = rng.uniform(0.5, 2.0)
         f = beta(AssociatedClassRep(A, psi, m))  # constructor re-validates membership
         assert fiber_residual(f.q, f.psi) <= 1e-9 * max(1.0, m) * max(1.0, f.psi.norm())
+
+
+def test_beta_never_returns_its_replay(monkeypatch):
+    # A kernel that rejects a momentum act_momentum accepts is a
+    # NumericalDrift: every returned value comes from the kernel.
+    monkeypatch.setattr(bundle, "_act_momenta", lambda a, p: (p, False))
+    rep = AssociatedClassRep(SL2Element.identity(), rest_fiber_basis()[0], 1.0)
+    with pytest.raises(NumericalDrift, match=r"^the kernel rejected the action on p = \[1\.0, 0\.0, 0\.0, 0\.0\], "
+                                             "which the scalar path accepts$"):
+        beta(rep)
 
 
 # --- the inverse map --------------------------------------------------------------

@@ -8,8 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-from twospinors import cli, fiber_projector, shell_point
+from twospinors import NumericalDrift, cli, fiber_projector, shell_point
 from twospinors.cli import _build_parser, _jdump, _parse_grid, _record_line, field_records, main
+from twospinors.momentum import accepted_boosts
 
 GAMMA0 = [
     [[0, 0], [0, 0], [0, 0], [-1, 0]],
@@ -439,6 +440,22 @@ def test_jdump_refuses_non_finite():
             _jdump({"x": [1.0, bad]})
 
 
+@pytest.mark.parametrize("text, expected", [
+    ("ab", '"ab"'),
+    ("a\\b", '"a\\\\b"'),
+    ('a"b', '"a\\"b"'),
+    ("a\tb", '"a\\tb"'),
+    ("a\nb", '"a\\nb"'),
+    ("a\x00b", '"a\\u0000b"'),
+    ("p\u00e9", '"p\u00e9"'),
+])
+def test_jdump_escapes_strings(text, expected):
+    # RFC 8259: quote, backslash and control characters escaped, other text
+    # written as it is.
+    assert _jdump({text: [text]}) == "{%s: [%s]}" % (expected, expected)
+    assert json.loads(_jdump({text: [text]})) == {text: [text]}
+
+
 def test_jdump_refuses_other_types():
     with pytest.raises(TypeError, match="^cannot serialize complex$"):
         _jdump({"x": [1.0, 2j]})
@@ -625,6 +642,31 @@ def test_overflowing_boost_reports_only_the_typed_error(tmp_path):
         "error: canonical boost of p = [1.7320508075688772e-07, 1e-07, 1e-07, 1e-07]"
         " at m = 1e-315 overflows\n"
     )
+
+
+def test_sample_field_mask_disagreement_is_numerical_drift(monkeypatch):
+    # The mask rejects node 1 of the second p1 slab, which the scalar path
+    # accepts: the records of every node before it are yielded, then the
+    # replay raises NumericalDrift naming the node.
+    calls = []
+
+    def reject_one(p, m, A):
+        accepted = accepted_boosts(p, m, A)
+        calls.append(None)
+        if len(calls) == 2:
+            accepted[1] = False
+        return accepted
+
+    monkeypatch.setattr(cli, "accepted_boosts", reject_one)
+    _, records = field_records(1.0, (2, -1.0, 1.0), seed=0, tol=1e-9)
+    seen = []
+    with pytest.raises(NumericalDrift) as info:
+        for rec in records:
+            seen.append(rec["p"])
+    # Two records per node; node 5 of the grid is the rejected one.
+    nodes = [[2.0, p1, p2, p3] for p1 in (-1.0, 1.0) for p2 in (-1.0, 1.0) for p3 in (-1.0, 1.0)]
+    assert seen == [p for p in nodes[:5] for _ in range(2)]
+    assert str(info.value) == f"stacked checks rejected the node p = {nodes[5]} that the scalar path accepts"
 
 
 def test_module_entry_point_runs():

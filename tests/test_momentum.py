@@ -12,6 +12,7 @@ from twospinors import (
     MinkowskiVec,
     Momentum,
     NotOnShell,
+    NumericalDrift,
     SL2Element,
     act_momentum,
     boost_rep,
@@ -21,6 +22,7 @@ from twospinors import (
     shell_point,
 )
 
+from twospinors import momentum
 from twospinors.momentum import _act_momenta, _shell_test, accepted_boosts, boost_matrices, shell_momenta
 
 from test_bitensor import outcome, reference_pi_act, reference_to_minkowski, sweep_matrices
@@ -303,3 +305,12 @@ def test_stacked_act_momenta_equal_act_momentum():
         result = outcome(act_momentum, A, Momentum.from_coords(c))
         assert result == row.tobytes() if accepted else isinstance(result, tuple)
     assert ok[:-2].any() and not ok[-2:].any()
+
+
+def test_act_momentum_never_returns_its_replay(monkeypatch):
+    # A kernel that rejects a momentum the scalar chain accepts is a
+    # NumericalDrift: every returned value comes from the kernel.
+    monkeypatch.setattr(momentum, "_act_momenta", lambda a, p: (p, False))
+    with pytest.raises(NumericalDrift, match=r"^the kernel rejected the action on p = \[1\.0, 0\.0, 0\.0, 0\.5\], "
+                                             "which the scalar path accepts$"):
+        act_momentum(SL2Element.identity(), Momentum(1.0, 0.0, 0.0, 0.5))

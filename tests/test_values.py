@@ -169,3 +169,33 @@ def test_renormalized_checks_the_shape_like_the_constructor(mat, shape):
         SL2Element.renormalized(mat)
     with pytest.raises(ValueError, match=message):
         SL2Element(mat)
+
+
+_BIG = BiTensor(np.diag([1e308, 1e308]))
+_WIDE = SL2Element(np.diag([1e200, 1e-200]))
+
+# Public value operations past the float range: each raises its typed error,
+# or returns a raw array with non-finite entries, and never warns (a
+# RuntimeWarning fails the run).  (call, the error message or None.)
+OVERFLOWS = {
+    "bitensor-mul": (lambda: _BIG * 10, "bitensor entries must be finite"),
+    "bitensor-add": (lambda: _BIG + _BIG, "bitensor entries must be finite"),
+    "bitensor-sub": (lambda: _BIG - (-_BIG), "bitensor entries must be finite"),
+    "project_real": (lambda: bitensor.project_real(_BIG), "bitensor entries must be finite"),
+    "sl2-matmul": (lambda: _WIDE @ _WIDE, "matrix entries must be finite"),
+    "act": (lambda: twospinors.act(_WIDE, Spinor2(1e200, 0)), "Spinor2 components must be finite"),
+    "act_bar": (lambda: twospinors.act_bar(_WIDE, CoSpinor2(1e200, 0)), "CoSpinor2 components must be finite"),
+    "elementary": (lambda: twospinors.elementary(Spinor2(1e200, 0), CoSpinor2(1e200, 0)),
+                   "bitensor entries must be finite"),
+    "fiber_projector": (lambda: twospinors.fiber_projector(shell_point(1e-300, 1e10, 0, 0)), None),
+    "anticommutator_defect": (lambda: twospinors.anticommutator_defect(_BIG, _BIG), None),
+}
+
+
+@pytest.mark.parametrize("call, message", OVERFLOWS.values(), ids=OVERFLOWS)
+def test_overflow_is_silent_then_refused(call, message):
+    if message is None:
+        assert not np.isfinite(call()).all()
+    else:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()

@@ -251,27 +251,23 @@ def test_mask_rejecting_what_the_scalar_path_accepts_is_reported(monkeypatch):
         verify._check_covering_hom(np.random.default_rng(0), 3)
 
 
-def test_first_refused_sample_in_drawing_order_raises(monkeypatch):
+def test_first_failing_mask_raises_its_first_rejected_row(monkeypatch):
     # Sample 1 passes the determinant mask but overflows act_momentum; sample
     # 3 fails the determinant mask, which the check applies first.  The error
-    # is sample 1's, as the one-sample scalar path raised it.  The fake draw
-    # keys its matrix to the generator's output, so a redraw repeats it.
+    # is sample 3's, as its scalar constructor raises it.
     bad = {1: np.diag([1e200, 1e-200]).astype(complex), 3: np.diag([1.0, 2.0]).astype(complex)}
-    order = {}
-
-    def draw(rng, max_norm=4.0):
-        i = order.setdefault(rng.uniform(), len(order))
-        return bad.get(i, np.eye(2, dtype=complex))
-
-    monkeypatch.setattr(verify, "_sl2_matrix", draw)
+    draws = iter(range(6))
+    monkeypatch.setattr(verify, "_sl2_matrix", lambda rng, max_norm=4.0: bad.get(next(draws), np.eye(2, dtype=complex)))
+    with pytest.raises(NumericalDrift) as info:
+        verify._check_duality(np.random.default_rng(0), 6)
+    assert (type(info.value), str(info.value)) == (
+        NumericalDrift, "determinant (2+0j) differs from 1 by more than 1e-12; renormalize first")
+    # Alone, sample 1 raises act_momentum's error.
+    del bad[3]
+    draws = iter(range(6))
     with pytest.raises(ValueError) as info:
         verify._check_duality(np.random.default_rng(0), 6)
     assert (type(info.value), str(info.value)) == (ValueError, "bitensor entries must be finite")
-    # Alone, sample 3 raises the determinant error.
-    del bad[1]
-    order.clear()
-    with pytest.raises(NumericalDrift, match="^determinant"):
-        verify._check_duality(np.random.default_rng(0), 6)
 
 
 @pytest.mark.parametrize("name", list(scalar_verify.CHECKS))
@@ -301,8 +297,8 @@ def test_blocks_name_the_first_non_finite_sample(monkeypatch):
 
 def test_a_rejected_copy_names_its_sample(monkeypatch):
     # The two-to-one check stacks A and -A: row n + i is a copy of sample i.
-    # Here the mask rejects -A of sample 1 (row 4 of 6, row 3 of 4), which
-    # lorentz_of accepts.
+    # Here the mask rejects -A of sample 1 (row 4 of 6), which lorentz_of
+    # accepts.
     monkeypatch.setattr(verify, "_lorentz_test",
                         lambda L: (lorentz_defect(L), None, (np.arange(len(L)) != len(L) // 2 + 1, True, True)))
     with pytest.raises(NumericalDrift, match="^stacked check rejected sample 1, which the scalar path accepts$"):

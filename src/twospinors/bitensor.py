@@ -317,10 +317,15 @@ def _coords(p) -> np.ndarray:
 
 
 def q_form(v):
-    """Lorentz quadratic form p0^2 - p1^2 - p2^2 - p3^2 of a four-vector (a
-    float) or of stacked (..., 4) coordinates (an array): the one shell-defect
-    formula, squares by pow summed left to right, so stacked rows equal the
-    scalar value bit for bit."""
+    """Lorentz quadratic form p0^2 - p1^2 - p2^2 - p3^2 of a four-vector (a float)
+    or of stacked (..., 4) coordinates (an array); inf or nan, silently, past the float range."""
+    with np.errstate(all="ignore"):
+        return _q_form(v)
+
+
+def _q_form(v):
+    """q_form inside its caller's np.errstate (_shell_test), the one shell-defect
+    formula: squares by pow summed left to right, so a stacked row equals one vector's."""
     sq = np.float_power(_coords(v), 2)
     # One vector's squares as Python floats, as in _expand.
     c0, c1, c2, c3 = np.moveaxis(sq, -1, 0) if sq.ndim > 1 else sq.tolist()

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitensor import Momentum
-from .clifford import FourSpinor, _tau_act, gamma, slash, tau_matrices
+from .clifford import FourSpinor, _slash, _tau_act, gamma, tau_matrices
 from .errors import InvalidClassRep, NotInFiber
 from .momentum import MassShellPoint, _act_momenta, _refuse_act, _require_mass, boost_rep
 from .spinor import (
@@ -67,41 +67,24 @@ SPLUS_TOL = 1e-10
 _REST = _sealed(np.array([[1, 0, 0, -1], [0, 1, 1, 0]], dtype=complex))
 
 
-def _scaled_residuals(p, psi, m):
-    """The residuals |slash(p) w - m w| of w, psi scaled by a power of two
-    (_scaled), with w and the exponents that scale them back: the residual
-    part of fiber_test.  m is one mass, or an array of one mass per row."""
-    w, e = _scaled(np.ascontiguousarray(psi, dtype=complex))
-    mw = m[..., None] * w if isinstance(m, np.ndarray) else m * w
-    return spinor_norms(np.matvec(slash(p), w) - mw), w, e
-
-
 def fiber_test(p, psi, m, tol: float):
-    """The residuals |slash(p) psi - m psi| of one 4-spinor or a (..., 4) stack
-    at (..., 4) momentum coordinates p and mass m (one, or an array of one per
-    row), and whether each is within fiber_bound(tol, m, |psi|): the one fiber
-    test.  Each spinor is scaled by a power of two (_scaled) and compared on
-    the scaled values, so its scale cannot overflow the test; each residual,
-    scaled back, equals np.linalg.norm(slash(p) @ psi - m * psi) bit for bit,
-    or is inf, silently."""
+    """The residuals |slash(p) psi - m psi| and norms |psi| of one 4-spinor or a
+    (..., 4) stack at (..., 4) coordinates p and mass m (one, or one per row),
+    and whether each residual is within fiber_bound(tol, m, |psi|): the one
+    fiber test.  Each spinor is scaled by a power of two (_scaled) and compared
+    on the scaled values, which its scale cannot overflow; each residual and
+    norm, scaled back, is np.linalg.norm's bits, or inf, silently."""
     with np.errstate(all="ignore"):
-        r, w, e = _scaled_residuals(p, psi, m)
-        return np.ldexp(r, e), r <= fiber_bound(tol, m, spinor_norms(w))
+        w, e = _scaled(np.ascontiguousarray(psi, dtype=complex))
+        mw = m[..., None] * w if isinstance(m, np.ndarray) else m * w
+        r, n = spinor_norms([np.matvec(_slash(p), w) - mw, w])
+        return *np.ldexp([r, n], e), r <= fiber_bound(tol, m, n)
 
 
 def fiber_residual(q: MassShellPoint, psi: FourSpinor) -> float:
     """Norm of slash(q.p) psi - m psi, the defining equation of the bundle:
-    fiber_test's residual, without its verdict.  The scale of psi cannot
-    overflow it."""
-    return _fiber_residuals(q.p, psi.vec, q.m)
-
-
-def _fiber_residuals(p, psi, m):
-    """fiber_test's residuals, without its verdict: the kernel under
-    fiber_residual."""
-    with np.errstate(all="ignore"):
-        r, _, e = _scaled_residuals(p, psi, m)
-        return np.ldexp(r, e)
+    fiber_test's residual, which the scale of psi cannot overflow."""
+    return fiber_test(q.p, psi.vec, q.m, FIBER_TOL)[0]
 
 
 def fiber_bound(tol: float, m, psi_norm):
@@ -119,10 +102,9 @@ class FiberElement:
     psi: FourSpinor
 
     def __post_init__(self):
-        r, ok = fiber_test(self.q.p, self.psi.vec, self.q.m, FIBER_TOL)
+        r, n, ok = fiber_test(self.q.p, self.psi.vec, self.q.m, FIBER_TOL)
         if not ok:
-            bound = fiber_bound(FIBER_TOL, self.q.m, self.psi.norm())
-            raise NotInFiber(f"fiber residual {r:.3e} exceeds {bound:.3e}")
+            raise NotInFiber(f"fiber residual {r:.3e} exceeds {fiber_bound(FIBER_TOL, self.q.m, n):.3e}")
 
 
 @dataclass(frozen=True)
@@ -173,7 +155,7 @@ def fiber_projector(q: MassShellPoint) -> np.ndarray:
     range are inf, without a warning.
     """
     with np.errstate(all="ignore"):
-        return (slash(q.p) / q.m + np.eye(4)) / 2.0
+        return (_slash(q.p) / q.m + np.eye(4)) / 2.0
 
 
 def rest_fiber_basis() -> tuple[FourSpinor, FourSpinor]:

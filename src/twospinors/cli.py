@@ -231,7 +231,7 @@ def _solve_payload(m: float, p1: float, p2: float, p3: float, tol: float) -> dic
     q = shell_point(m, p1, p2, p3)
     A = boost_rep(q)
     basis = rest_transport(A.mat)  # fiber_basis(q), from the boost in hand
-    residuals, ok = fiber_test(q.p, basis, q.m, tol)
+    residuals, _, ok = fiber_test(q.p, basis, q.m, tol)
     solutions = [{"psi": _pairs(psi), "residual": r, "ok": k}
                  for psi, r, k in zip(basis, residuals.tolist(), ok.tolist())]
     return {
@@ -333,7 +333,7 @@ def field_records(m: float, grid: tuple[int, float, float], seed: int, tol: floa
                 A = boost_matrices(p, m)
                 accepted = accepted_boosts(p, m, A)
                 psi = rest_transport(A)
-                residual, ok = fiber_test(p[:, None], psi, m, tol)
+                residual, _, ok = fiber_test(p[:, None], psi, m, tol)
             good = len(p) if accepted.all() else int(np.argmin(accepted))
             rows = zip(
                 p[:good].tolist(),
@@ -534,6 +534,3 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -83,18 +83,11 @@ class FourSpinor(_Coefficients):
 
     def norm(self) -> float:
         """np.linalg.norm of the coefficients scaled by a power of two (see
-        _scaled): the same bits where that neither overflows nor underflows,
-        and inf only past the float range."""
-        return float(_norms4(self.vec))
-
-
-def _norms4(psi):
-    """FourSpinor.norm of a coefficient vector or of each row of a (..., 4)
-    stack: spinor_norms (np.linalg.norm's kernel) of the scaled coefficients,
-    scaled back, silently inf past the float range."""
-    with np.errstate(all="ignore"):
-        w, e = _scaled(psi)
-        return np.ldexp(spinor_norms(w), e)
+        _scaled), scaled back: the same bits where that neither overflows nor
+        underflows, and inf, silently, only past the float range."""
+        with np.errstate(all="ignore"):
+            w, e = _scaled(self.vec)
+            return float(np.ldexp(spinor_norms(w), e))
 
 
 def _dyad_endomorphisms() -> np.ndarray:
@@ -152,10 +145,16 @@ def slash(p) -> np.ndarray:
     p0 gamma(0) + p1 gamma(1) + p2 gamma(2) + p3 gamma(3).
 
     Accepts a four-vector (Momentum), a plain length-4 sequence, or a stacked
-    (..., 4) array of coordinates, giving (..., 4, 4) matrices; the sum is
-    the shared basis expansion bitensor._expand.  Squares to q_form(p) times
-    the identity.
+    (..., 4) array of coordinates, giving (..., 4, 4) matrices.  Squares to
+    q_form(p) times the identity; inf or nan past the float range, silently.
     """
+    with np.errstate(all="ignore"):
+        return _slash(p)
+
+
+def _slash(p) -> np.ndarray:
+    """slash inside its caller's np.errstate (fiber_test, fiber_projector):
+    the shared basis expansion bitensor._expand."""
     return _expand(_coords(p), _GAMMAS)
 
 

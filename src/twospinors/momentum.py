@@ -19,11 +19,11 @@ from .bitensor import (
     Momentum,
     _coords,
     _expand,
+    _q_form,
     _transport,
     _world_coords,
     from_minkowski,
     pi_act,
-    q_form,
     to_minkowski,
 )
 from .errors import BadMass, Degenerate, NotOnShell, NumericalDrift
@@ -62,7 +62,7 @@ def _shell_test(p, m):
     verdicts (on the shell: within SHELL_TOL * max(1, m^2), nan fails;
     forward: p0 > 0), silently.  A stack's mask adds a valid mass and finite p."""
     with np.errstate(all="ignore"):
-        defect = abs(q_form(p) - m * m)
+        defect = abs(_q_form(p) - m * m)
         on_shell = defect <= SHELL_TOL * _max1(m * m)
     # One vector's p0 as a numpy scalar: cheaper than a 0-d comparison.
     return defect, (on_shell, (p[0] if p.ndim == 1 else p[..., 0]) > 0)

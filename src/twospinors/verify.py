@@ -45,7 +45,6 @@ from .bundle import (
     AssociatedClassRep,
     FiberElement,
     _beta,
-    _fiber_residuals,
     _in_rest_eigenspace,
     _phases,
     _split,
@@ -60,7 +59,6 @@ from .clifford import (
     FourSpinor,
     _anticommutators,
     _equivariance,
-    _norms4,
     _tau_act,
     gamma,
     gamma_relation_residuals,
@@ -261,19 +259,19 @@ def _class_reps(a: np.ndarray, phi: np.ndarray, m: np.ndarray) -> None:
 
 def _betas(a: np.ndarray, phi: np.ndarray, m: np.ndarray):
     """beta of stacked classes (a, phi, m), by its kernel: the momenta, the
-    4-spinors and their fiber residuals, checked as beta checks its result
-    (act_momentum, MassShellPoint and FiberElement)."""
+    4-spinors and their fiber residuals and norms, checked as beta checks its
+    result (act_momentum, MassShellPoint and FiberElement)."""
     p, ok, psi = _beta(a, phi, m)
-    r, in_fiber = fiber_test(p, psi, m, FIBER_TOL)
+    r, norms, in_fiber = fiber_test(p, psi, m, FIBER_TOL)
     _require(ok & np.all(_shell_test(p, m)[1], axis=0) & in_fiber,
              lambda i: beta(AssociatedClassRep(SL2Element(a[i]), FourSpinor.from_vec(phi[i]), m[i])))
-    return p, psi, r
+    return p, psi, r, norms
 
 
 def _fiber_elements(d: np.ndarray):
     """The random_fiber_element of each (n, 12) row of _fiber_draw numbers:
-    mass, momentum, 4-spinor and canonical boost, each checked as its
-    constructor checks one."""
+    mass, momentum, 4-spinor, its norm and canonical boost, each checked as
+    its constructor checks one."""
     m = d[:, 0]
     p = shell_momenta(m, d[:, 1], d[:, 2], d[:, 3])
     boost = boost_matrices(p, m[:, None, None])
@@ -281,9 +279,10 @@ def _fiber_elements(d: np.ndarray):
     a = _sl2(boost @ _sl2(_su2_matrices(d[:, 4:8])))
     psi = _tau_act(a, _rest_spinors(d[:, 8:]))
     # accepted_boosts has checked the shell points.
-    _require(fiber_test(p, psi, m, FIBER_TOL)[1], lambda i: FiberElement(
+    _, norms, in_fiber = fiber_test(p, psi, m, FIBER_TOL)
+    _require(in_fiber, lambda i: FiberElement(
         MassShellPoint(Momentum.from_coords(p[i]), m[i]), FourSpinor.from_vec(psi[i])))
-    return m, p, psi, boost
+    return m, p, psi, norms, boost
 
 
 # ---------------------------------------------------------------------------
@@ -421,24 +420,24 @@ def _check_beta_well_defined(rng, n):
     at, moved = _sl2(a @ t), _to_rest(t, psi)
     _class_reps(at, moved, m)
     # One stacked beta of both representatives of each class.
-    p, f, _ = _betas(np.concatenate([a, at]), np.concatenate([psi, moved]), np.ones(2 * n))
+    p, f, _, norms = _betas(np.concatenate([a, at]), np.concatenate([psi, moved]), np.ones(2 * n))
     return np.stack([
         np.max(np.abs(p[:n] - p[n:]), axis=-1),
-        spinor_norms(f[:n] - f[n:]) / _max1(_norms4(f[:n])),
+        spinor_norms(f[:n] - f[n:]) / _max1(norms[:n]),
     ], axis=1)
 
 
 @_sweep("bundle map round trip", 1e-9)
 def _check_beta_round_trip(rng, n):
     (d,) = _draw(rng, n, _fiber_draw)
-    m, p, psi, boost = _fiber_elements(d)
+    m, p, psi, norms, boost = _fiber_elements(d)
     # beta_inv takes the canonical boost of the same point: boost again.
     phi = _to_rest(boost, psi)
     _class_reps(boost, phi, m)
-    p2, psi2, _ = _betas(boost, phi, m)
+    p2, psi2, _, _ = _betas(boost, phi, m)
     return np.stack([
         np.max(np.abs(p - p2), axis=-1) / _max1(p[:, 0]),
-        spinor_norms(psi - psi2) / _max1(_norms4(psi)),
+        spinor_norms(psi - psi2) / _max1(norms),
     ], axis=1)
 
 
@@ -447,8 +446,8 @@ def _check_beta_fiber_membership(rng, n):
     a, g, m = _draw(rng, n, _sl2_matrix, _gaussians(4), _mass)
     a, psi = _sl2(a), _rest_spinors(g)
     _class_reps(a, psi, m)
-    _, f, r = _betas(a, psi, m)
-    return r / (_max1(m) * _max1(_norms4(f)))
+    _, _, r, norms = _betas(a, psi, m)
+    return r / (_max1(m) * _max1(norms))
 
 
 @_sweep("conjugate-pair split equivariance", 1e-11)
@@ -472,14 +471,14 @@ def _check_spin_character(rng, n: int) -> CheckResult:
 @_sweep("group action preserves fibers", 1e-9)
 def _check_bundle_equivariance(rng, n):
     d, a = _draw(rng, n, _fiber_draw, _sl2_matrix)
-    m, p, psi, _ = _fiber_elements(d)
+    m, p, psi, _, _ = _fiber_elements(d)
     a = _sl2(a)
     p_moved = _moved(a, p)
     psi_moved = _tau_act(a, psi)
     _require(np.all(_shell_test(p_moved, m)[1], axis=0),
              lambda i: MassShellPoint(Momentum.from_coords(p_moved[i]), m[i]))
-    scale = _max1(m) * _max1(_norms4(psi_moved)) * _max1(p_moved[:, 0] / m)
-    return _fiber_residuals(p_moved, psi_moved, m) / scale
+    r, norms, _ = fiber_test(p_moved, psi_moved, m, FIBER_TOL)
+    return r / (_max1(m) * _max1(norms) * _max1(p_moved[:, 0] / m))
 
 
 def run_verification(seed: int = 0, samples: int = 1000, corrupt_gamma=None) -> VerifyReport:

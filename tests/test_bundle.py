@@ -416,7 +416,7 @@ def test_stacked_fiber_test_keeps_the_scalar_range(direction):
     q = shell_point(1, 0, 0, 0)
     psis = [FourSpinor.from_vec(np.multiply(scale, direction)) for scale in (1e200, 1e-200, 5e-324)]
     p = np.tile(q.p.coords, (len(psis), 1))
-    residuals, ok = fiber_test(p, np.array([v.vec for v in psis]), q.m, FIBER_TOL)
+    residuals, _, ok = fiber_test(p, np.array([v.vec for v in psis]), q.m, FIBER_TOL)
     assert residuals.tobytes() == np.array([fiber_residual(q, v) for v in psis]).tobytes()
     for v, accepted in zip(psis, ok.tolist()):
         if accepted:
@@ -448,18 +448,31 @@ def test_fiber_test_takes_a_mass_per_row():
     psis[7] = psis[7] + 1e-3 * np.abs(psis[7]).max()
     p = np.array([q.p.coords for q in qs])
     m = np.array([q.m for q in qs])
-    residuals, ok = fiber_test(p, np.array(psis), m, FIBER_TOL)
+    residuals, _, ok = fiber_test(p, np.array(psis), m, FIBER_TOL)
     for q, v, r, accepted in zip(qs, psis, residuals.tolist(), ok.tolist()):
-        r1, ok1 = fiber_test(q.p, v, q.m, FIBER_TOL)
+        r1, _, ok1 = fiber_test(q.p, v, q.m, FIBER_TOL)
         assert (np.float64(r).tobytes(), accepted) == (np.float64(r1).tobytes(), bool(ok1))
     assert ok.tolist() == [k != 7 for k in range(30)]
+
+
+def test_not_in_fiber_prints_the_bound_of_the_spinor_norm():
+    # FiberElement takes the bound from fiber_test's norm, which is psi.norm().
+    q, psi = shell_point(2.0, 0, 0, 0), FourSpinor.from_vec([3, 4j, 0, 0])
+    with pytest.raises(NotInFiber) as refused:
+        FiberElement(q, psi)
+    assert str(refused.value) == "fiber residual 1.414e+01 exceeds 1.000e-08"
+    assert str(refused.value).endswith(f" {fiber_bound(FIBER_TOL, q.m, psi.norm()):.3e}")
 
 
 def test_rest_eigenspace_mask_matches_the_class_rep_constructor():
     v1, v2 = (v.vec for v in rest_fiber_basis())
     rows = [s * (c1 * v1 + c2 * v2) for s in (1.0, 1e200, 1e-200, 5e-324, 1e300)
             for c1, c2 in ((1, 0), (0.5j, -2), (1, 1e-3))]
-    rows += [np.array([1, 0, 0, 0]), np.array([1, 0, 0, -1 + 1e-9]), np.array([1e300, 0, 0, -1e-300])]
+    # Past the float range the norm and the bound are inf: the defect is 0
+    # (accepted) or inf (refused), silently.
+    rows += [np.array([1.7e308, 0, 0, -1.7e308])]
+    rows += [np.array([1, 0, 0, 0]), np.array([1, 0, 0, -1 + 1e-9]), np.array([1e300, 0, 0, -1e-300]),
+             np.array([1.7e308, 0, 0, 1.7e308])]
     defects, bounds, mask = _in_rest_eigenspace(np.array(rows, dtype=complex))
     for v, accepted, d, bound in zip(rows, mask.tolist(), defects, bounds):
         # Each row's defect and bound are the one-spinor call's, bit for bit.
@@ -471,7 +484,10 @@ def test_rest_eigenspace_mask_matches_the_class_rep_constructor():
         else:
             with pytest.raises(InvalidClassRep):
                 AssociatedClassRep(SL2Element.identity(), psi, 1.0)
-    assert not mask[-3:].any() and mask[:-3].all()
+    assert not mask[-4:].any() and mask[:-4].all()
+    assert (defects[-5], bounds[-5], defects[-1], bounds[-1]) == (0.0, math.inf, math.inf, math.inf)
+    with pytest.raises(InvalidClassRep, match="^rest-eigenspace defect inf exceeds inf$"):
+        AssociatedClassRep(SL2Element.identity(), FourSpinor.from_vec(rows[-1]), 1.0)
 
 
 def test_fiber_residual_past_the_float_range_is_inf():

@@ -2,8 +2,10 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ import pytest
 from twospinors import NumericalDrift, cli, fiber_projector, shell_point
 from twospinors.cli import _build_parser, _jdump, _parse_grid, _record_line, field_records, main
 from twospinors.momentum import accepted_boosts
+
+ROOT = Path(__file__).resolve().parents[1]
 
 GAMMA0 = [
     [[0, 0], [0, 0], [0, 0], [-1, 0]],
@@ -553,22 +557,23 @@ def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatc
 # --- process-level behavior ----------------------------------------------------------
 
 
+def run_module(argv):
+    """python -m twospinors argv in a fresh interpreter, on this tree's src/,
+    with a RuntimeWarning an error."""
+    env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "twospinors", *argv], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
 def test_usage_error_exit_code():
-    proc = subprocess.run(
-        [sys.executable, "-m", "twospinors", "frobnicate"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module(["frobnicate"])
     assert proc.returncode == 2
 
 
 def test_overflowing_axis_reports_only_the_error(tmp_path):
-    proc = subprocess.run(
-        [sys.executable, "-m", "twospinors", "sample-field", "-m", "1", "--rapidity",
-         "--grid", "3:-800:800", "--out", str(tmp_path / "field.ndjson")],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module(["sample-field", "-m", "1", "--rapidity", "--grid", "3:-800:800",
+                       "--out", str(tmp_path / "field.ndjson")])
     assert proc.returncode == 3
     assert proc.stderr == "error: momentum coordinates must be finite\n"
 
@@ -600,29 +605,21 @@ ONLY_THE_ERROR = {
 def test_overflow_reports_only_the_typed_error(tmp_path, argv, message):
     if argv[0] == "sample-field":
         argv = argv + ["--out", str(tmp_path / "field.ndjson")]
-    proc = subprocess.run([sys.executable, "-m", "twospinors", *argv], capture_output=True, text=True)
+    proc = run_module(argv)
     assert proc.returncode == 3
     assert "Warning" not in proc.stderr
     assert proc.stderr == message + "\n"
 
 
 def test_overflowing_lorentz_defect_reports_only_the_error():
-    proc = subprocess.run(
-        [sys.executable, "-m", "twospinors", "lorentz", "1e150", "0", "0", "0", "0", "0", "1e-150", "0"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module(["lorentz", "1e150", "0", "0", "0", "0", "0", "1e-150", "0"])
     assert proc.returncode == 3
     assert proc.stderr == "error: metric-orthogonality defect inf exceeds 1e-10\n"
 
 
 def test_nan_determinant_reports_only_the_error():
     # The determinant of this singular matrix is inf - inf = nan.
-    proc = subprocess.run(
-        [sys.executable, "-m", "twospinors", "lorentz", "--"] + ["1e200", "0"] * 4,
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module(["lorentz", "--"] + ["1e200", "0"] * 4)
     assert proc.returncode == 3
     assert proc.stderr == (
         "error: determinant (nan+0j) differs from 1 by more than 1e-12; renormalize first\n"
@@ -631,12 +628,8 @@ def test_nan_determinant_reports_only_the_error():
 
 def test_overflowing_boost_reports_only_the_typed_error(tmp_path):
     # A subnormal mass: shell_point accepts the first node, its boost overflows.
-    proc = subprocess.run(
-        [sys.executable, "-m", "twospinors", "sample-field", "-m", "1e-315",
-         "--grid", "2:1e-7:3e-7", "--out", str(tmp_path / "field.ndjson")],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module(["sample-field", "-m", "1e-315", "--grid", "2:1e-7:3e-7",
+                       "--out", str(tmp_path / "field.ndjson")])
     assert proc.returncode == 3
     assert proc.stderr == (
         "error: canonical boost of p = [1.7320508075688772e-07, 1e-07, 1e-07, 1e-07]"
@@ -669,12 +662,9 @@ def test_sample_field_mask_disagreement_is_numerical_drift(monkeypatch):
     assert str(info.value) == f"stacked checks rejected the node p = {nodes[5]} that the scalar path accepts"
 
 
-def test_module_entry_point_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "twospinors", "gamma", "--format", "json"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
-    doc = json.loads(proc.stdout)
-    assert doc["relation_residual"] <= 1e-13
+def test_module_entry_point_runs(capsys):
+    # python -m twospinors prints what main prints.
+    main(["gamma", "--format", "json"])
+    proc = run_module(["gamma", "--format", "json"])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, capsys.readouterr().out, "")
+    assert json.loads(proc.stdout)["relation_residual"] <= 1e-13

@@ -31,7 +31,8 @@ from twospinors import (
     world_basis,
 )
 
-from twospinors.clifford import _anticommutators, _equivariance, _norms4, phi_matrices, tau_matrices
+from twospinors.bundle import FIBER_TOL, fiber_test
+from twospinors.clifford import _anticommutators, _equivariance, phi_matrices, tau_matrices
 from twospinors.spinor import spinor_norms
 
 from test_spinor import random_sl2
@@ -367,20 +368,23 @@ def test_four_spinor_norm_keeps_its_range(c):
 
 
 def test_stacked_clifford_defects_and_norms_equal_one_value():
-    # The kernels under anticommutator_defect, equivariance_defect and
-    # FourSpinor.norm, on stacks, give each one-value result bit for bit.
+    # The kernels under anticommutator_defect and equivariance_defect, and
+    # fiber_test's norms (FourSpinor.norm of each row), on stacks, give each
+    # one-value result bit for bit.
     rng = np.random.default_rng(77)
     xs = [random_bitensor(rng) for _ in range(60)]
     ys = [random_bitensor(rng) for _ in xs]
     mats = [random_sl2(rng, 10.0) for _ in xs]
     vecs = (rng.normal(size=(60, 4)) + 1j * rng.normal(size=(60, 4))) * 10.0 ** rng.uniform(-320, 300, (60, 1))
+    vecs[-1] = 1.7e308  # a norm past the float range: inf, silently
     anti = _anticommutators(np.array([X.t for X in xs]), np.array([Y.t for Y in ys]))
     equi = _equivariance(np.array([A.mat for A in mats]), np.array([X.t for X in xs]))
-    norms = _norms4(vecs)
+    norms = fiber_test([1.0, 0.0, 0.0, 0.0], vecs, 1.0, FIBER_TOL)[1]
     for X, Y, A, v, d1, d2, n in zip(xs, ys, mats, vecs, anti, equi, norms):
         assert anticommutator_defect(X, Y).tobytes() == d1.tobytes()
         assert equivariance_defect(A, X).tobytes() == d2.tobytes()
         assert np.float64(FourSpinor.from_vec(v).norm()).tobytes() == n.tobytes()
+    assert norms[-1] == math.inf
 
 
 def test_equivariance_defect_refuses_an_overflowing_transport_silently():

@@ -189,6 +189,8 @@ OVERFLOWS = {
                    "bitensor entries must be finite"),
     "fiber_projector": (lambda: twospinors.fiber_projector(shell_point(1e-300, 1e10, 0, 0)), None),
     "anticommutator_defect": (lambda: twospinors.anticommutator_defect(_BIG, _BIG), None),
+    "slash": (lambda: twospinors.slash([1e308] * 4), None),
+    "q_form": (lambda: twospinors.q_form([1e200, 0, 0, 0]), None),
 }
 
 

@@ -145,8 +145,8 @@ class LorentzMatrix(_Frozen):
 def _lorentz_test(m: np.ndarray):
     """LorentzMatrix's test of one 4x4 matrix or a (..., 4, 4) stack: the
     metric defect (a float for one) and the determinant, and the verdicts
-    (metric, det = 1, L00 >= 1), each within LORENTZ_TOL; nan fails each,
-    silently.  A stack's mask is these verdicts and finite entries."""
+    (metric, det = 1, L00 >= 1), each within LORENTZ_TOL; nan fails each, as a
+    non-finite entry fails metric, silently.  A stack's mask is these verdicts."""
     with np.errstate(all="ignore"):
         d = np.abs(m.swapaxes(-1, -2) @ ETA @ m - ETA)
         det = np.linalg.det(m)
@@ -347,7 +347,8 @@ def _covering(a: np.ndarray):
     the world basis; with the (..., 4) mask of the columns that are finite
     real vectors and their reality defects.  The kernel under lorentz_of."""
     cols, defects, real = _world_coords(_transport(a[..., None, :, :], _WORLD_STACK))
-    # A non-finite entry gives a non-finite defect, which fails the test.
+    # A non-finite entry fails real, but a finite Hermitian transport can
+    # still overflow a coordinate (diag(1.7e308, 1.7e308) has u0's inf).
     real &= np.isfinite(cols).all(axis=-1)
     # C order, as column_stack gives, for the same products in lorentz_defect.
     return np.ascontiguousarray(cols.swapaxes(-1, -2)), real, defects

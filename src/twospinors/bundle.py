@@ -197,7 +197,8 @@ def _beta(a, phi, m):
     4-spinors, each equal to beta's bit for bit.  The kernel under beta."""
     rest = np.zeros(np.shape(m) + (4,))
     rest[..., 0] = m
-    return (*_act_momenta(a, rest), _tau_act(a, phi))
+    with np.errstate(all="ignore"):  # FourSpinor refuses a spinor past the float range
+        return (*_act_momenta(a, rest), _tau_act(a, phi))
 
 
 def beta_inv(f: FiberElement) -> AssociatedClassRep:

@@ -37,7 +37,7 @@ from .bundle import (
 )
 from .clifford import gamma, gamma_relation_residuals
 from .errors import NumericalDrift
-from .momentum import _require_mass, accepted_boosts, boost_matrices, boost_rep, shell_momenta, shell_point
+from .momentum import _require_mass, boost_rep, canonical_boosts, shell_point
 from .planewave import planewave_residual
 from .spinor import SL2Element
 from .verify import CONVENTIONS, run_verification
@@ -289,13 +289,13 @@ def field_records(m: float, grid: tuple[int, float, float], seed: int, tol: floa
     the grid is uniform in rapidity instead of momentum.
 
     Records are built one plane of nodes (one p1 value) at a time on stacked
-    arrays, with the same arithmetic as shell_point, boost_rep, tau and
-    fiber_test, so memory stays O(n^2).  At the first node those
-    functions would reject, the records before it have been yielded and the
-    scalar path is run on that node to raise its typed error; a bad mass is
-    refused at the first record, before the axis is built.  The two
-    records of a node share their "p" list and all records share the "s" and
-    "sbar" lists; treat records as read-only.
+    arrays, by canonical_boosts (shell_point and boost_rep), tau and
+    fiber_test, so memory stays O(n^2).  At the first node those functions
+    would reject, the records before it have been yielded and the scalar
+    path is run on that node to raise its typed error; a bad mass is refused
+    at the first record, before the axis is built.  The two records of a
+    node share their "p" list and all records share the "s" and "sbar"
+    lists; treat records as read-only.
     """
     n, lo, hi = grid
     header = _header(seed=seed, tol=tol)
@@ -327,11 +327,9 @@ def field_records(m: float, grid: tuple[int, float, float], seed: int, tol: floa
         split = [(_pairs(pair.s.vec), _pairs(pair.sbar.vec)) for pair in pairs]
         p2, p3 = (c.ravel() for c in np.meshgrid(axis, axis, indexing="ij"))
         for p1 in axis:
+            p, A, accepted = canonical_boosts(m, p1, p2, p3)
             # Rejected nodes may overflow; they never reach a record.
             with np.errstate(all="ignore"):
-                p = shell_momenta(m, p1, p2, p3)
-                A = boost_matrices(p, m)
-                accepted = accepted_boosts(p, m, A)
                 psi = rest_transport(A)
                 residual, _, ok = fiber_test(p[:, None], psi, m, tol)
             good = len(p) if accepted.all() else int(np.argmin(accepted))

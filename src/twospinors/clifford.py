@@ -197,15 +197,11 @@ def _anticommutators(x, y) -> np.ndarray:
 
 def gamma_relation_residuals(gammas) -> np.ndarray:
     """4x4 table of max|g_mu g_nu + g_nu g_mu - 2 eta_mu_nu Id| over four
-    candidate gamma matrices; zero for the gamma table."""
+    candidate gamma matrices; zero for the gamma table, silent on overflow."""
     eye = np.eye(4)
-    table = np.zeros((4, 4))
-    for mu in range(4):
-        for nu in range(4):
-            table[mu, nu] = np.max(
-                np.abs(gammas[mu] @ gammas[nu] + gammas[nu] @ gammas[mu] - 2.0 * ETA[mu, nu] * eye)
-            )
-    return table
+    with np.errstate(all="ignore"):
+        return np.array([[np.max(np.abs(gammas[mu] @ gammas[nu] + gammas[nu] @ gammas[mu] - 2.0 * ETA[mu, nu] * eye))
+                          for nu in range(4)] for mu in range(4)])
 
 
 def equivariance_defect(A: SL2Element, X: BiTensor) -> np.ndarray:

@@ -33,10 +33,9 @@ __all__ = [
     "MassShellPoint",
     "SHELL_TOL",
     "shell_point",
-    "shell_momenta",
     "boost_rep",
     "boost_matrices",
-    "accepted_boosts",
+    "canonical_boosts",
     "act_momentum",
 ]
 
@@ -60,7 +59,7 @@ def _shell_test(p, m):
     """MassShellPoint's test of one four-vector's coordinates or a (..., 4)
     stack, at one mass or one per row: the defect |q_form(p) - m^2| and the
     verdicts (on the shell: within SHELL_TOL * max(1, m^2), nan fails;
-    forward: p0 > 0), silently.  A stack's mask adds a valid mass and finite p."""
+    forward: p0 > 0), silently.  At a finite m^2 a non-finite p fails on_shell."""
     with np.errstate(all="ignore"):
         defect = abs(_q_form(p) - m * m)
         on_shell = defect <= SHELL_TOL * _max1(m * m)
@@ -98,41 +97,35 @@ def shell_point(m: float, p1: float, p2: float, p3: float) -> MassShellPoint:
     return MassShellPoint(Momentum(p0, p1, p2, p3), m)
 
 
-def shell_momenta(m: float, p1, p2, p3) -> np.ndarray:
-    """Stacked shell_point coordinates: broadcast spatial momenta to (..., 4)
-    rows (p0, p1, p2, p3), with p0 summed in the same order as shell_point.
-
-    Rows are not validated; accepted_boosts marks the ones shell_point accepts.
-    """
-    p0 = np.sqrt(((m * m + p1 * p1) + p2 * p2) + p3 * p3)
-    return np.stack(np.broadcast_arrays(p0, p1, p2, p3), axis=-1)
-
-
-def boost_matrices(p, m: float) -> np.ndarray:
-    """Canonical boosts of stacked momenta, the kernel under boost_rep.
+def boost_matrices(p, m) -> np.ndarray:
+    """Canonical boosts of stacked momenta at one mass or an (..., 1, 1) array
+    of them, silently: the kernel under boost_rep.
 
     Maps (..., 4) coordinates to the (..., 2, 2) matrices (H + Id) / sqrt(tr H + 2),
     where H = sqrt(2) * (p0 u0 + p1 u1 + p2 u2 + p3 u3) / m is the world-basis
     expansion of from_minkowski (bitensor._expand), so every row equals the
-    scalar result bit for bit.  Rows are not validated.  For p0 > 0 the diagonal of H holds the
-    rounded images of p0 + p3 and p0 - p3, so by monotone rounding tr H >= 0
-    (or nan on overflow): the square root never degenerates.
+    scalar result bit for bit.  Rows are not validated.  For p0 > 0 the
+    diagonal of H holds the rounded images of p0 + p3 and p0 - p3, so by
+    monotone rounding tr H >= 0 (or nan on overflow): the square root never
+    degenerates.
     """
-    H = _SQRT2 * _expand(_coords(p), _WORLD_STACK) / m
-    tr = (H[..., 0, 0] + H[..., 1, 1]).real
-    return (H + _ID2) / np.sqrt(tr + 2.0)[..., None, None]
-
-
-def accepted_boosts(p: np.ndarray, m, A: np.ndarray) -> np.ndarray:
-    """Mask of the rows of shell_momenta / boost_matrices output on which
-    shell_point and boost_rep succeed, at one mass or one per row: on the
-    forward shell (_shell_test) with a finite unimodular boost (_unimodular),
-    so that a rejected row can go to the scalar path for its typed error."""
     with np.errstate(all="ignore"):
+        H = _SQRT2 * _expand(_coords(p), _WORLD_STACK) / m
+        tr = (H[..., 0, 0] + H[..., 1, 1]).real
+        return (H + _ID2) / np.sqrt(tr + 2.0)[..., None, None]
+
+
+def canonical_boosts(m, p1, p2, p3):
+    """boost_rep(shell_point(m, p1, p2, p3)) on broadcast stacks, at one mass
+    or one per row, silently: the (..., 4) coordinates (p0 summed as in
+    shell_point), their boost_matrices, and the mask of the rows both accept,
+    a finite positive mass with the _shell_test and _unimodular verdicts."""
+    with np.errstate(all="ignore"):
+        p0 = np.sqrt(((m * m + p1 * p1) + p2 * p2) + p3 * p3)
+        p = np.stack(np.broadcast_arrays(p0, p1, p2, p3), axis=-1)
+        A = boost_matrices(p, np.asarray(m)[..., None, None])
         _, (on_shell, forward) = _shell_test(p, m)
-        _, unimodular = _unimodular(A)
-        return (np.isfinite(m) & (m > 0) & np.isfinite(p).all(axis=-1) & on_shell & forward
-                & np.isfinite(A).all(axis=(-2, -1)) & unimodular)
+        return p, A, np.isfinite(m) & (m > 0) & on_shell & forward & _unimodular(A)[1]
 
 
 def boost_rep(q: MassShellPoint) -> SL2Element:
@@ -147,8 +140,7 @@ def boost_rep(q: MassShellPoint) -> SL2Element:
     Raises Degenerate when the closed form overflows, which happens on the
     shell for p/m beyond the double range (e.g. m = 1e-300, |p| = 1e10).
     """
-    with np.errstate(all="ignore"):
-        a = boost_matrices(q.p.coords, q.m)
+    a = boost_matrices(q.p.coords, q.m)
     if not np.isfinite(a).all():
         raise Degenerate(f"canonical boost of p = {q.p.coords.tolist()} at m = {q.m} overflows")
     return SL2Element(a)
@@ -176,13 +168,10 @@ def _act_momenta(a, p):
     """act_momentum of one matrix and momentum, or row by row of (..., 2, 2)
     matrices and (..., 4) coordinates, broadcast: the world coordinates of
     a T a* for T the expansion of p (each equal to act_momentum's bit for
-    bit), and the mask of the rows act_momentum accepts: a finite expansion
-    and transport (BiTensor's check), real (to_minkowski's) and finite
-    coordinates (Momentum's).  Silent on overflow; the kernel under
-    act_momentum."""
+    bit), and the mask of the rows act_momentum accepts: real (to_minkowski's
+    test, which a non-finite transport entry fails) and finite coordinates
+    (Momentum's check, which a finite Hermitian transport can still fail by
+    overflow).  Silent on overflow; the kernel under act_momentum."""
     with np.errstate(all="ignore"):
-        # A non-finite expansion gives a non-finite transport.
-        t = _transport(a, _expand(p, _WORLD_STACK))
-        coords, _, real = _world_coords(t)
-        ok = np.isfinite(t).all(axis=(-2, -1)) & real & np.isfinite(coords).all(axis=-1)
-    return coords, ok
+        coords, _, real = _world_coords(_transport(a, _expand(p, _WORLD_STACK)))
+    return coords, real & np.isfinite(coords).all(axis=-1)

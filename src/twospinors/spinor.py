@@ -231,7 +231,9 @@ def spinor_norms(v) -> np.ndarray:
 
     Sums the squared real parts, then the squared imaginary parts, through
     the same dot-product kernel np.linalg.norm uses for one complex vector,
-    so each row equals np.linalg.norm of that row bit for bit.
+    so each row equals np.linalg.norm of that row bit for bit.  It may warn:
+    each caller runs it under its own np.errstate or on power-of-two-scaled
+    values that cannot overflow (bundle._in_rest_eigenspace).
     """
     v = np.asarray(v, dtype=complex)
     re, im = v.real, v.imag
@@ -292,7 +294,7 @@ def _exponent(z: complex) -> int:
 def _unimodular(a):
     """SL2Element's test: _det2 of one 2x2 matrix or of a (..., 2, 2) stack,
     and whether |det - 1| <= SL2_DET_TOL (the C library's hypot in both; nan
-    fails).  A stack's mask is this verdict and finite entries."""
+    fails, as a non-finite entry's does).  A stack's mask is this verdict."""
     d = _det2(a)
     if a.ndim == 2:
         # A real part off by more than 1 is refused before abs(d - 1) can raise

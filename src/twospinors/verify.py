@@ -69,11 +69,9 @@ from .momentum import (
     MassShellPoint,
     _act_momenta,
     _shell_test,
-    accepted_boosts,
     act_momentum,
-    boost_matrices,
     boost_rep,
-    shell_momenta,
+    canonical_boosts,
     shell_point,
 )
 from .sampling import _fiber_draw, _rest_spinors, _sl2_matrix, _su2_matrices
@@ -230,7 +228,7 @@ def _norms2(v: np.ndarray) -> np.ndarray:
 
 def _sl2(a: np.ndarray) -> np.ndarray:
     """Stacked (n, 2, 2) matrices, checked as SL2Element checks one."""
-    _require(np.isfinite(a).all(axis=(-2, -1)) & _unimodular(a)[1], lambda i: SL2Element(a[i]))
+    _require(_unimodular(a)[1], lambda i: SL2Element(a[i]))
     return a
 
 
@@ -273,12 +271,11 @@ def _fiber_elements(d: np.ndarray):
     mass, momentum, 4-spinor, its norm and canonical boost, each checked as
     its constructor checks one."""
     m = d[:, 0]
-    p = shell_momenta(m, d[:, 1], d[:, 2], d[:, 3])
-    boost = boost_matrices(p, m[:, None, None])
-    _require(accepted_boosts(p, m, boost), lambda i: boost_rep(shell_point(*d[i, :4].tolist())))
+    p, boost, ok = canonical_boosts(m, d[:, 1], d[:, 2], d[:, 3])
+    _require(ok, lambda i: boost_rep(shell_point(*d[i, :4].tolist())))
     a = _sl2(boost @ _sl2(_su2_matrices(d[:, 4:8])))
     psi = _tau_act(a, _rest_spinors(d[:, 8:]))
-    # accepted_boosts has checked the shell points.
+    # canonical_boosts has checked the shell points.
     _, norms, in_fiber = fiber_test(p, psi, m, FIBER_TOL)
     _require(in_fiber, lambda i: FiberElement(
         MassShellPoint(Momentum.from_coords(p[i]), m[i]), FourSpinor.from_vec(psi[i])))

@@ -12,7 +12,7 @@ import pytest
 
 from twospinors import NumericalDrift, cli, fiber_projector, shell_point
 from twospinors.cli import _build_parser, _jdump, _parse_grid, _record_line, field_records, main
-from twospinors.momentum import accepted_boosts
+from twospinors.momentum import canonical_boosts
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -643,14 +643,14 @@ def test_sample_field_mask_disagreement_is_numerical_drift(monkeypatch):
     # replay raises NumericalDrift naming the node.
     calls = []
 
-    def reject_one(p, m, A):
-        accepted = accepted_boosts(p, m, A)
+    def reject_one(m, p1, p2, p3):
+        p, A, accepted = canonical_boosts(m, p1, p2, p3)
         calls.append(None)
         if len(calls) == 2:
             accepted[1] = False
-        return accepted
+        return p, A, accepted
 
-    monkeypatch.setattr(cli, "accepted_boosts", reject_one)
+    monkeypatch.setattr(cli, "canonical_boosts", reject_one)
     _, records = field_records(1.0, (2, -1.0, 1.0), seed=0, tol=1e-9)
     seen = []
     with pytest.raises(NumericalDrift) as info:

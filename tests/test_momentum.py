@@ -23,7 +23,8 @@ from twospinors import (
 )
 
 from twospinors import momentum
-from twospinors.momentum import _act_momenta, _shell_test, accepted_boosts, boost_matrices, shell_momenta
+from twospinors.bitensor import _WORLD_STACK, _expand, _transport
+from twospinors.momentum import _act_momenta, _shell_test, canonical_boosts
 
 from test_bitensor import outcome, reference_pi_act, reference_to_minkowski, sweep_matrices
 from test_spinor import random_sl2
@@ -208,9 +209,8 @@ def test_stacked_boosts_equal_scalar_reference():
     rng = np.random.default_rng(46)
     m = 1.3
     spatial = rng.normal(size=(3, 300)) * m * 10.0 ** rng.uniform(-3, 3, 300)
-    p = shell_momenta(m, *spatial)
-    A = boost_matrices(p, m)
-    assert accepted_boosts(p, m, A).all()
+    p, A, ok = canonical_boosts(m, *spatial)
+    assert ok.all()
     for row, a in zip(p, A):
         q = shell_point(m, *row[1:].tolist())
         assert row.tobytes() == q.p.coords.tobytes()
@@ -225,16 +225,26 @@ def test_stacked_boosts_equal_scalar_reference():
     (1.0, -30.0, 30.0),
     (-1.0, 0.0, 1.0),
 ])
-def test_accepted_boosts_agree_with_scalar_checks(m, lo, hi):
+def test_canonical_boosts_agree_with_scalar_checks(m, lo, hi):
     axis = m * np.sinh(np.linspace(lo, hi, 9))
     p1, p2, p3 = (c.ravel() for c in np.meshgrid(axis, axis, axis, indexing="ij"))
-    with np.errstate(over="ignore", invalid="ignore"):
-        p = shell_momenta(m, p1, p2, p3)
-        A = boost_matrices(p, m)
-        accepted = accepted_boosts(p, m, A)
-    for row, ok in zip(p, accepted.tolist()):
+    p, A, accepted = canonical_boosts(m, p1, p2, p3)
+    # One mass per row gives the one-mass rows bit for bit.
+    for one, per_row in zip((p, A, accepted), canonical_boosts(np.full(len(p1), m), p1, p2, p3)):
+        assert one.tobytes() == per_row.tobytes()
+    # Rows at their own masses: each refused mass (zero, negative, inf, nan),
+    # a subnormal one whose boost overflows, non-finite spatial entries, and
+    # |p| = 1e155, whose energy overflows; then a row shell_point accepts.
+    edges = np.array([
+        [0.0, 0.1, 0.2, 0.3], [-1.0, 0.1, 0.2, 0.3], [math.inf, 0.1, 0.2, 0.3], [math.nan, 0.1, 0.2, 0.3],
+        [1e-315, 1e-7, 1e-7, 1e-7], [1.0, math.nan, 0.0, 0.0], [1.0, 0.0, math.inf, 0.0],
+        [1.0, 0.0, 0.0, -math.inf], [1.0, 1e155, 0.0, 0.0], [2.0, 0.0, -1e155, 0.0], [1.0, 0.3, -0.2, 0.1],
+    ])
+    _, _, edge_ok = canonical_boosts(*edges.T)
+    assert edge_ok.tolist() == [False] * 10 + [True]
+    for args, ok in zip([(m, *row[1:].tolist()) for row in p] + edges.tolist(), accepted.tolist() + edge_ok.tolist()):
         try:
-            boost_rep(shell_point(m, *row[1:].tolist()))
+            boost_rep(shell_point(*args))
         except ValueError:
             assert not ok
         else:
@@ -300,11 +310,20 @@ def test_stacked_act_momenta_equal_act_momentum():
     mats = sweep_matrices(rng) + [SL2Element(np.diag([1e200, 1e-200])), SL2Element.identity()]
     coords = [rng.normal(size=4) * 10.0 ** rng.uniform(-3, 3) for _ in mats[:-1]] + [[1.7e308, 0, 0, 1.7e308]]
     coords[-2] = [1.0, 0.0, 0.0, 0.5]
-    moved, ok = _act_momenta(np.array([A.mat for A in mats]), np.array(coords))
+    # Finite rows whose transport overflows: two with an infinite real part,
+    # then one whose real part is nan (inf - inf).
+    mats += [SL2Element(np.diag([1e200, 1e-200])), SL2Element([[1e154, 1e154], [0, 1e-154]]),
+             SL2Element([[-1e184 - 5e184j, 6e184 + 4e184j], [0, -3.846153846153847e-186 + 1.923076923076923e-185j]])]
+    coords += [[1.0, 0.3, 0.0, 0.5], [2.0, 0.0, 0.0, 0.5], [0.9, -0.7, -1.3, -0.6]]
+    a, p = np.array([A.mat for A in mats]), np.array(coords)
+    with np.errstate(all="ignore"):
+        t = _transport(a[-3:], _expand(p[-3:], _WORLD_STACK))
+    assert np.isinf(t[:2].real).any(axis=(-2, -1)).all() and np.isnan(t[2].real).any()
+    moved, ok = _act_momenta(a, p)
     for A, c, row, accepted in zip(mats, coords, moved, ok.tolist()):
         result = outcome(act_momentum, A, Momentum.from_coords(c))
         assert result == row.tobytes() if accepted else isinstance(result, tuple)
-    assert ok[:-2].any() and not ok[-2:].any()
+    assert ok[:-5].any() and not ok[-5:].any()
 
 
 def test_act_momentum_never_returns_its_replay(monkeypatch):

@@ -22,7 +22,7 @@ from twospinors import (
     eps,
     eps_bar,
 )
-from twospinors.momentum import boost_matrices, shell_momenta
+from twospinors.momentum import canonical_boosts
 from twospinors.spinor import _adjugate, _cmul, _cyclic, _det2, _eps, _unimodular
 
 E1 = Spinor2(1, 0)
@@ -416,7 +416,7 @@ def _det_stack(rng):
     scale = 10.0 ** rng.uniform(-5, 5, (500, 1, 1))
     random = scale * (rng.normal(size=(500, 2, 2)) + 1j * rng.normal(size=(500, 2, 2)))
     spatial = rng.normal(size=(3, 200)) * 10.0 ** rng.uniform(-3, 3, 200)
-    boosts = boost_matrices(shell_momenta(1.3, *spatial), 1.3)
+    boosts = canonical_boosts(1.3, *spatial)[1]
     edges = np.array([
         [[1e200, 1e200], [1e200, 1e200]],
         [[1e200, 0], [0, 1e200j]],
@@ -481,9 +481,12 @@ def test_unimodular_mask_agrees_with_sl2_element():
     # determinant is 1.0000000000010232.
     m = 0.2038915621465247
     axis = m * np.sinh(np.linspace(-8.745101673433474, 9.051056505008884, 4))
-    p = shell_momenta(m, *(c.ravel() for c in np.meshgrid(axis, axis, axis, indexing="ij")))
-    mid_grid = boost_matrices(p, m)
+    _, mid_grid, _ = canonical_boosts(m, *(c.ravel() for c in np.meshgrid(axis, axis, axis, indexing="ij")))
     assert 1.0000000000010232 + 0j in [_det2(t) for t in mid_grid]
+    # inf, -inf or nan in each of the eight real slots of a unimodular matrix.
+    non_finite = np.tile(np.array([[1, 2], [3, 7]], dtype=complex), (24, 1, 1))
+    for k, value in enumerate(np.repeat([np.inf, -np.inf, np.nan], 8)):
+        non_finite.view(float).reshape(24, 8)[k, k % 8] = value
     stack = np.concatenate((
         np.array([random_sl2(rng).mat for _ in range(100)]),
         mid_grid,
@@ -493,12 +496,15 @@ def test_unimodular_mask_agrees_with_sl2_element():
             [[1 + 2e-12, 0], [0, 1]],
             [[np.inf, 0], [0, 1]],
         ], dtype=complex),
+        non_finite,
     ))
     with np.errstate(over="ignore", invalid="ignore"):
         dets, ok = _unimodular(stack)
     mask = np.isfinite(stack).all(axis=(-2, -1)) & ok
     assert mask.tolist() == [_sl2_accepts(t) for t in stack]
-    assert mask[:100].all() and not mask[-4:].any()
+    assert mask[:100].all() and not mask[-28:].any()
+    # The verdict alone is the mask: a non-finite entry fails it.
+    assert ok.tolist() == mask.tolist()
     # Each row's determinant is the one-matrix call's, bit for bit.
     for t, d in zip(stack, dets):
         assert np.complex128(_unimodular(t)[0]).tobytes() == d.tobytes()

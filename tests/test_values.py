@@ -191,6 +191,11 @@ OVERFLOWS = {
     "anticommutator_defect": (lambda: twospinors.anticommutator_defect(_BIG, _BIG), None),
     "slash": (lambda: twospinors.slash([1e308] * 4), None),
     "q_form": (lambda: twospinors.q_form([1e200, 0, 0, 0]), None),
+    "beta": (lambda: twospinors.beta(twospinors.AssociatedClassRep(
+        SL2Element([[2, 0], [0, 0.5]]), FourSpinor.from_vec([1.7e308, 0, 0, -1.7e308]), 1.0)),
+        "FourSpinor components must be finite"),
+    "boost_matrices": (lambda: momentum.boost_matrices(np.array([[1e10, 1e10, 0, 0]]), 1e-300), None),
+    "gamma_relation_residuals": (lambda: clifford.gamma_relation_residuals([np.full((4, 4), 1.7e308)] * 4), None),
 }
 
 

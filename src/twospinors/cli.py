@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -37,7 +38,7 @@ from .bundle import (
 )
 from .clifford import gamma, gamma_relation_residuals
 from .errors import NumericalDrift
-from .momentum import _require_mass, boost_rep, canonical_boosts, shell_point
+from .momentum import boost_rep, canonical_boosts, shell_point
 from .planewave import planewave_residual
 from .spinor import SL2Element
 from .verify import CONVENTIONS, run_verification
@@ -76,36 +77,6 @@ def _jdump(obj) -> str:
     if isinstance(obj, (float, np.floating)):
         return _g17(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-# One sample-field record, laid out exactly as _jdump lays out the dict that
-# field_records yields, with the 21 floats, the basis index and the flag
-# filled in by a single %-format.
-_PAIR = "[%.17g, %.17g]"
-_RECORD = (
-    '{"record": "sample", "p": [%.17g, %.17g, %.17g, %.17g], "basis_index": %d, '
-    '"psi": [' + ", ".join([_PAIR] * 4) + '], '
-    '"s": [' + ", ".join([_PAIR] * 2) + '], '
-    '"sbar": [' + ", ".join([_PAIR] * 2) + '], '
-    '"residual": %.17g, "ok": %s}'
-)
-
-
-def _record_line(rec: dict) -> str:
-    """_jdump(rec) for a sample-field record, by one fixed-schema format."""
-    (a, b), (c, d), (e, f), (g, h) = rec["psi"]
-    (s1, s2), (s3, s4) = rec["s"]
-    (t1, t2), (t3, t4) = rec["sbar"]
-    line = _RECORD % (
-        *rec["p"], rec["basis_index"], a, b, c, d, e, f, g, h,
-        s1, s2, s3, s4, t1, t2, t3, t4, rec["residual"],
-        "true" if rec["ok"] else "false",
-    )
-    # The template's own text holds neither word, so either one is a
-    # non-finite number that %.17g rendered.
-    if "inf" in line or "nan" in line:
-        raise ValueError(f"cannot write a record with a non-finite number: {line}")
-    return line
 
 
 def _pairs(z) -> list:
@@ -280,6 +251,51 @@ def _cmd_planewave_check(args) -> int:
     return 0
 
 
+def _rest_split(m) -> list:
+    """The (s, sbar) pair lists of each rest basis vector: every node's, since
+    the split of a class (A, v) depends only on v.  Refuses a bad mass."""
+    pairs = [split_conjugate_pair(AssociatedClassRep(SL2Element.identity(), v, m))
+             for v in rest_fiber_basis()]
+    return [(_pairs(pair.s.vec), _pairs(pair.sbar.vec)) for pair in pairs]
+
+
+def _field_planes(m, grid, tol, rapidity):
+    """sample-field's nodes, one plane (one p1 value) at a time, on stacked
+    arrays by canonical_boosts (shell_point and boost_rep), tau and fiber_test,
+    so memory stays O(n^2).  Yields each plane's accepted prefix: coordinates
+    (k, 4), psi parts (k, 2, 4, 2), residuals and oks (k, 2).  The scalar path
+    is then run on a rejected node to raise its typed error; a bad mass fails
+    every node, so it is refused at the first."""
+    n, lo, hi = grid
+    # An axis value that overflows, or a span that does, is refused at its
+    # first node.
+    with np.errstate(all="ignore"):
+        axis = np.linspace(lo, hi, n)
+        if rapidity:
+            axis = m * np.sinh(axis)
+    p2, p3 = (c.ravel() for c in np.meshgrid(axis, axis, indexing="ij"))
+    for p1 in axis:
+        p, A, accepted = canonical_boosts(m, p1, p2, p3)
+        # Rejected nodes may overflow; they never reach a record.
+        with np.errstate(all="ignore"):
+            psi = rest_transport(A)
+            residual, _, ok = fiber_test(p[:, None], psi, m, tol)
+        good = len(p) if accepted.all() else int(np.argmin(accepted))
+        yield p[:good], np.stack([psi.real, psi.imag], axis=-1)[:good], residual[:good], ok[:good]
+        if good < len(p):
+            boost_rep(shell_point(m, float(p1), float(p2[good]), float(p3[good])))
+            raise NumericalDrift(f"stacked checks rejected the node p = {p[good].tolist()} "
+                                 "that the scalar path accepts")
+
+
+def _field_header(m, grid, seed, tol, rapidity) -> dict:
+    """The header record of a sample-field file."""
+    n, lo, hi = grid
+    kind = "rapidity" if rapidity else "cartesian"
+    return {**_header(seed=seed, tol=tol), "record": "header", "mass": float(m),
+            "grid": {"kind": kind, "nodes_per_axis": n, "lo": float(lo), "hi": float(hi)}}
+
+
 def field_records(m: float, grid: tuple[int, float, float], seed: int, tol: float,
                   rapidity: bool = False):
     """Header dict plus one record dict per fiber-basis vector per node.
@@ -288,57 +304,18 @@ def field_records(m: float, grid: tuple[int, float, float], seed: int, tol: floa
     rapidity=True the axis values are mapped through m*sinh before use so
     the grid is uniform in rapidity instead of momentum.
 
-    Records are built one plane of nodes (one p1 value) at a time on stacked
-    arrays, by canonical_boosts (shell_point and boost_rep), tau and
-    fiber_test, so memory stays O(n^2).  At the first node those functions
-    would reject, the records before it have been yielded and the scalar
-    path is run on that node to raise its typed error; a bad mass is refused
-    at the first record, before the axis is built.  The two records of a
-    node share their "p" list and all records share the "s" and "sbar"
-    lists; treat records as read-only.
+    The records are the dict view of the planes sample-field writes
+    (_field_planes), built lazily: at the first node the stacked checks
+    reject, the records before it have been yielded and the scalar path
+    raises its typed error; a bad mass is refused at the first record.  The
+    two records of a node share their "p" list and all records share the
+    "s" and "sbar" lists; treat records as read-only.
     """
-    n, lo, hi = grid
-    header = _header(seed=seed, tol=tol)
-    header.update(
-        {
-            "record": "header",
-            "mass": float(m),
-            "grid": {
-                "kind": "rapidity" if rapidity else "cartesian",
-                "nodes_per_axis": n,
-                "lo": float(lo),
-                "hi": float(hi),
-            },
-        }
-    )
 
     def records():
-        _require_mass(m)
-        # An axis value that overflows, or a span that does, is refused at
-        # its first node.
-        with np.errstate(all="ignore"):
-            axis = np.linspace(lo, hi, n)
-            if rapidity:
-                axis = m * np.sinh(axis)
-        basis = rest_fiber_basis()
-        # The split of a class (A, v) depends only on v, so the rest class
-        # (Id, v) gives every node's s and sbar.
-        pairs = [split_conjugate_pair(AssociatedClassRep(SL2Element.identity(), v, m)) for v in basis]
-        split = [(_pairs(pair.s.vec), _pairs(pair.sbar.vec)) for pair in pairs]
-        p2, p3 = (c.ravel() for c in np.meshgrid(axis, axis, indexing="ij"))
-        for p1 in axis:
-            p, A, accepted = canonical_boosts(m, p1, p2, p3)
-            # Rejected nodes may overflow; they never reach a record.
-            with np.errstate(all="ignore"):
-                psi = rest_transport(A)
-                residual, _, ok = fiber_test(p[:, None], psi, m, tol)
-            good = len(p) if accepted.all() else int(np.argmin(accepted))
-            rows = zip(
-                p[:good].tolist(),
-                np.stack([psi.real, psi.imag], axis=-1)[:good].tolist(),
-                residual[:good].tolist(),
-                ok[:good].tolist(),
-            )
+        split = _rest_split(m)
+        for p, parts, residual, ok in _field_planes(m, grid, tol, rapidity):
+            rows = zip(p.tolist(), parts.tolist(), residual.tolist(), ok.tolist())
             for coords, node_psi, node_residual, node_ok in rows:
                 for k, (s, sbar) in enumerate(split):
                     yield {
@@ -351,34 +328,53 @@ def field_records(m: float, grid: tuple[int, float, float], seed: int, tol: floa
                         "residual": node_residual[k],
                         "ok": node_ok[k],
                     }
-            if good < len(p):
-                boost_rep(shell_point(m, float(p1), float(p2[good]), float(p3[good])))
-                raise NumericalDrift(
-                    f"stacked checks rejected the node p = {p[good].tolist()} "
-                    "that the scalar path accepts"
-                )
 
-    return header, records()
+    return _field_header(m, grid, seed, tol, rapidity), records()
+
+
+# A sample-field line is _jdump of its field_records dict, written straight
+# from the plane arrays: the text of "basis_index", "s", "sbar" and "ok" is
+# baked into one template per basis index and flag, "p" is formatted once
+# per node, and the psi parts and residual by one %-format per record.
+_P = "[%.17g, %.17g, %.17g, %.17g]"
+_LINE = ('{"record": "sample", "p": %%s, "basis_index": %d, "psi": [%s], "s": %s, '
+         '"sbar": %s, "residual": %%.17g, "ok": %s}\n')
+_PSI = ", ".join(["[%.17g, %.17g]"] * 4)
 
 
 def _cmd_sample_field(args) -> int:
-    header, records = field_records(
-        args.mass, args.grid, seed=args.seed, tol=args.tol, rapidity=args.rapidity
-    )
-    first_line = _jdump(header) + "\n"
+    m, grid = args.mass, args.grid
+    first_line = _jdump(_field_header(m, grid, args.seed, args.tol, args.rapidity)) + "\n"
     try:
         out = open(args.out, "w", encoding="utf-8", newline="\n")
     except OSError as exc:
         print(f"error: cannot open output file {args.out!r}: {exc}", file=sys.stderr)
         return 2
-    count = 0
-    flagged = 0
+    count = flagged = 0
     with out:
-        out.write(first_line)
-        for rec in records:
-            out.write(_record_line(rec) + "\n")
-            count += 1
-            flagged += 0 if rec["ok"] else 1
+        write = out.write
+        write(first_line)
+        templates = [[_LINE % (k, _PSI, _jdump(s), _jdump(sbar), word) for word in ("false", "true")]
+                     for k, (s, sbar) in enumerate(_rest_split(m))]
+        for p, parts, residual, ok in _field_planes(m, grid, args.tol, args.rapidity):
+            parts = parts.reshape(len(p), 2, 8)
+            # %.17g renders a non-finite number as inf or nan, which JSON
+            # lacks: the first record holding one is refused, once the
+            # records before it are written.
+            finite = (np.isfinite(p).all(axis=-1)[:, None] & np.isfinite(parts).all(axis=-1)
+                      & np.isfinite(residual)).ravel()
+            texts = map(_P.__mod__, map(tuple, p.tolist()))
+            rows = zip(texts, parts.tolist(), residual.tolist(), ok.tolist())
+            lines = (t[k] % (text, *node, r)
+                     for text, node_parts, node_residual, node_ok in rows
+                     for t, node, r, k in zip(templates, node_parts, node_residual, node_ok))
+            good = len(finite) if finite.all() else int(np.argmin(finite))
+            for line in itertools.islice(lines, good):
+                write(line)
+            if good < len(finite):
+                raise ValueError(f"cannot write a record with a non-finite number: {next(lines)[:-1]}")
+            count += ok.size
+            flagged += ok.size - int(ok.sum())
     summary = {
         "header": _header(seed=args.seed, tol=args.tol),
         "out": args.out,

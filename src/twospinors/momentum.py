@@ -58,11 +58,11 @@ def _require_mass(m) -> float:
 def _shell_test(p, m):
     """MassShellPoint's test of one four-vector's coordinates or a (..., 4)
     stack, at one mass or one per row: the defect |q_form(p) - m^2| and the
-    verdicts (on the shell: within SHELL_TOL * max(1, m^2), nan fails;
-    forward: p0 > 0), silently.  At a finite m^2 a non-finite p fails on_shell."""
+    verdicts (on the shell: finite and within SHELL_TOL * max(1, m^2), so a
+    non-finite p fails; forward: p0 > 0), silently."""
     with np.errstate(all="ignore"):
         defect = abs(_q_form(p) - m * m)
-        on_shell = defect <= SHELL_TOL * _max1(m * m)
+        on_shell = (defect <= SHELL_TOL * _max1(m * m)) & (defect < math.inf)
     # One vector's p0 as a numpy scalar: cheaper than a 0-d comparison.
     return defect, (on_shell, (p[0] if p.ndim == 1 else p[..., 0]) > 0)
 

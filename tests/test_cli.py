@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from twospinors import NumericalDrift, cli, fiber_projector, shell_point
-from twospinors.cli import _build_parser, _jdump, _parse_grid, _record_line, field_records, main
+from twospinors.cli import _build_parser, _jdump, _parse_grid, field_records, main
 from twospinors.momentum import canonical_boosts
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -227,23 +227,16 @@ def test_sample_field_byte_identical(tmp_path, capsys, mass, grid, flags, digest
 
 
 @pytest.mark.parametrize("mass, grid, flags, digest", PINNED_GRIDS.values(), ids=PINNED_GRIDS)
-def test_record_line_matches_jdump(mass, grid, flags, digest):
+def test_written_lines_match_field_records(tmp_path, capsys, mass, grid, flags, digest):
+    # The writer and the dict view are two consumers of the same planes.
+    out = tmp_path / "field.ndjson"
+    assert main(["sample-field", "-m", repr(mass), "--grid", grid, *flags, "--out", str(out)]) == 0
     seed = int(flags[flags.index("--seed") + 1]) if "--seed" in flags else 0
-    _, records = field_records(mass, _parse_grid(grid), seed=seed, tol=1e-9,
-                               rapidity="--rapidity" in flags)
-    count = 0
-    for rec in records:
-        assert _record_line(rec) == _jdump(rec)
-        count += 1
-    assert count == 2 * int(grid.split(":")[0]) ** 3
-
-
-def test_record_line_refuses_non_finite():
-    _, records = field_records(1.0, (1, 0.0, 0.0), seed=0, tol=1e-9)
-    rec = next(records)
-    for key, value in (("residual", float("nan")), ("p", [float("inf"), 0.0, 0.0, 0.0])):
-        with pytest.raises(ValueError, match="non-finite"):
-            _record_line({**rec, key: value})
+    header, records = field_records(mass, _parse_grid(grid), seed=seed, tol=1e-9,
+                                    rapidity="--rapidity" in flags)
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert lines == [_jdump(header)] + [_jdump(rec) for rec in records]
+    assert len(lines) == 1 + 2 * int(grid.split(":")[0]) ** 3
 
 
 # Failing grids: the exit code, the last stderr line and the sha256 of the
@@ -291,6 +284,64 @@ def test_sample_field_error_parity(tmp_path, capsys, argv, message, digest):
     assert captured.out == ""
     assert captured.err.splitlines()[-1] == message
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, message, digest", SAMPLE_FIELD_ERRORS.values(),
+                         ids=SAMPLE_FIELD_ERRORS)
+def test_partial_file_matches_field_records(tmp_path, capsys, argv, message, digest):
+    # The partial file holds exactly the records field_records yields before
+    # it raises the error that sample-field reports.
+    out = tmp_path / "field.ndjson"
+    assert main(["sample-field", *argv, "--out", str(out)]) == 3
+    args = _build_parser().parse_args(["sample-field", *argv, "--out", str(out)])
+    header, records = field_records(args.mass, args.grid, seed=args.seed, tol=args.tol,
+                                    rapidity=args.rapidity)
+    seen = [_jdump(header)]
+    with pytest.raises(ValueError) as info:
+        for rec in records:
+            seen.append(_jdump(rec))
+    assert f"error: {info.value}" == message
+    assert out.read_text(encoding="utf-8").splitlines() == seen
+
+
+# A non-finite number written into an accepted node of the second plane of a
+# 2-node grid, after fiber_test has read it: (array, index, value, index of
+# the first record holding it).  Plane 1 holds records 0-7; node 1 of plane 2
+# holds records 10 and 11.
+NON_FINITE_RECORDS = {
+    "residual": ((1, 1), np.nan, 11),
+    "psi": ((1, 1, 0), np.inf, 11),
+    "p": ((1, 0, 3), np.inf, 10),
+}
+
+
+@pytest.mark.parametrize("name, case", NON_FINITE_RECORDS.items(), ids=NON_FINITE_RECORDS)
+def test_non_finite_record_refused_after_the_records_before_it(tmp_path, capsys, monkeypatch,
+                                                               name, case):
+    # sample-field writes every record before the first one holding the
+    # number and refuses that one, printing its line.
+    (index, value, refused), original, calls = case, cli.fiber_test, []
+
+    def poisoned(p, psi, m, tol):
+        result = original(p, psi, m, tol)
+        calls.append(None)
+        if len(calls) % 2 == 0:  # the second plane of each run
+            {"p": p, "psi": psi, "residual": result[0]}[name][index] = value
+        return result
+
+    monkeypatch.setattr(cli, "fiber_test", poisoned)
+    out = tmp_path / "field.ndjson"
+    assert main(["sample-field", "-m", "1", "--grid", "2:-1:1", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # The same planes through field_records, rendered as %.17g renders them.
+    monkeypatch.setattr(cli, "_g17", lambda x: "%.17g" % x)
+    header, records = field_records(1.0, (2, -1.0, 1.0), seed=0, tol=1e-9)
+    expected = [_jdump(header)] + [_jdump(rec) for rec in records]
+    assert out.read_text(encoding="utf-8").splitlines() == expected[:1 + refused]
+    line = expected[1 + refused]
+    assert "inf" in line or "nan" in line
+    assert captured.err == f"error: cannot write a record with a non-finite number: {line}\n"
 
 
 NON_FINITE_OUTPUT = {

@@ -1,6 +1,7 @@
 """The mass shell, the canonical boost section, and the action on momenta."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,20 @@ def test_mass_shell_point_rejects_off_shell():
 def test_mass_shell_point_rejects_nan_defect():
     with pytest.raises(NotOnShell):
         MassShellPoint(Momentum(1e308, 0.0, 0.0, 1e308), 1.0)
+
+
+# A spacelike vector whose defect (|-inf - inf|) and bound both overflow to
+# inf: the overflowing defect is refused, silently, one vector and a stack alike.
+def test_mass_shell_point_rejects_overflowing_defect():
+    p, m = Momentum(1.0, 1e300, 0.0, 0.0), 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotOnShell, match=r"^dispersion defect inf exceeds"):
+            MassShellPoint(p, m)
+        defect, (on_shell, forward) = _shell_test(np.array([p.coords, [1.0, 0, 0, 0]]),
+                                                  np.array([m, 1.0]))
+    assert defect[0] == math.inf and forward[0]
+    assert on_shell.tolist() == [False, True]
 
 
 def test_mass_shell_point_rejects_backward_shell():

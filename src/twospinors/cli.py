@@ -168,18 +168,26 @@ def _cmd_lorentz(args) -> int:
     return 0
 
 
+# verify's JSON line is _jdump of its payload, from two templates: the header
+# text is made once, with only the seed left to fill, and one CheckResult
+# fills _CHECK in its field order.
+_VERIFY = ('{"header": ' + _jdump(_header())[:-1]
+           + ', "seed": %d}, "samples": %d, "checks": [%s], "passed": %s}\n')
+_CHECK = ('{"name": %s, "samples": %d, "max_defect": %s, "tol": %s, "passed": %s, '
+          '"detail": %s}')
+
+
 def _cmd_verify(args) -> int:
     report = run_verification(
         seed=args.seed, samples=args.samples, corrupt_gamma=args.corrupt_gamma
     )
-    payload = {
-        "header": _header(seed=args.seed),
-        "samples": report.samples,
-        "checks": [vars(c) for c in report.checks],
-        "passed": report.passed,
-    }
-
-    def render(p):
+    if args.format == "json":
+        checks = ", ".join(_CHECK % (_jstr(c.name), c.samples, _g17(c.max_defect), _g17(c.tol),
+                                     "true" if c.passed else "false", _jstr(c.detail))
+                           for c in report.checks)
+        passed = "true" if report.passed else "false"
+        sys.stdout.write(_VERIFY % (args.seed, report.samples, checks, passed))
+    else:
         print("conventions in force:")
         for key in ("clifford_anticommutator", "planewave_phase", "basis_order", "epsilon_normalization"):
             print(f"    {key} = {CONVENTIONS[key]}")
@@ -193,8 +201,6 @@ def _cmd_verify(args) -> int:
                 line += f"  ({c.detail})"
             print(line)
         print("overall:", "PASS" if report.passed else "FAIL")
-
-    _emit(payload, args.format, render)
     return 0 if report.passed else 1
 
 
@@ -332,14 +338,30 @@ def field_records(m: float, grid: tuple[int, float, float], seed: int, tol: floa
     return _field_header(m, grid, seed, tol, rapidity), records()
 
 
+def _g17_texts(x) -> list:
+    """'%.17g' % v for each number v of x, in C order, with each distinct
+    magnitude formatted once: the numbers of a sample-field plane are signed
+    copies of a few values."""
+    # Ravelled first: the shape of unique's inverse differs between numpy 2
+    # releases.
+    x = np.asarray(x, dtype=np.float64).ravel()
+    magnitudes, inverse = np.unique(np.abs(x).view(np.int64), return_inverse=True)
+    texts = np.array([*map("%.17g".__mod__, magnitudes.view(np.float64).tolist())],
+                     dtype=object)[inverse]
+    # '%.17g' % -0.0 is '-0', but a nan's sign is dropped.
+    negative = np.signbit(x) & ~np.isnan(x)
+    texts[negative] = "-" + texts[negative]
+    return texts.tolist()
+
+
 # A sample-field line is _jdump of its field_records dict, written straight
 # from the plane arrays: the text of "basis_index", "s", "sbar" and "ok" is
-# baked into one template per basis index and flag, "p" is formatted once
-# per node, and the psi parts and residual by one %-format per record.
-_P = "[%.17g, %.17g, %.17g, %.17g]"
-_LINE = ('{"record": "sample", "p": %%s, "basis_index": %d, "psi": [%s], "s": %s, '
-         '"sbar": %s, "residual": %%.17g, "ok": %s}\n')
-_PSI = ", ".join(["[%.17g, %.17g]"] * 4)
+# baked into one template per basis index and flag, and the texts of the
+# record's 13 numbers ("p", the psi parts and the residual), each distinct
+# number of a plane formatted once, fill its %s fields.
+_LINE = ('{"record": "sample", "p": [%%s, %%s, %%s, %%s], "basis_index": %d, '
+         '"psi": [[%%s, %%s], [%%s, %%s], [%%s, %%s], [%%s, %%s]], "s": %s, '
+         '"sbar": %s, "residual": %%s, "ok": %s}\n')
 
 
 def _cmd_sample_field(args) -> int:
@@ -354,20 +376,20 @@ def _cmd_sample_field(args) -> int:
     with out:
         write = out.write
         write(first_line)
-        templates = [[_LINE % (k, _PSI, _jdump(s), _jdump(sbar), word) for word in ("false", "true")]
-                     for k, (s, sbar) in enumerate(_rest_split(m))]
+        templates = [_LINE % (k, _jdump(s), _jdump(sbar), word)
+                     for k, (s, sbar) in enumerate(_rest_split(m)) for word in ("false", "true")]
         for p, parts, residual, ok in _field_planes(m, grid, args.tol, args.rapidity):
-            parts = parts.reshape(len(p), 2, 8)
+            n = len(p)
+            # The 13 numbers of each record, in the order its line holds them.
+            numbers = np.concatenate([np.broadcast_to(p[:, None], (n, 2, 4)),
+                                      parts.reshape(n, 2, 8), residual[..., None]], axis=-1)
             # %.17g renders a non-finite number as inf or nan, which JSON
             # lacks: the first record holding one is refused, once the
             # records before it are written.
-            finite = (np.isfinite(p).all(axis=-1)[:, None] & np.isfinite(parts).all(axis=-1)
-                      & np.isfinite(residual)).ravel()
-            texts = map(_P.__mod__, map(tuple, p.tolist()))
-            rows = zip(texts, parts.tolist(), residual.tolist(), ok.tolist())
-            lines = (t[k] % (text, *node, r)
-                     for text, node_parts, node_residual, node_ok in rows
-                     for t, node, r, k in zip(templates, node_parts, node_residual, node_ok))
+            finite = np.isfinite(numbers).all(axis=-1).ravel()
+            rows = zip(*[iter(_g17_texts(numbers))] * 13)
+            kinds = (ok + [0, 2]).ravel().tolist()  # 2 * basis index + ok
+            lines = map(str.__mod__, map(templates.__getitem__, kinds), rows)
             good = len(finite) if finite.all() else int(np.argmin(finite))
             for line in itertools.islice(lines, good):
                 write(line)

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from twospinors import NumericalDrift, cli, fiber_projector, shell_point
-from twospinors.cli import _build_parser, _jdump, _parse_grid, field_records, main
+from twospinors.cli import _build_parser, _g17_texts, _jdump, field_records, main
 from twospinors.momentum import canonical_boosts
+from twospinors.verify import run_verification
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -92,6 +93,28 @@ def test_verify_corruption_fails_with_named_relation(capsys):
     assert code == 1
     bad = [c for c in doc["checks"] if not c["passed"]]
     assert bad and any("gamma(" in c["detail"] for c in bad)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--seed", "0", "--samples", "1"],
+    ["--seed", "5", "--samples", "10"],
+    ["--seed", "11", "--samples", "200"],
+    ["--seed", "42", "--samples", "5", "--corrupt-gamma", "0,0,1"],
+], ids=["seed-0", "seed-5", "seed-11", "corrupt-gamma"])
+def test_verify_line_matches_jdump(capsys, argv):
+    # The JSON line is written from templates; it is _jdump of the payload
+    # that lists every field of each CheckResult.
+    code = main(["verify", "--format", "json", *argv])
+    args = _build_parser().parse_args(["verify", *argv])
+    report = run_verification(seed=args.seed, samples=args.samples, corrupt_gamma=args.corrupt_gamma)
+    payload = {
+        "header": cli._header(seed=args.seed),
+        "samples": report.samples,
+        "checks": [vars(c) for c in report.checks],
+        "passed": report.passed,
+    }
+    assert capsys.readouterr().out == _jdump(payload) + "\n"
+    assert code == (0 if report.passed else 1)
 
 
 # --- solve ---------------------------------------------------------------------
@@ -213,6 +236,12 @@ PINNED_GRIDS = {
                    "0085bfca45d02138f043fbe0ee3be675ad0018eef0fb5ee32125912cae9085a3"),
     "origin-1": (1.0, "1:0:0", [],
                  "75c9b02f370b8d1973090ad9a6a5898aab7a95b2f33e9636bd7f22a908fe1101"),
+    # Mirror-image nodes: many numbers of a plane differ only in sign.
+    "symmetric-4": (1.0, "4:-1.5:1.5", [],
+                    "df634d421c2c4cf718d1e697763928e84e510a416079cb9279f1c677567e5192"),
+    # The same grid with every one of its 128 records flagged "ok": false.
+    "flagged-4": (1.0, "4:-1.5:1.5", ["--tol", "1e-20"],
+                  "72c5a27e9b170e6127551c4e9732e3457cd6736ffb513d52aab436b04549972b"),
 }
 
 
@@ -230,10 +259,11 @@ def test_sample_field_byte_identical(tmp_path, capsys, mass, grid, flags, digest
 def test_written_lines_match_field_records(tmp_path, capsys, mass, grid, flags, digest):
     # The writer and the dict view are two consumers of the same planes.
     out = tmp_path / "field.ndjson"
-    assert main(["sample-field", "-m", repr(mass), "--grid", grid, *flags, "--out", str(out)]) == 0
-    seed = int(flags[flags.index("--seed") + 1]) if "--seed" in flags else 0
-    header, records = field_records(mass, _parse_grid(grid), seed=seed, tol=1e-9,
-                                    rapidity="--rapidity" in flags)
+    argv = ["sample-field", "-m", repr(mass), "--grid", grid, *flags, "--out", str(out)]
+    assert main(argv) == 0
+    args = _build_parser().parse_args(argv)
+    header, records = field_records(args.mass, args.grid, seed=args.seed, tol=args.tol,
+                                    rapidity=args.rapidity)
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines == [_jdump(header)] + [_jdump(rec) for rec in records]
     assert len(lines) == 1 + 2 * int(grid.split(":")[0]) ** 3
@@ -509,6 +539,20 @@ def test_jdump_escapes_strings(text, expected):
     # written as it is.
     assert _jdump({text: [text]}) == "{%s: [%s]}" % (expected, expected)
     assert json.loads(_jdump({text: [text]})) == {text: [text]}
+
+
+def test_g17_texts_matches_per_value_format():
+    # Each distinct magnitude is formatted once and its sign restored: -0.0
+    # keeps its sign, a nan's is dropped as %.17g drops it.
+    rng = np.random.default_rng(22)
+    special = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2e-308,
+               1.7e308, -1.7e308]
+    values = rng.normal(size=40) * 10.0 ** rng.integers(-300, 300, 40)
+    x = np.concatenate([special, values, -values, np.nextafter(values, np.inf),
+                        np.nextafter(values, -np.inf), rng.choice(values, 21)])
+    x = rng.permutation(x).reshape(3, -1)
+    assert np.signbit(x[np.isnan(x)]).any() and not np.signbit(x[np.isnan(x)]).all()
+    assert _g17_texts(x) == ["%.17g" % v for v in x.ravel().tolist()]
 
 
 def test_jdump_refuses_other_types():

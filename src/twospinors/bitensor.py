@@ -180,7 +180,7 @@ def involution_J(T: BiTensor) -> BiTensor:
 
 def _involution(t) -> np.ndarray:
     """Conjugate transposes of stacked (..., 2, 2) matrices, in C order as a
-    BiTensor stores them: the kernel under involution_J."""
+    BiTensor stores them: the kernel under involution_J and _world_coords."""
     return np.ascontiguousarray(np.conj(t).swapaxes(-1, -2))
 
 
@@ -193,7 +193,7 @@ def reality_defect(T: BiTensor) -> float:
 def project_real(T: BiTensor) -> BiTensor:
     """Average with the involution image: the Hermitian part of T."""
     with np.errstate(all="ignore"):  # an overflow is refused by BiTensor
-        return BiTensor((T.t + T.t.conj().T) / 2.0)
+        return BiTensor((T.t + _involution(T.t)) / 2.0)
 
 
 def _dyad(i: int, j: int) -> BiTensor:
@@ -271,7 +271,7 @@ def _world_coords(t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     with np.errstate(all="ignore"):
         coords = np.trace(_WORLD_STACK @ t[..., None, :, :], axis1=-2, axis2=-1).real
         # Each defect is np.linalg.norm of one row's T - T*.
-        d = t - np.conj(np.swapaxes(t, -1, -2))
+        d = t - _involution(t)
         defects = spinor_norms(d.reshape(d.shape[:-2] + (4,)))
     return coords, defects, defects <= REALITY_TOL
 

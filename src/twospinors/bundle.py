@@ -27,6 +27,7 @@ from .spinor import (
     CoSpinor2,
     SL2Element,
     Spinor2,
+    _act,
     _adjugate,
     _max1,
     _scaled,
@@ -73,12 +74,13 @@ def fiber_test(p, psi, m, tol: float):
     and whether each residual is within fiber_bound(tol, m, |psi|): the one
     fiber test.  Each spinor is scaled by a power of two (_scaled) and compared
     on the scaled values, which its scale cannot overflow; each residual and
-    norm, scaled back, is np.linalg.norm's bits, or inf, silently."""
+    norm, scaled back by _unscaled (Python floats for one spinor), is
+    np.linalg.norm's bits, or inf, silently."""
     with np.errstate(all="ignore"):
         w, e = _scaled(np.ascontiguousarray(psi, dtype=complex))
         mw = m[..., None] * w if isinstance(m, np.ndarray) else m * w
-        r, n = spinor_norms([np.matvec(_slash(p), w) - mw, w])
-        return *np.ldexp([r, n], e), r <= fiber_bound(tol, m, n)
+        rn = spinor_norms([_act(_slash(p), w) - mw, w])
+        return *_unscaled(rn, e), rn[0] <= fiber_bound(tol, m, rn[1])
 
 
 def fiber_residual(q: MassShellPoint, psi: FourSpinor) -> float:
@@ -130,7 +132,7 @@ def _in_rest_eigenspace(phi):
     (inf past the float range, silently), and whether the defect is finite
     and within the bound."""
     w, e = _scaled(phi)
-    d, n = _unscaled(spinor_norms([np.matvec(gamma(0), w) - w, w]), e)
+    d, n = _unscaled(spinor_norms([_act(gamma(0), w) - w, w]), e)
     bound = SPLUS_TOL * _max1(n)
     return d, bound, (d <= bound) & (d < math.inf)
 
@@ -167,8 +169,8 @@ def rest_fiber_basis() -> tuple[FourSpinor, FourSpinor]:
 def rest_transport(a) -> np.ndarray:
     """The rest fiber basis moved by tau of stacked (..., 2, 2) matrices a:
     (..., 2, 4) coefficients, one row per basis vector; the kernel under
-    fiber_basis and sample-field."""
-    return np.matvec(tau_matrices(a)[..., None, :, :], _REST)
+    fiber_basis, solve and sample-field."""
+    return _tau_act(a[..., None, :, :], _REST)
 
 
 def fiber_basis(q: MassShellPoint) -> tuple[FourSpinor, FourSpinor]:

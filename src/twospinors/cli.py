@@ -100,13 +100,6 @@ def _header(seed=None, tol=None) -> dict:
     return h
 
 
-def _emit(payload: dict, fmt: str, text_renderer) -> None:
-    if fmt == "json":
-        sys.stdout.write(_jdump(payload) + "\n")
-    else:
-        text_renderer(payload)
-
-
 def _print_matrix_c(name: str, m: np.ndarray) -> None:
     print(f"{name} =")
     for row in m:
@@ -127,44 +120,40 @@ def _print_matrix_r(name: str, m: np.ndarray) -> None:
 def _cmd_gamma(args) -> int:
     gammas = [gamma(mu) for mu in range(4)]
     table = gamma_relation_residuals(gammas)
-    payload = {
-        "header": _header(),
-        **{f"gamma{mu}": _pairs(gammas[mu]) for mu in range(4)},
-        "eta": _reals(ETA),
-        "relation_residuals": _reals(table),
-        "relation_residual": float(np.max(table)),
-    }
-
-    def render(p):
-        print("conventions:", p["header"]["clifford_anticommutator"])
+    if args.format == "json":
+        print(_jdump({
+            "header": _header(),
+            **{f"gamma{mu}": _pairs(gammas[mu]) for mu in range(4)},
+            "eta": _reals(ETA),
+            "relation_residuals": _reals(table),
+            "relation_residual": float(np.max(table)),
+        }))
+    else:
+        print("conventions:", CONVENTIONS["clifford_anticommutator"])
         for mu in range(4):
             _print_matrix_c(f"gamma{mu}", gammas[mu])
         _print_matrix_r("eta", ETA)
-        print(f"max anticommutation residual: {_g17(p['relation_residual'])}")
-
-    _emit(payload, args.format, render)
+        print(f"max anticommutation residual: {_g17(np.max(table))}")
     return 0
 
 
 def _cmd_lorentz(args) -> int:
     e = args.entries
-    mat = [[complex(e[0], e[1]), complex(e[2], e[3])], [complex(e[4], e[5]), complex(e[6], e[7])]]
-    A = SL2Element(mat)
+    A = SL2Element([[complex(e[0], e[1]), complex(e[2], e[3])], [complex(e[4], e[5]), complex(e[6], e[7])]])
     lam = lorentz_of(A).mat
     eta_defect, det, _ = _lorentz_test(lam)
-    payload = {
-        "header": _header(),
-        "sl2": _pairs(np.asarray(mat)),
-        "lorentz": _reals(lam),
-        "eta_defect": eta_defect,
-        "det_defect": float(abs(det - 1.0)),
-    }
-
-    def render(p):
+    det_defect = float(abs(det - 1.0))
+    if args.format == "json":
+        print(_jdump({
+            "header": _header(),
+            "sl2": _pairs(A.mat),
+            "lorentz": _reals(lam),
+            "eta_defect": eta_defect,
+            "det_defect": det_defect,
+        }))
+    else:
         _print_matrix_r("lorentz", lam)
-        print(f"eta defect: {_g17(p['eta_defect'])}   det defect: {_g17(p['det_defect'])}")
-
-    _emit(payload, args.format, render)
+        print(f"eta defect: {_g17(eta_defect)}   det defect: {_g17(det_defect)}")
     return 0
 
 
@@ -204,32 +193,25 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-def _solve_payload(m: float, p1: float, p2: float, p3: float, tol: float) -> dict:
-    q = shell_point(m, p1, p2, p3)
+def _cmd_solve(args) -> int:
+    q = shell_point(args.mass, *args.p)
     A = boost_rep(q)
     basis = rest_transport(A.mat)  # fiber_basis(q), from the boost in hand
-    residuals, _, ok = fiber_test(q.p, basis, q.m, tol)
-    solutions = [{"psi": _pairs(psi), "residual": r, "ok": k}
-                 for psi, r, k in zip(basis, residuals.tolist(), ok.tolist())]
-    return {
-        "header": _header(tol=tol),
-        "mass": float(m),
-        "momentum": _reals(q.p.coords),
-        "boost": _pairs(A.mat),
-        "solutions": solutions,
-    }
-
-
-def _cmd_solve(args) -> int:
-    payload = _solve_payload(args.mass, *args.p, tol=args.tol)
-
-    def render(p):
-        print("momentum:", " ".join(_g17(x) for x in p["momentum"]))
-        for k, sol in enumerate(p["solutions"]):
-            flat = ", ".join(f"{re:+.12g}{im:+.12g}j" for re, im in sol["psi"])
-            print(f"solution {k}: [{flat}]  residual={_g17(sol['residual'])}")
-
-    _emit(payload, args.format, render)
+    residuals, _, ok = fiber_test(q.p, basis, q.m, args.tol)
+    if args.format == "json":
+        print(_jdump({
+            "header": _header(tol=args.tol),
+            "mass": float(args.mass),
+            "momentum": _reals(q.p.coords),
+            "boost": _pairs(A.mat),
+            "solutions": [{"psi": _pairs(psi), "residual": r, "ok": k}
+                          for psi, r, k in zip(basis, residuals.tolist(), ok.tolist())],
+        }))
+    else:
+        print("momentum:", " ".join(map(_g17, q.p.coords.tolist())))
+        for k, (psi, r) in enumerate(zip(basis.tolist(), residuals.tolist())):
+            flat = ", ".join(f"{z.real:+.12g}{z.imag:+.12g}j" for z in psi)
+            print(f"solution {k}: [{flat}]  residual={_g17(r)}")
     return 0
 
 
@@ -237,23 +219,20 @@ def _cmd_planewave_check(args) -> int:
     q = shell_point(args.mass, *args.p)
     psi = fiber_basis(q)[args.branch]
     residual = planewave_residual(q, psi, args.point, args.step, analytic=args.analytic)
-    payload = {
-        "header": _header(tol=args.tol),
-        "mass": float(args.mass),
-        "momentum": _reals(q.p.coords),
-        "point": _reals(np.asarray(args.point, dtype=float)),
-        "step": float(args.step),
-        "mode": "analytic" if args.analytic else "central-difference",
-        "branch": args.branch,
-        "residual": residual,
-    }
-
-    def render(p):
-        print(
-            f"mode={p['mode']} step={_g17(p['step'])} residual={_g17(p['residual'])}"
-        )
-
-    _emit(payload, args.format, render)
+    mode = "analytic" if args.analytic else "central-difference"
+    if args.format == "json":
+        print(_jdump({
+            "header": _header(tol=args.tol),
+            "mass": float(args.mass),
+            "momentum": _reals(q.p.coords),
+            "point": _reals(np.asarray(args.point, dtype=float)),
+            "step": float(args.step),
+            "mode": mode,
+            "branch": args.branch,
+            "residual": residual,
+        }))
+    else:
+        print(f"mode={mode} step={_g17(args.step)} residual={_g17(residual)}")
     return 0
 
 
@@ -268,10 +247,11 @@ def _rest_split(m) -> list:
 def _field_planes(m, grid, tol, rapidity):
     """sample-field's nodes, one plane (one p1 value) at a time, on stacked
     arrays by canonical_boosts (shell_point and boost_rep), tau and fiber_test,
-    so memory stays O(n^2).  Yields each plane's accepted prefix: coordinates
-    (k, 4), psi parts (k, 2, 4, 2), residuals and oks (k, 2).  The scalar path
-    is then run on a rejected node to raise its typed error; a bad mass fails
-    every node, so it is refused at the first."""
+    so memory stays O(n^2).  Yields each plane's accepted prefix: the 13
+    numbers of each record (k, 2, 13), in the order its line holds them (p,
+    the psi parts (re, im) and the residual), and the oks (k, 2).  The scalar
+    path is then run on a rejected node to raise its typed error; a bad mass
+    fails every node, so it is refused at the first."""
     n, lo, hi = grid
     # An axis value that overflows, or a span that does, is refused at its
     # first node.
@@ -286,8 +266,10 @@ def _field_planes(m, grid, tol, rapidity):
         with np.errstate(all="ignore"):
             psi = rest_transport(A)
             residual, _, ok = fiber_test(p[:, None], psi, m, tol)
+        numbers = np.concatenate([np.broadcast_to(p[:, None], psi.shape), psi.view(float),
+                                  residual[..., None]], axis=-1)
         good = len(p) if accepted.all() else int(np.argmin(accepted))
-        yield p[:good], np.stack([psi.real, psi.imag], axis=-1)[:good], residual[:good], ok[:good]
+        yield numbers[:good], ok[:good]
         if good < len(p):
             boost_rep(shell_point(m, float(p1), float(p2[good]), float(p3[good])))
             raise NumericalDrift(f"stacked checks rejected the node p = {p[good].tolist()} "
@@ -313,26 +295,24 @@ def field_records(m: float, grid: tuple[int, float, float], seed: int, tol: floa
     The records are the dict view of the planes sample-field writes
     (_field_planes), built lazily: at the first node the stacked checks
     reject, the records before it have been yielded and the scalar path
-    raises its typed error; a bad mass is refused at the first record.  The
-    two records of a node share their "p" list and all records share the
-    "s" and "sbar" lists; treat records as read-only.
+    raises its typed error; a bad mass is refused at the first record.  All
+    records share the "s" and "sbar" lists; treat records as read-only.
     """
 
     def records():
         split = _rest_split(m)
-        for p, parts, residual, ok in _field_planes(m, grid, tol, rapidity):
-            rows = zip(p.tolist(), parts.tolist(), residual.tolist(), ok.tolist())
-            for coords, node_psi, node_residual, node_ok in rows:
-                for k, (s, sbar) in enumerate(split):
+        for numbers, ok in _field_planes(m, grid, tol, rapidity):
+            for node, node_ok in zip(numbers.tolist(), ok.tolist()):
+                for k, ((s, sbar), row, flag) in enumerate(zip(split, node, node_ok)):
                     yield {
                         "record": "sample",
-                        "p": coords,
+                        "p": row[:4],
                         "basis_index": k,
-                        "psi": node_psi[k],
+                        "psi": [row[4:6], row[6:8], row[8:10], row[10:12]],
                         "s": s,
                         "sbar": sbar,
-                        "residual": node_residual[k],
-                        "ok": node_ok[k],
+                        "residual": row[12],
+                        "ok": flag,
                     }
 
     return _field_header(m, grid, seed, tol, rapidity), records()
@@ -378,11 +358,7 @@ def _cmd_sample_field(args) -> int:
         write(first_line)
         templates = [_LINE % (k, _jdump(s), _jdump(sbar), word)
                      for k, (s, sbar) in enumerate(_rest_split(m)) for word in ("false", "true")]
-        for p, parts, residual, ok in _field_planes(m, grid, args.tol, args.rapidity):
-            n = len(p)
-            # The 13 numbers of each record, in the order its line holds them.
-            numbers = np.concatenate([np.broadcast_to(p[:, None], (n, 2, 4)),
-                                      parts.reshape(n, 2, 8), residual[..., None]], axis=-1)
+        for numbers, ok in _field_planes(m, grid, args.tol, args.rapidity):
             # %.17g renders a non-finite number as inf or nan, which JSON
             # lacks: the first record holding one is refused, once the
             # records before it are written.
@@ -397,17 +373,15 @@ def _cmd_sample_field(args) -> int:
                 raise ValueError(f"cannot write a record with a non-finite number: {next(lines)[:-1]}")
             count += ok.size
             flagged += ok.size - int(ok.sum())
-    summary = {
-        "header": _header(seed=args.seed, tol=args.tol),
-        "out": args.out,
-        "records": count,
-        "flagged": flagged,
-    }
-
-    def render(p):
+    if args.format == "json":
+        print(_jdump({
+            "header": _header(seed=args.seed, tol=args.tol),
+            "out": args.out,
+            "records": count,
+            "flagged": flagged,
+        }))
+    else:
         print(f"wrote {count} records to {args.out} ({flagged} flagged)")
-
-    _emit(summary, args.format, render)
     return 0
 
 

@@ -14,11 +14,9 @@ map, never hard-coded.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .bitensor import ETA, BiTensor, _coords, _expand, _polar, _transport, pi_act, world_basis
+from .bitensor import _SQRT2, ETA, BiTensor, _coords, _expand, _polar, _transport, pi_act, world_basis
 from .spinor import (
     CoSpinor2,
     SL2Element,
@@ -29,6 +27,7 @@ from .spinor import (
     _Coefficients,
     _scaled,
     _sealed,
+    _unscaled,
     eps,
     eps_bar,
     spinor_norms,
@@ -46,8 +45,6 @@ __all__ = [
     "gamma_relation_residuals",
     "equivariance_defect",
 ]
-
-_SQRT2 = math.sqrt(2.0)
 
 
 class FourSpinor(_Coefficients):
@@ -83,11 +80,10 @@ class FourSpinor(_Coefficients):
 
     def norm(self) -> float:
         """np.linalg.norm of the coefficients scaled by a power of two (see
-        _scaled), scaled back: the same bits where that neither overflows nor
-        underflows, and inf, silently, only past the float range."""
-        with np.errstate(all="ignore"):
-            w, e = _scaled(self.vec)
-            return float(np.ldexp(spinor_norms(w), e))
+        _scaled), scaled back by _unscaled: the same bits where that neither
+        overflows nor underflows, and inf, silently, only past the float range."""
+        w, e = _scaled(self.vec)
+        return _unscaled(spinor_norms([w]), e)[0]
 
 
 def _dyad_endomorphisms() -> np.ndarray:

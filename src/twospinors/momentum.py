@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitensor import (
+    _SQRT2,
     _WORLD_STACK,
     Momentum,
     _coords,
@@ -39,7 +40,6 @@ __all__ = [
     "act_momentum",
 ]
 
-_SQRT2 = math.sqrt(2.0)
 
 # Relative dispersion tolerance for membership of the mass shell.
 SHELL_TOL = 1e-9

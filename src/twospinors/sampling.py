@@ -67,20 +67,30 @@ def random_su2(rng) -> SL2Element:
     return SL2Element(_su2_matrices(rng.normal(0.0, 1.0, 4)))
 
 
+def _mass(rng) -> float:
+    """A mass uniform in [0.5, 2]."""
+    return float(rng.uniform(0.5, 2.0))
+
+
+def _complexes(g) -> np.ndarray:
+    """Consecutive pairs of draws (re, im) as complex numbers, exactly."""
+    return np.ascontiguousarray(g, dtype=float).view(complex)
+
+
 def _rest_spinors(z) -> np.ndarray:
     """Vectors of the rest eigenspace from (..., 4) Gaussian draws z: the
     complex coefficients z0 + i z1 and z2 + i z3 on the rest fiber basis,
     multiplied and summed as Python's complex arithmetic does: (..., 4)."""
-    c = np.ascontiguousarray(z, dtype=float).view(complex)[..., None]
+    c = _complexes(z)[..., None]
     return _cmul(_REST[0], c[..., 0, :]) + _cmul(_REST[1], c[..., 1, :])
 
 
 def _fiber_draw(rng) -> list[float]:
     """The raw numbers of one random_fiber_element, in drawing order: a mass m
-    uniform in [0.5, 2], a spatial momentum Gaussian of width 2m, then the
-    four Gaussians of a unitary (_su2_matrices) and the four of a rest
-    eigenvector (_rest_spinors)."""
-    m = float(rng.uniform(0.5, 2.0))
+    (_mass), a spatial momentum Gaussian of width 2m, then the four Gaussians
+    of a unitary (_su2_matrices) and the four of a rest eigenvector
+    (_rest_spinors)."""
+    m = _mass(rng)
     return [m, *rng.normal(0.0, 2.0 * m, 3).tolist(), *rng.normal(0.0, 1.0, 8).tolist()]
 
 

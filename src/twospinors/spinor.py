@@ -256,15 +256,16 @@ def _scaled(v: np.ndarray):
 
 def _unscaled(x, e):
     """The array x times 2**e, the inverse of _scaled's factor, inf past the
-    float range, silently: for one vector's e (an int), a list of Python
-    floats by math.ldexp, as _scaled takes e by math.frexp."""
+    float range, silently: the one scale-back.  For one vector's e (an int), a
+    list of Python floats, by math.ldexp as _scaled takes e by math.frexp."""
     if isinstance(e, int):
         try:
             return [math.ldexp(v, e) for v in x.tolist()]
         except OverflowError:  # past the float range: numpy's inf
             pass
     with np.errstate(all="ignore"):
-        return np.ldexp(x, e)
+        x = np.ldexp(x, e)
+    return x.tolist() if isinstance(e, int) else x
 
 
 def cyclic_defect(a: Spinor2, b: Spinor2, c: Spinor2) -> Spinor2:
@@ -286,6 +287,12 @@ def _cyclic(a, b, c):
     return _cmul(kbc[..., None], a) + _cmul(kca[..., None], b) + _cmul(kab[..., None], c)
 
 
+def _cabs(z: np.ndarray) -> np.ndarray:
+    """abs of each complex entry as Python's abs rounds it: np.hypot of the
+    parts, both the C library's hypot (numpy's complex absolute differs)."""
+    return np.hypot(z.real, z.imag)
+
+
 def _exponent(z: complex) -> int:
     """The binary exponent of the larger part of z, as _scaled takes it."""
     return math.frexp(max(abs(z.real), abs(z.imag)))[1]
@@ -300,7 +307,7 @@ def _unimodular(a):
         # A real part off by more than 1 is refused before abs(d - 1) can raise
         # OverflowError past the float range.
         return d, abs(d.real - 1.0) <= 1.0 and abs(d - 1.0) <= SL2_DET_TOL
-    return d, np.hypot(d.real - 1.0, d.imag) <= SL2_DET_TOL
+    return d, _cabs(d - 1.0) <= SL2_DET_TOL
 
 
 def _adjugate(t):
@@ -412,4 +419,4 @@ def act_bar(A: SL2Element, sbar: CoSpinor2) -> CoSpinor2:
     Intertwines with conjugation: act_bar(A, conjugate(s)) == conjugate(act(A, s)).
     """
     with np.errstate(all="ignore"):  # an overflow is refused by CoSpinor2
-        return CoSpinor2.from_vec(np.conj(A.mat) @ sbar.vec)
+        return CoSpinor2.from_vec(_act(np.conj(A.mat), sbar.vec))

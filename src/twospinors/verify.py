@@ -74,8 +74,8 @@ from .momentum import (
     canonical_boosts,
     shell_point,
 )
-from .sampling import _fiber_draw, _rest_spinors, _sl2_matrix, _su2_matrices
-from .spinor import SL2Element, _act, _cmul, _cyclic, _eps, _hypot_norm, _max1, _unimodular, spinor_norms
+from .sampling import _complexes, _fiber_draw, _mass, _rest_spinors, _sl2_matrix, _su2_matrices
+from .spinor import SL2Element, _act, _cabs, _cmul, _cyclic, _eps, _hypot_norm, _max1, _unimodular, spinor_norms
 
 __all__ = ["CheckResult", "VerifyReport", "CONVENTIONS", "run_verification"]
 
@@ -194,31 +194,15 @@ def _gaussians(k: int):
     return lambda rng: rng.normal(0.0, 1.0, k)
 
 
-def _mass(rng) -> float:
-    """A mass uniform in [0.5, 2]."""
-    return float(rng.uniform(0.5, 2.0))
-
-
 def _bitensors(g: np.ndarray) -> np.ndarray:
     """(n, 8) Gaussian draws as (n, 2, 2) complex coefficient matrices, real
     parts drawn first: re + 1j * im, the scalar draw's own arithmetic."""
     return g[:, :4].reshape(-1, 2, 2) + 1j * g[:, 4:].reshape(-1, 2, 2)
 
 
-def _complexes(g: np.ndarray) -> np.ndarray:
-    """Consecutive pairs of draws (re, im) as complex numbers, exactly."""
-    return np.ascontiguousarray(g).view(complex)
-
-
 # ---------------------------------------------------------------------------
 # Phase two: the defects on the kernels under the scalar API, each value
 # checked by the stacked mask of its constructor.
-
-def _cabs(z: np.ndarray) -> np.ndarray:
-    """abs of each complex entry as Python's abs rounds it: np.hypot of the
-    parts, both the C library's hypot (numpy's complex absolute differs)."""
-    return np.hypot(z.real, z.imag)
-
 
 def _norms2(v: np.ndarray) -> np.ndarray:
     """Spinor2.norm of each (n, 2) row, in Python, since np.hypot rounds

@@ -400,13 +400,18 @@ def test_fiber_residuals_equal_linalg_reference():
     assert [fiber_residual(q, v) for q, v in zip(qs, psis)] == reference
 
 
-@pytest.mark.parametrize("scale", [1e200, 1e-200, 5e-324])
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 5e-324, 1.7e308])
 def test_fiber_residual_keeps_its_range(scale):
     # psi is scaled by a power of two before the residual, so a norm inside
-    # the float range is returned whole, silently; the exact residual of
-    # (s, 0, 0, 0) at rest is sqrt(2) s.
+    # the float range is returned whole, silently, and one past it (the last
+    # case) is inf, without a warning; the exact residual of (s, 0, 0, 0) at
+    # rest is sqrt(2) s.  One spinor's residual and norm are Python floats.
     q = shell_point(1, 0, 0, 0)
-    assert fiber_residual(q, FourSpinor.from_vec([scale, 0, 0, 0])) == math.hypot(scale, scale)
+    psi = FourSpinor.from_vec([scale, 0, 0, 0])
+    r, n, _ = fiber_test(q.p, psi.vec, q.m, FIBER_TOL)
+    assert {type(r), type(n), type(fiber_residual(q, psi))} == {float}
+    assert fiber_residual(q, psi) == r == math.hypot(scale, scale)
+    assert n == scale
 
 
 @pytest.mark.parametrize("direction", [(1, 0, 0, 0), (1, 0, 0, -1)], ids=["off-fiber", "rest-eigenvector"])

@@ -255,6 +255,29 @@ def test_sample_field_byte_identical(tmp_path, capsys, mass, grid, flags, digest
     assert hashlib.sha256(a.read_bytes()).hexdigest() == digest
 
 
+# The stdout summary of the "flagged-4" row, in each format: the one command
+# output that no digest above covers.
+SAMPLE_FIELD_SUMMARY = {
+    "json": '{"header": {"schema": 1, "conventions_version": 1, "basis_order": "e1, e2, e1bar, '
+            'e2bar", "epsilon_normalization": "eps(e1, e2) = 1", "metric_signature": "+---", '
+            '"clifford_anticommutator": "phi(X) phi(Y) + phi(Y) phi(X) = 2 h(X, Y) Id", '
+            '"planewave_phase": "psi(x) = exp(-i*(p0*x0 + p1*x1 + p2*x2 + p3*x3)) * psi_p", '
+            '"seed": 0, "tol": 9.9999999999999995e-21}, "out": "field.ndjson", "records": 128, '
+            '"flagged": 128}\n',
+    "text": "wrote 128 records to field.ndjson (128 flagged)\n",
+}
+
+
+@pytest.mark.parametrize("fmt", SAMPLE_FIELD_SUMMARY)
+def test_sample_field_summary_byte_identical(tmp_path, capsys, monkeypatch, fmt):
+    mass, grid, flags, digest = PINNED_GRIDS["flagged-4"]
+    monkeypatch.chdir(tmp_path)
+    argv = ["sample-field", "--format", fmt, "-m", repr(mass), "--grid", grid, *flags]
+    assert main(argv + ["--out", "field.ndjson"]) == 0
+    assert capsys.readouterr().out == SAMPLE_FIELD_SUMMARY[fmt]
+    assert hashlib.sha256((tmp_path / "field.ndjson").read_bytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("mass, grid, flags, digest", PINNED_GRIDS.values(), ids=PINNED_GRIDS)
 def test_written_lines_match_field_records(tmp_path, capsys, mass, grid, flags, digest):
     # The writer and the dict view are two consumers of the same planes.

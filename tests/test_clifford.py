@@ -360,11 +360,15 @@ def test_four_spinor_norm_equals_numpy_bit_for_bit():
         assert FourSpinor.from_vec(v).norm() == float(np.linalg.norm(v))
 
 
-@pytest.mark.parametrize("c", [1e200, 1e-200, -3e300j, 5e-324, 1.7e308])
+@pytest.mark.parametrize("c", [1e200, 1e-200, -3e300j, 5e-324, 1.7e308, 1.7e308 + 1.7e308j])
 def test_four_spinor_norm_keeps_its_range(c):
     # np.linalg.norm gives inf for 1e200 and 0.0 for 1e-200; the 2-spinor
-    # norm (math.hypot) gives the coefficient's modulus, and so does this one.
-    assert FourSpinor.from_vec([0, c, 0, 0]).norm() == Spinor2(0, c).norm() == abs(c)
+    # norm (math.hypot) gives the coefficient's modulus, and so does this
+    # one, as a Python float; past the float range (the last case) both are
+    # inf, without a warning.
+    norm = FourSpinor.from_vec([0, c, 0, 0]).norm()
+    assert type(norm) is float
+    assert norm == Spinor2(0, c).norm() == math.hypot(c.real, c.imag)
 
 
 def test_stacked_clifford_defects_and_norms_equal_one_value():

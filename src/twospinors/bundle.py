@@ -77,16 +77,30 @@ def fiber_test(p, psi, m, tol: float):
     norm, scaled back by _unscaled (Python floats for one spinor), is
     np.linalg.norm's bits, or inf, silently."""
     with np.errstate(all="ignore"):
-        w, e = _scaled(np.ascontiguousarray(psi, dtype=complex))
-        mw = m[..., None] * w if isinstance(m, np.ndarray) else m * w
-        rn = spinor_norms([_act(_slash(p), w) - mw, w])
-        return *_unscaled(rn, e), rn[0] <= fiber_bound(tol, m, rn[1])
+        return _fiber_test(_slash(p), psi, m, tol)
+
+
+def _fiber_test(s, psi, m, tol: float):
+    """fiber_test with slash(p) given as s, inside its caller's np.errstate:
+    its kernel, which the tests at one point run on the point's kept slash
+    (_slash_at)."""
+    w, e = _scaled(np.ascontiguousarray(psi, dtype=complex))
+    mw = m[..., None] * w if isinstance(m, np.ndarray) else m * w
+    rn = spinor_norms([_act(s, w) - mw, w])
+    return *_unscaled(rn, e), rn[0] <= fiber_bound(tol, m, rn[1])
+
+
+def _slash_at(q: MassShellPoint) -> np.ndarray:
+    """slash(q.p), sealed and kept on q (MassShellPoint._kept), inside its
+    caller's np.errstate: the matrix of every fiber test at q."""
+    return q._kept("_slash", lambda q: _sealed(_slash(q.p)))
 
 
 def fiber_residual(q: MassShellPoint, psi: FourSpinor) -> float:
     """Norm of slash(q.p) psi - m psi, the defining equation of the bundle:
     fiber_test's residual, which the scale of psi cannot overflow."""
-    return fiber_test(q.p, psi.vec, q.m, FIBER_TOL)[0]
+    with np.errstate(all="ignore"):
+        return _fiber_test(_slash_at(q), psi.vec, q.m, FIBER_TOL)[0]
 
 
 def fiber_bound(tol: float, m, psi_norm):
@@ -104,7 +118,8 @@ class FiberElement:
     psi: FourSpinor
 
     def __post_init__(self):
-        r, n, ok = fiber_test(self.q.p, self.psi.vec, self.q.m, FIBER_TOL)
+        with np.errstate(all="ignore"):
+            r, n, ok = _fiber_test(_slash_at(self.q), self.psi.vec, self.q.m, FIBER_TOL)
         if not ok:
             raise NotInFiber(f"fiber residual {r:.3e} exceeds {fiber_bound(FIBER_TOL, self.q.m, n):.3e}")
 
@@ -157,7 +172,7 @@ def fiber_projector(q: MassShellPoint) -> np.ndarray:
     range are inf, without a warning.
     """
     with np.errstate(all="ignore"):
-        return (_slash(q.p) / q.m + np.eye(4)) / 2.0
+        return (_slash_at(q) / q.m + np.eye(4)) / 2.0
 
 
 def rest_fiber_basis() -> tuple[FourSpinor, FourSpinor]:

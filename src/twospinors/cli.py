@@ -401,6 +401,14 @@ def _finite_float(text: str) -> float:
     return x
 
 
+def _tolerance(text: str) -> float:
+    """argparse type of --tol: a finite number >= 0."""
+    x = _finite_float(text)
+    if x < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative number, got {text!r}")
+    return x
+
+
 def _positive_int(text: str) -> int:
     """argparse type of a count: an integer >= 1."""
     try:
@@ -446,7 +454,7 @@ def _build_parser() -> argparse.ArgumentParser:
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=int, default=0, help="random seed")
     tolerant = argparse.ArgumentParser(add_help=False)
-    tolerant.add_argument("--tol", type=_finite_float, default=1e-9,
+    tolerant.add_argument("--tol", type=_tolerance, default=1e-9,
                           help="fiber-residual tolerance (default: 1e-9)")
 
     parser = argparse.ArgumentParser(

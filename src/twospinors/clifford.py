@@ -149,8 +149,8 @@ def slash(p) -> np.ndarray:
 
 
 def _slash(p) -> np.ndarray:
-    """slash inside its caller's np.errstate (fiber_test, fiber_projector):
-    the shared basis expansion bitensor._expand."""
+    """slash inside its caller's np.errstate (fiber_test, and bundle._slash_at
+    for the tests at one point): the shared basis expansion bitensor._expand."""
     return _expand(_coords(p), _GAMMAS)
 
 

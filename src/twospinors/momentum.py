@@ -70,7 +70,11 @@ def _shell_test(p, m):
 @dataclass(frozen=True)
 class MassShellPoint:
     """A momentum on the forward shell of mass m: q_form(p) = m^2, p0 > 0
-    (a nan or overflowing defect is not)."""
+    (a nan or overflowing defect is not).
+
+    A point keeps what is computed from it alone (its canonical boost, the
+    sealed slash(p) of its fiber tests) on first use, by _kept; only p and m
+    reach ==, hash, repr, copies and pickles."""
 
     p: Momentum
     m: float
@@ -83,6 +87,18 @@ class MassShellPoint:
             raise NotOnShell(f"dispersion defect {defect:.3e} exceeds tolerance for m={m}")
         if not forward:
             raise NotOnShell(f"p0 = {self.p.p0} is not on the forward shell")
+
+    def __reduce__(self):
+        # Rebuilt from p and m: a pickled kept array would load writable.
+        return (MassShellPoint, (self.p, self.m))
+
+    def _kept(self, name: str, make):
+        """make(self), computed on the first call and kept under name: every
+        later call returns the kept object.  A raised refusal keeps nothing.
+        Two threads filling it at once compute the same value, and
+        dict.setdefault hands both the one that was stored first."""
+        kept = vars(self).get(name)
+        return vars(self).setdefault(name, make(self)) if kept is None else kept
 
 
 def shell_point(m: float, p1: float, p2: float, p3: float) -> MassShellPoint:
@@ -137,9 +153,16 @@ def boost_rep(q: MassShellPoint) -> SL2Element:
     has the closed form (H + Id) / sqrt(tr H + 2); the result A satisfies
     A @ A = H exactly by the 2x2 Cayley-Hamilton identity.
 
-    Raises Degenerate when the closed form overflows, which happens on the
-    shell for p/m beyond the double range (e.g. m = 1e-300, |p| = 1e10).
+    Computed once per point: every call on q returns q's one SL2Element.
+    Raises Degenerate, on every call, when the closed form overflows, which
+    happens on the shell for p/m beyond the double range (e.g. m = 1e-300,
+    |p| = 1e10).
     """
+    return q._kept("_boost", _boost)
+
+
+def _boost(q: MassShellPoint) -> SL2Element:
+    """boost_rep's computation, which q keeps."""
     a = boost_matrices(q.p.coords, q.m)
     if not np.isfinite(a).all():
         raise Degenerate(f"canonical boost of p = {q.p.coords.tolist()} at m = {q.m} overflows")

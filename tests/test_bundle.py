@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from twospinors import (
     fiber_projector,
     fiber_residual,
     gamma,
+    lorentz_of,
     rest_fiber_basis,
     shell_point,
     slash,
@@ -37,7 +39,7 @@ from twospinors import (
     split_conjugate_pair,
     tau,
 )
-from twospinors import bundle
+from twospinors import bundle, clifford, momentum
 from twospinors.bundle import FIBER_TOL, _beta, _in_rest_eigenspace, _split, _to_rest, fiber_bound, fiber_test, spin_characters
 from twospinors.clifford import tau_matrices
 from twospinors.verify import _check_spin_character
@@ -566,3 +568,22 @@ def test_stacked_bundle_maps_equal_one_class():
         assert row_back.tobytes() == rest.tobytes()
         assert split_conjugate_pair(r).s.vec.tobytes() == s.tobytes()
     assert ok.all()
+
+
+def test_one_query_computes_one_boost_and_a_slash_per_point(monkeypatch):
+    # The calls of one point query: the boost is built once, by fiber_basis,
+    # and slash(p) once per shell point (q, and the point beta makes).
+    counts = Counter()
+    for module, name in [(momentum, "boost_matrices"), (clifford, "_expand")]:
+        def counted(*args, _kernel=getattr(module, name), _name=name):
+            counts[_name] += 1
+            return _kernel(*args)
+        monkeypatch.setattr(module, name, counted)
+    q = shell_point(1.5, 0.4, -0.2, 0.9)
+    b1, b2 = fiber_basis(q)
+    fiber_residual(q, b1), fiber_residual(q, b2)
+    lorentz_of(boost_rep(q))
+    psi = FourSpinor.from_vec((0.3 - 1j) * b1.vec + 2j * b2.vec)
+    back = beta(beta_inv(FiberElement(q, psi)))
+    assert back.q is not q
+    assert counts == {"boost_matrices": 1, "_expand": 2}

@@ -427,6 +427,10 @@ def test_non_finite_output_refused(tmp_path, capsys, argv):
 BAD_ARGUMENTS = {
     "solve-tol-nan-text": (["solve", "-m", "1", "--tol", "nan", "--", "0", "0", "1"],
                            "argument --tol: expected a finite number, got 'nan'"),
+    "solve-tol-negative": (["solve", "-m", "1", "--tol", "-1", "--", "0", "0", "0"],
+                           "argument --tol: expected a nonnegative number, got '-1'"),
+    "sample-field-tol-negative": (["sample-field", "-m", "1", "--grid", "2:-1:1", "--tol", "-1"],
+                                  "argument --tol: expected a nonnegative number, got '-1'"),
     "solve-mass-inf": (["solve", "-m", "inf", "--", "0", "0", "1"],
                        "argument -m/--mass: expected a finite number, got 'inf'"),
     "solve-momentum-nan": (["solve", "-m", "1", "--", "0", "nan", "1"],

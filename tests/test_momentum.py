@@ -1,6 +1,8 @@
 """The mass shell, the canonical boost section, and the action on momenta."""
 
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -299,6 +301,51 @@ def test_boost_rep_overflow_is_degenerate(m, p3):
     q = shell_point(m, 0.0, 0.0, p3)
     with pytest.raises(Degenerate, match="overflows"):
         boost_rep(q)
+
+
+# --- the boost a shell point keeps ---------------------------------------------------
+
+
+def test_boost_rep_is_kept_on_the_point():
+    q = shell_point(1.5, 0.4, -0.2, 0.9)
+    A = boost_rep(q)
+    assert boost_rep(q) is A
+    # A fresh point of the same momentum computes its own, equal boost.
+    assert boost_rep(shell_point(1.5, 0.4, -0.2, 0.9)).mat.tobytes() == A.mat.tobytes()
+
+
+def test_degenerate_boost_is_refused_on_every_call():
+    q = shell_point(1e-300, 1e10, 0, 0)
+    for _ in range(2):
+        with pytest.raises(Degenerate, match="overflows"):
+            boost_rep(q)
+    assert set(vars(q)) == {"p", "m"}
+
+
+def test_threads_filling_one_point_get_one_boost():
+    # More threads than cores, switching often, each filling fresh points:
+    # every thread must get the same boost of a point, the first one kept.
+    points = [shell_point(1.0, 0.1 * k, -0.3, 0.7) for k in range(50)]
+    seen = [[] for _ in range(8)]
+    start = threading.Barrier(len(seen), timeout=10)
+
+    def fill(out):
+        start.wait()
+        out.extend(boost_rep(q) for q in points)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=fill, args=(out,)) for out in seen]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for k, q in enumerate(points):
+        assert all(out[k] is boost_rep(q) for out in seen)
 
 
 # --- the stacked transport kernel under act_momentum -----------------------------

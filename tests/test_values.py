@@ -22,12 +22,15 @@ from twospinors import (
     SL2Element,
     Spinor2,
     beta_inv,
+    boost_rep,
     conjugate,
     fiber_basis,
+    fiber_residual,
     gamma,
     lorentz_of,
     rest_fiber_basis,
     shell_point,
+    slash,
     world_basis,
 )
 from twospinors import bitensor, bundle, clifford, momentum
@@ -153,6 +156,46 @@ def test_altered_pickle_is_refused_when_loaded():
     assert data.count(one) == 2
     with pytest.raises(ValueError, match=r"^determinant \(4\+0j\) differs from 1"):
         pickle.loads(data.replace(one, two))
+
+
+def filled_point():
+    """A fresh shell point with both kept values filled: its boost and the
+    slash of its fiber tests."""
+    q = shell_point(1.5, 0.4, -0.2, 0.9)
+    fiber_residual(q, fiber_basis(q)[0])
+    assert set(vars(q)) == {"p", "m", "_boost", "_slash"}
+    return q
+
+
+def test_kept_values_reach_no_comparison():
+    q, twin = shell_point(1.5, 0.4, -0.2, 0.9), shell_point(1.5, 0.4, -0.2, 0.9)
+    before = (repr(q), hash(q))
+    fiber_residual(q, fiber_basis(q)[0])
+    assert vars(q).keys() > vars(twin).keys()
+    assert (repr(q), hash(q)) == before == (repr(twin), hash(twin))
+    assert q == twin and twin == q
+
+
+@pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_kept_values_are_not_copied(duplicate):
+    q = filled_point()
+    twin = duplicate(q)
+    assert set(vars(twin)) == {"p", "m"} and twin == q
+    fiber_residual(twin, fiber_basis(twin)[0])
+    # Every array reachable from the twin, its kept ones included, is sealed.
+    arrays = stored_arrays(twin) + [boost_rep(twin).mat, vars(twin)["_slash"]]
+    for chain in map(base_chain, arrays):
+        assert isinstance(chain[-1].base, bytes)
+        assert not any(a.flags.writeable for a in chain)
+
+
+def test_kept_slash_is_not_the_public_slash():
+    q = filled_point()
+    kept, public = vars(q)["_slash"], slash(q.p)
+    assert public is not kept and public.base is None and public.flags.writeable
+    assert public.tobytes() == kept.tobytes()
+    assert isinstance(base_chain(kept)[-1].base, bytes)
 
 
 def test_sealed_is_the_one_read_only_path():

@@ -23,6 +23,7 @@ import functools
 import itertools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -390,6 +391,18 @@ def _cmd_sample_field(args) -> int:
 # finite one outside a command's domain reaches the command (exit 3).
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads every negative number as a value, in
+    exponent form (-1e0, -1.5E-3) and -inf or -nan too, where argparse reads
+    only -1 and -1.5 forms and takes the others for an unknown option.  Its
+    subparsers are of this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-(inf|infinity|nan)$",
+                                                   re.IGNORECASE)
+
+
 def _finite_float(text: str) -> float:
     """argparse type of a finite number."""
     try:
@@ -447,17 +460,17 @@ def _parse_grid(text: str) -> tuple[int, float, float]:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default="text",
                         help="output format (default: text)")
     # Only the commands that read a seed or a tolerance take the option.
-    seeded = argparse.ArgumentParser(add_help=False)
+    seeded = _Parser(add_help=False)
     seeded.add_argument("--seed", type=int, default=0, help="random seed")
-    tolerant = argparse.ArgumentParser(add_help=False)
+    tolerant = _Parser(add_help=False)
     tolerant.add_argument("--tol", type=_tolerance, default=1e-9,
                           help="fiber-residual tolerance (default: 1e-9)")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="twospinors",
         description="2-spinor algebra kernel: gamma matrices, the Lorentz "
         "covering, momentum-space Dirac solutions, and spinor-field sampling.",

@@ -193,11 +193,14 @@ def _anticommutators(x, y) -> np.ndarray:
 
 def gamma_relation_residuals(gammas) -> np.ndarray:
     """4x4 table of max|g_mu g_nu + g_nu g_mu - 2 eta_mu_nu Id| over four
-    candidate gamma matrices; zero for the gamma table, silent on overflow."""
-    eye = np.eye(4)
+    candidate gamma matrices; zero for the gamma table, silent on overflow.
+    One stacked product: entry (mu, nu) of g[:, None] @ g[None, :] is the
+    product g_mu g_nu that the 4x4 matrix product gives."""
+    g = np.asarray(gammas)
     with np.errstate(all="ignore"):
-        return np.array([[np.max(np.abs(gammas[mu] @ gammas[nu] + gammas[nu] @ gammas[mu] - 2.0 * ETA[mu, nu] * eye))
-                          for nu in range(4)] for mu in range(4)])
+        products = g[:, None] @ g[None, :]
+        return np.max(np.abs(products + products.swapaxes(0, 1) - 2.0 * ETA[..., None, None] * np.eye(4)),
+                      axis=(2, 3))
 
 
 def equivariance_defect(A: SL2Element, X: BiTensor) -> np.ndarray:

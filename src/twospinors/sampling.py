@@ -2,8 +2,11 @@
 
 Each generator is split in two: a draw, which takes raw numbers from the
 generator and builds no value object, and a build from those numbers, which
-works on one draw or on a stack of them.  verify draws its samples one at a
-time and builds them as stacks.
+works on one draw or on a stack of them.  random_sl2's rejection test also
+runs on a stack of tries (_sl2_matrices), with _sl2_matrix's verdict and
+matrix bit for bit, so that verify can test a speculative block of draws at
+once; the draws of random_fiber_element (_fiber_draw, _mass) stay one at a
+time.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import numpy as np
 from .bundle import _REST, FiberElement
 from .clifford import FourSpinor, _tau_act
 from .momentum import boost_rep, shell_point
-from .spinor import SL2Element, _cmul, _det2
+from .spinor import SL2Element, _cabs, _cmul, _det2, spinor_norms
 
 __all__ = [
     "random_sl2",
@@ -41,6 +44,22 @@ def _sl2_matrix(rng, max_norm: float = 4.0) -> np.ndarray:
         m = m / cmath.sqrt(d)
         if np.linalg.norm(m) <= max_norm:
             return m
+
+
+def _sl2_matrices(g, max_norm: float):
+    """_sl2_matrix's test on each row of (n, 8) normals, each row one try:
+    the tries divided by the root of their determinants, (n, 2, 2), and the
+    verdicts, (n,), both bit for bit.  A row the determinant test rejects is
+    divided by 1, so that no root of a zero determinant is taken."""
+    m = np.empty((len(g), 2, 2), dtype=complex)
+    m.real = g[:, :4].reshape(-1, 2, 2)
+    m.imag = g[:, 4:].reshape(-1, 2, 2)
+    d = _det2(m)
+    # _cabs is Python's abs; cmath.sqrt per row is _sl2_matrix's root, and
+    # spinor_norms its np.linalg.norm.
+    regular = ~(_cabs(d) < 0.25)
+    m = m / np.array(list(map(cmath.sqrt, np.where(regular, d, 1.0).tolist())), dtype=complex)[:, None, None]
+    return m, regular & (spinor_norms(m.reshape(-1, 4)) <= max_norm)
 
 
 def random_sl2(rng, max_norm: float = 4.0) -> SL2Element:

@@ -6,10 +6,22 @@ every check passes.  The conventions in force (basis order, metric, the
 factor-2 anticommutation normalization, the plane-wave phase) are embedded
 in the report so downstream artifacts are self-describing.
 
-A sampled check runs in blocks of samples, each in two phases.  A scalar
-loop makes the draws of each sample in turn, from the generator helpers of
-sampling, and collects their raw numbers into (n, ...) arrays, building no
-value object.  The check then computes all its defects as one (n, k) array
+A sampled check runs in blocks of samples, each in two phases.  Phase one
+makes the draws of the block's samples, each sample's draws in turn, and
+collects their raw numbers into (n, ...) arrays, building no value object;
+the values and the generator's final state are those of drawing one sample
+at a time.  A check whose draws are all normals, or all uniforms, takes them
+as a speculative block: it saves the generator's state, draws standard
+normals (or random() values), runs the rejection tests of random_sl2 and of
+the disc on the whole block, decodes which numbers each sample takes, then
+restores the state and draws exactly that count again.  This rests on three
+facts of numpy's Generator: normal(0, s, k) is 0.0 + s * standard_normal(k)
+and uniform(a, b, k) is a + (b - a) * random(k), bit for bit; and k calls of
+normal(0, 1, 8) draw what one call of (k, 8) draws.  The checks that mix a
+mass (a uniform) with normals (_fiber_draw, and sl2, g4, mass) draw one
+sample at a time (_draw): a normal takes a variable count of the
+generator's words, so a mixed block cannot be decoded.  The check then
+computes all its defects as one (n, k) array
 on the kernels under the scalar API (eps, h_form, act_momentum, beta, ...
 each calls its kernel on one value), so each row is what the scalar API
 gives for that sample, bit for bit.  Every invariant a value constructor
@@ -23,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,7 +87,7 @@ from .momentum import (
     canonical_boosts,
     shell_point,
 )
-from .sampling import _complexes, _fiber_draw, _mass, _rest_spinors, _sl2_matrix, _su2_matrices
+from .sampling import _complexes, _fiber_draw, _mass, _rest_spinors, _sl2_matrices, _sl2_matrix, _su2_matrices
 from .spinor import SL2Element, _act, _cabs, _cmul, _cyclic, _eps, _hypot_norm, _max1, _unimodular, spinor_norms
 
 __all__ = ["CheckResult", "VerifyReport", "CONVENTIONS", "run_verification"]
@@ -169,7 +182,7 @@ def _sweep(name: str, tol: float):
 
 
 # ---------------------------------------------------------------------------
-# Phase one: the draws, one sample at a time, in the scalar API's order.
+# Phase one: the draws, in the scalar API's order.
 
 def _draw(rng, n: int, *draws) -> list[np.ndarray]:
     """Make the draws of each of n samples in turn, draw(rng) for each draw in
@@ -178,20 +191,113 @@ def _draw(rng, n: int, *draws) -> list[np.ndarray]:
     return [np.array(column) for column in zip(*rows)]
 
 
-def _uniform_spinors(rng) -> list[float]:
-    """The coefficients of three spinors, each uniform in the disc of radius
-    10 by rejection from the square: six (re, im) pairs, in drawing order."""
-    out = []
-    while len(out) < 12:
-        re, im = rng.uniform(-10.0, 10.0, 2).tolist()
-        if re * re + im * im <= 100.0:
-            out += (re, im)
-    return out
-
-
 def _gaussians(k: int):
     """The draw of k standard normal numbers."""
     return lambda rng: rng.normal(0.0, 1.0, k)
+
+
+# A speculative block holds _LOOKAHEAD times the numbers that the samples
+# still to draw take on average, with room for 2 samples more.  A block that
+# falls short is given back up to its last whole sample, and the next block
+# is twice as long.
+_LOOKAHEAD = 1.2
+
+
+def _speculate(rng, n: int, w: int, draw, decode) -> list[np.ndarray]:
+    """The columns of n samples drawn by draw(size), a method of rng, each
+    sample taking about w numbers, from speculative blocks.  decode(block,
+    n) gives the columns of at most n whole samples at the start of the block
+    and the count of numbers they take; the state saved before the block is
+    restored and exactly that count drawn again, so that the generator ends
+    where drawing those numbers alone leaves it."""
+    parts, size = [], 0
+    while n:
+        size = max(2 * size, w, math.ceil(_LOOKAHEAD * w * (n + 2)))
+        state = rng.bit_generator.state
+        columns, used = decode(draw(size), n)
+        rng.bit_generator.state = state
+        draw(used)
+        parts.append(columns)
+        n -= len(columns[0])
+    return parts[0] if len(parts) == 1 else [np.concatenate(c) for c in zip(*parts)]
+
+
+class _Normals(NamedTuple):
+    """A draw of k normals of width s, rng.normal(0.0, s, k); with a max_norm,
+    the draw of _sl2_matrix(rng, max_norm), whose tries are each eight normals
+    of width 1."""
+    k: int
+    s: float = 1.0
+    max_norm: float | None = None
+
+
+_SL2 = _Normals(8, 1.0, 4.0)
+_G8 = _Normals(8)
+
+
+def _normals(rng, n: int, *draws: _Normals) -> list[np.ndarray]:
+    """_draw of n samples of draws that take only normals, from speculative
+    blocks of standard normals: the same columns, bit for bit, and the same
+    final generator state.  A try of _sl2_matrix is accepted 97% of the time
+    or more, so a sample takes about the normals of its draws."""
+    return _speculate(rng, n, sum(d.k for d in draws), rng.standard_normal,
+                      lambda z, n: _decode_normals(z, n, draws))
+
+
+def _decode_normals(z: np.ndarray, n: int, draws) -> tuple[list[np.ndarray], int]:
+    """The columns of at most n whole samples of draws in the standard normals
+    z, and the count of normals they take.  Every draw starts at a multiple
+    of `unit` normals, so every try that a sample can make is tested at once,
+    then one scan over the verdicts places each draw."""
+    unit = math.gcd(8, *(d.k for d in draws))
+    end = len(z) // unit
+    period = sum(d.k for d in draws) // unit
+    mats, verdicts = None, {}
+    for max_norm in {d.max_norm for d in draws} - {None}:
+        # A try is normal(0, 1, 8): 0.0 + z turns a -0.0 into +0.0 as it does.
+        mats, ok = _sl2_matrices(_windows(0.0 + z, 8, unit), max_norm)
+        # Past the block, a try counts as accepted: the scan then stops within
+        # a sample's draws of the end, and the sample is dropped.
+        verdicts[max_norm] = ok.tolist() + [True] * (period + 8 // unit)
+    steps = [(d.k // unit, verdicts.get(d.max_norm)) for d in draws]
+    starts = [[] for _ in draws]
+    c, used, whole = 0, 0, 0
+    while whole < n:
+        for (k, accepted), at in zip(steps, starts):
+            if accepted is not None:
+                while not accepted[c]:
+                    c += k
+            at.append(c)
+            c += k
+        if c > end:  # the block ends inside this sample
+            break
+        whole, used = whole + 1, c
+    return [0.0 + d.s * _windows(z, d.k, unit)[at[:whole]] if d.max_norm is None else mats[at[:whole]]
+            for d, at in zip(draws, starts)], unit * used
+
+
+def _windows(x: np.ndarray, k: int, unit: int) -> np.ndarray:
+    """The k numbers of the flat array x that start at each multiple of unit,
+    as the rows of a view: (rows, k)."""
+    return np.ndarray((max(0, (len(x) - k) // unit + 1), k), x.dtype, x, strides=(unit * x.itemsize, x.itemsize))
+
+
+def _uniform_spinors(rng, n: int) -> np.ndarray:
+    """The coefficients of three spinors per sample, each uniform in the disc
+    of radius 10 by rejection from the square, one uniform(-10, 10, 2) pair
+    per try: (n, 12), six (re, im) pairs in drawing order.  A pair is kept
+    with probability pi/4, so a sample takes about 16 values."""
+    return _speculate(rng, n, 16, rng.random, _decode_disc)[0]
+
+
+def _decode_disc(u: np.ndarray, n: int) -> tuple[list[np.ndarray], int]:
+    """The (k, 12) coefficients of at most n whole samples of _uniform_spinors
+    in the random() values u, and the count of values they take."""
+    pairs = (-10.0 + 20.0 * u[:len(u) // 2 * 2]).reshape(-1, 2)
+    kept = np.flatnonzero(pairs[:, 0] * pairs[:, 0] + pairs[:, 1] * pairs[:, 1] <= 100.0)
+    whole = min(n, len(kept) // 6)
+    used = 2 * (int(kept[6 * whole - 1]) + 1) if whole else 0
+    return [pairs[kept[:6 * whole]].reshape(whole, 12)], used
 
 
 def _bitensors(g: np.ndarray) -> np.ndarray:
@@ -271,7 +377,7 @@ def _fiber_elements(d: np.ndarray):
 
 @_sweep("cyclic identity", 1e-12)
 def _check_cyclic(rng, n):
-    (g,) = _draw(rng, n, _uniform_spinors)
+    g = _uniform_spinors(rng, n)
     return _norms2(_cyclic(*_complexes(g).reshape(n, 3, 2).swapaxes(0, 1)))
 
 
@@ -336,7 +442,7 @@ def _check_duality(rng, n):
     # The duality is the identity on coordinates (world vectors and momenta
     # are one type), so what is left to check is that the action preserves
     # the form.
-    p, a = _draw(rng, n, lambda r: r.normal(0.0, 3.0, 4), _sl2_matrix)
+    p, a = _normals(rng, n, _Normals(4, 3.0), _SL2)
     moved = _moved(_sl2(a), p)
     scale = np.fmax(_max1(np.sum(p**2, axis=-1)), np.sum(moved**2, axis=-1))
     return np.abs(q_form(moved) - q_form(p)) / scale
@@ -344,20 +450,20 @@ def _check_duality(rng, n):
 
 @_sweep("clifford-map equivariance", 1e-9)
 def _check_equivariance(rng, n):
-    a, g = _draw(rng, n, lambda r: _sl2_matrix(r, 10.0), _gaussians(8))
+    a, g = _normals(rng, n, _Normals(8, 1.0, 10.0), _G8)
     return np.max(np.abs(_equivariance(_sl2(a), _bitensors(g))), axis=(1, 2))
 
 
 @_sweep("bitensor action commutes with reality involution", 1e-13)
 def _check_pi_commutes_J(rng, n):
-    a, g = _draw(rng, n, _sl2_matrix, _gaussians(8))
+    a, g = _normals(rng, n, _SL2, _G8)
     a, t = _sl2(a), _bitensors(g)
     return np.max(np.abs(_transport(a, _involution(t)) - _involution(_transport(a, t))), axis=(1, 2))
 
 
 @_sweep("covering homomorphism", 1e-10)
 def _check_covering_hom(rng, n):
-    a, b = _draw(rng, n, _sl2_matrix, _sl2_matrix)
+    a, b = _normals(rng, n, _SL2, _SL2)
     a, b = _sl2(a), _sl2(b)
     # One stacked covering of A B, A and B.
     L, _ = _lorentz(np.concatenate([_sl2(a @ b), a, b]))
@@ -366,7 +472,7 @@ def _check_covering_hom(rng, n):
 
 @_sweep("covering is two-to-one (sign kernel)", 0.0)
 def _check_covering_two_to_one(rng, n):
-    (a,) = _draw(rng, n, _sl2_matrix)
+    (a,) = _normals(rng, n, _SL2)
     a = _sl2(a)
     L, _ = _lorentz(np.concatenate([a, -a]))
     # Equal images give 0, which the fold cannot tell from no defect.
@@ -375,7 +481,7 @@ def _check_covering_two_to_one(rng, n):
 
 @_sweep("lorentz metric orthogonality", 1e-10)
 def _check_eta_orthogonality(rng, n):
-    (a,) = _draw(rng, n, _sl2_matrix)
+    (a,) = _normals(rng, n, _SL2)
     return _lorentz(_sl2(a))[1]
 
 
@@ -394,7 +500,7 @@ def _check_rest_fiber(rng, n: int) -> CheckResult:
 
 @_sweep("bundle map well-defined on classes", 1e-10)
 def _check_beta_well_defined(rng, n):
-    a, g = _draw(rng, n, _sl2_matrix, _gaussians(8))
+    a, g = _normals(rng, n, _SL2, _G8)
     a, psi, m = _sl2(a), _rest_spinors(g[:, :4]), np.ones(n)
     _class_reps(a, psi, m)
     t = _sl2(_su2_matrices(g[:, 4:]))

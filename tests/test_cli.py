@@ -431,6 +431,10 @@ BAD_ARGUMENTS = {
                            "argument --tol: expected a nonnegative number, got '-1'"),
     "sample-field-tol-negative": (["sample-field", "-m", "1", "--grid", "2:-1:1", "--tol", "-1"],
                                   "argument --tol: expected a nonnegative number, got '-1'"),
+    "solve-tol-negative-exponent": (["solve", "-m", "1", "--tol", "-1e-9", "--", "0", "0", "0"],
+                                    "argument --tol: expected a nonnegative number, got '-1e-9'"),
+    "solve-mass-negative-inf": (["solve", "-m", "-inf", "--", "0", "0", "1"],
+                                "argument -m/--mass: expected a finite number, got '-inf'"),
     "solve-mass-inf": (["solve", "-m", "inf", "--", "0", "0", "1"],
                        "argument -m/--mass: expected a finite number, got 'inf'"),
     "solve-momentum-nan": (["solve", "-m", "1", "--", "0", "nan", "1"],
@@ -491,6 +495,39 @@ def test_bad_argument_is_a_usage_error(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+# A negative number in exponent form is an option's value, read as its
+# decimal spelling is: the same exit code, stdout and stderr.
+NEGATIVE_SPELLINGS = {
+    "solve-mass": (["solve", "-m", "-1e0", "--", "0", "0", "0"],
+                   ["solve", "-m", "-1.0", "--", "0", "0", "0"]),
+    "planewave-mass": (["planewave-check", "-m", "-1E0", "--", "0", "0", "0"],
+                       ["planewave-check", "-m", "-1", "--", "0", "0", "0"]),
+    "sample-field-mass": (["sample-field", "-m", "-1e0", "--grid", "2:0:1"],
+                          ["sample-field", "-m", "-1.0", "--grid", "2:0:1"]),
+    "solve-tol": (["solve", "-m", "1", "--tol", "-1e-9", "--", "0", "0", "0"],
+                  ["solve", "-m", "1", "--tol=-1e-9", "--", "0", "0", "0"]),
+    "planewave-step": (["planewave-check", "-m", "1", "--step", "-1e-3", "--", "0", "0", "0"],
+                       ["planewave-check", "-m", "1", "--step", "-0.001", "--", "0", "0", "0"]),
+    "planewave-point": (["planewave-check", "-m", "1", "--point", "0", "-1e-3", "0", "-.5e1", "--", "0", "0", "0"],
+                        ["planewave-check", "-m", "1", "--point", "0", "-0.001", "0", "-5", "--", "0", "0", "0"]),
+}
+
+
+@pytest.mark.parametrize("exponent, decimal", NEGATIVE_SPELLINGS.values(), ids=NEGATIVE_SPELLINGS)
+def test_negative_exponent_is_read_as_a_number(tmp_path, capsys, exponent, decimal):
+    results = []
+    for argv in (exponent, decimal):
+        if argv[0] == "sample-field":
+            argv = argv + ["--out", str(tmp_path / "field.ndjson")]
+        try:
+            code = main(argv)
+        except SystemExit as exit:
+            code = exit.code
+        results.append((code, *capsys.readouterr()))
+    assert results[0] == results[1]
+    assert results[0][0] in (0, 2, 3) and "expected one argument" not in results[0][2]
+
+
 # Output of every other command, pinned by the exit code and the sha256 of
 # stdout in each format: argv, exit code, json digest, text digest.
 SQRT2, INV_SQRT2 = repr(2**0.5), repr(1 / 2**0.5)
@@ -533,6 +570,13 @@ PINNED_OUTPUTS = {
     "verify-corrupt": (["verify", "--samples", "40", "--corrupt-gamma", "2,1,3"], 1,
                        "52f163e6aba7bb34672664a73d5c3084c67097820f6f9b582b818561b0f629b1",
                        "253674e9aa37ef155dedafcc1b9d4b95c2bd74fd0a6d1ecf31efa1ff526b4a37"),
+    # The CI command, and a run that crosses verify._BLOCK (1024 samples).
+    "verify-1000": (["verify", "--samples", "1000", "--seed", "7"], 0,
+                    "f0df4e2da9af579605351294653b7df3e2a9bda934c4ccf77c83c438879361c5",
+                    "d293fc14cce26cf46fa23e8ab05d0afaa702194b3a873c5c7b3610eb2fd053b5"),
+    "verify-2500": (["verify", "--samples", "2500", "--seed", "7"], 0,
+                    "03585ae256c2f994bde9849f0d3a2438cd3fbcb7d1278ee0cfd81607d8e08d92",
+                    "8382406ff574072a54dcda077b7a994c66dfbee79e8e393d4860e55071c0742c"),
 }
 
 

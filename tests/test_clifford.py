@@ -32,7 +32,7 @@ from twospinors import (
 )
 
 from twospinors.bundle import FIBER_TOL, fiber_test
-from twospinors.clifford import _anticommutators, _equivariance, phi_matrices, tau_matrices
+from twospinors.clifford import _anticommutators, _equivariance, gamma_relation_residuals, phi_matrices, tau_matrices
 from twospinors.spinor import spinor_norms
 
 from test_spinor import random_sl2
@@ -169,6 +169,28 @@ def test_gamma_full_relation_table():
         for nu in range(4):
             anti = gamma(mu) @ gamma(nu) + gamma(nu) @ gamma(mu)
             np.testing.assert_allclose(anti, 2 * ETA[mu, nu] * eye, atol=1e-13)
+
+
+def pairwise_relation_table(gammas) -> np.ndarray:
+    """gamma_relation_residuals one (mu, nu) pair at a time."""
+    with np.errstate(all="ignore"):
+        return np.array([[np.max(np.abs(gammas[mu] @ gammas[nu] + gammas[nu] @ gammas[mu]
+                                        - 2.0 * ETA[mu, nu] * np.eye(4)))
+                          for nu in range(4)] for mu in range(4)])
+
+
+@pytest.mark.parametrize("delta", [1e-3, 1e-3j, -1e-3 + 1e-3j, 1e300, 1.7e308j, 5e-324])
+def test_stacked_relation_table_is_the_pairwise_table(delta):
+    # verify's --corrupt-gamma tables: every entry of every gamma matrix
+    # perturbed in turn, up to past the float range, bit for bit.
+    assert gamma_relation_residuals([gamma(mu) for mu in range(4)]).tobytes() == bytes(128)
+    for mu in range(4):
+        for i in range(4):
+            for j in range(4):
+                gammas = [gamma(nu).copy() for nu in range(4)]
+                gammas[mu][i, j] += delta
+                table = gamma_relation_residuals(gammas)
+                assert table.tobytes() == pairwise_relation_table(gammas).tobytes(), (mu, i, j)
 
 
 def test_gamma_index_validation():

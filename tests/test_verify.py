@@ -146,11 +146,12 @@ def test_overflowing_stacked_kernel_is_a_non_finite_defect(kernel):
 def test_overflowing_cyclic_check_is_a_non_finite_defect(monkeypatch):
     # The cyclic check itself, fed spinors scaled to 1e150 at sample 1: the
     # products of eps with a coefficient pass the float range.
-    draw, samples = verify._uniform_spinors, iter(range(3))
+    draw = verify._uniform_spinors
 
-    def scaled(rng):
-        scale = 1e150 if next(samples) == 1 else 1.0
-        return [x * scale for x in draw(rng)]
+    def scaled(rng, n):
+        g = draw(rng, n)
+        g[1] *= 1e150
+        return g
 
     monkeypatch.setattr(verify, "_uniform_spinors", scaled)
     result = verify._check_cyclic(np.random.default_rng(0), 3)
@@ -237,10 +238,141 @@ def test_sl2_draw_is_the_two_call_stream(max_norm):
     assert outcomes["norm"] > 0 or max_norm == 10.0
 
 
+class _Tries:
+    """A stand-in generator whose normal(0, 1, 8) calls return the rows of g
+    in turn, counting them."""
+
+    def __init__(self, g):
+        self.rows, self.taken = iter(g), 0
+
+    def normal(self, loc, scale, size):
+        self.taken += 1
+        return next(self.rows)
+
+
+@pytest.mark.parametrize("max_norm", [2.0, 4.0, 10.0])
+def test_stacked_sl2_test_is_the_scalar_test(max_norm):
+    # Each row's verdict and divided matrix are those of _sl2_matrix on that
+    # try, bit for bit: singular rows (a zero row among them) and, at max_norm
+    # 2, many norm rejections.
+    g = np.random.default_rng(3).normal(0.0, 1.0, (3000, 8))
+    g[5] = 0.0
+    g[6, :4] = -0.0
+    mats, ok = sampling._sl2_matrices(g, max_norm)
+    tries, accepted = _Tries(g), []
+    while True:
+        try:
+            m = sampling._sl2_matrix(tries, max_norm)
+        except StopIteration:
+            break
+        accepted.append(tries.taken - 1)
+        assert m.tobytes() == mats[tries.taken - 1].tobytes()
+    assert np.flatnonzero(ok).tolist() == accepted
+    assert 5 not in accepted and len(accepted) < 3000
+
+
+def scalar_uniform_spinors(rng) -> list[float]:
+    """The draw of one cyclic-check sample, one try at a time: six (re, im)
+    pairs, each uniform in the disc of radius 10 by rejection from the
+    square."""
+    out = []
+    while len(out) < 12:
+        re, im = rng.uniform(-10.0, 10.0, 2).tolist()
+        if re * re + im * im <= 100.0:
+            out += (re, im)
+    return out
+
+
+# The block draws of verify's checks that draw only normals or only uniforms,
+# each with the scalar draws of one sample in the same order; the checks
+# that use each layout in parentheses.
+BLOCK_LAYOUTS = {
+    "sl2 (two-to-one, metric)": (
+        lambda rng, n: verify._normals(rng, n, verify._SL2), [sampling._sl2_matrix]),
+    "sl2, sl2 (homomorphism)": (
+        lambda rng, n: verify._normals(rng, n, verify._SL2, verify._SL2),
+        [sampling._sl2_matrix, sampling._sl2_matrix]),
+    "sl2, g8 (involution, well-defined)": (
+        lambda rng, n: verify._normals(rng, n, verify._SL2, verify._G8),
+        [sampling._sl2_matrix, verify._gaussians(8)]),
+    "sl2(10), g8 (equivariance)": (
+        lambda rng, n: verify._normals(rng, n, verify._Normals(8, 1.0, 10.0), verify._G8),
+        [lambda r: sampling._sl2_matrix(r, 10.0), verify._gaussians(8)]),
+    "normal(0, 3, 4), sl2 (duality)": (
+        lambda rng, n: verify._normals(rng, n, verify._Normals(4, 3.0), verify._SL2),
+        [lambda r: r.normal(0.0, 3.0, 4), sampling._sl2_matrix]),
+    "disc (cyclic)": (
+        lambda rng, n: [verify._uniform_spinors(rng, n)], [scalar_uniform_spinors]),
+}
+BLOCK_SIZES = [1, 2, 10, 200, 1025]
+
+
+def same_columns(a, b) -> bool:
+    return [(c.dtype, c.shape, c.tobytes()) for c in a] == [(c.dtype, c.shape, c.tobytes()) for c in b]
+
+
+def scalar_columns(seed, draws, sizes):
+    """verify._draw of max(sizes) samples from default_rng(seed), and the
+    generator's state after each count of samples in sizes."""
+    rng, parts, states, done = np.random.default_rng(seed), [], {}, 0
+    for n in sizes:
+        parts.append(verify._draw(rng, n - done, *draws))
+        states[n], done = rng.bit_generator.state, n
+    return [np.concatenate(c) for c in zip(*parts)], states
+
+
+@pytest.mark.parametrize("block, draws", BLOCK_LAYOUTS.values(), ids=BLOCK_LAYOUTS)
+def test_block_draws_are_the_scalar_draws(block, draws):
+    # The values of n samples and the generator's final state are those of
+    # the scalar loop, bit for bit, on seeds 0-49.
+    for seed in range(50):
+        columns, states = scalar_columns(seed, draws, BLOCK_SIZES)
+        for n in BLOCK_SIZES:
+            rng = np.random.default_rng(seed)
+            assert same_columns(block(rng, n), [c[:n] for c in columns]), (seed, n)
+            assert rng.bit_generator.state == states[n], (seed, n)
+
+
+@pytest.mark.parametrize("block, draws", BLOCK_LAYOUTS.values(), ids=BLOCK_LAYOUTS)
+def test_short_blocks_are_refilled(monkeypatch, block, draws):
+    # Speculative blocks far too short for their samples: each is given back
+    # up to its last whole sample, and the draws still end where the scalar
+    # loop's do.
+    passes = Counter()
+    for name in ("_decode_normals", "_decode_disc"):
+        decode = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda *args, decode=decode: passes.update(["pass"]) or decode(*args))
+    monkeypatch.setattr(verify, "_LOOKAHEAD", 0.01)
+    for seed in range(5):
+        columns, states = scalar_columns(seed, draws, [1, 200])
+        for n in (1, 200):
+            rng, before = np.random.default_rng(seed), passes["pass"]
+            assert same_columns(block(rng, n), [c[:n] for c in columns]), (seed, n)
+            assert rng.bit_generator.state == states[n], (seed, n)
+            assert passes["pass"] - before > (1 if n > 1 else 0)
+
+
+@pytest.mark.parametrize("block, draws", BLOCK_LAYOUTS.values(), ids=BLOCK_LAYOUTS)
+def test_block_draws_are_a_prefix_of_longer_draws(block, draws):
+    # n samples and then m more are the first n + m samples of one draw, and
+    # leave the generator in the same state.
+    for seed, n, m in [(0, 1, 1), (1, 3, 200), (2, 1024, 1), (3, 10, 1025)]:
+        r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
+        parts = zip(block(r1, n), block(r1, m))
+        assert same_columns([np.concatenate(c) for c in parts], block(r2, n + m)), seed
+        assert r1.bit_generator.state == r2.bit_generator.state, seed
+
+
 def test_rejected_sample_raises_the_constructor_error(monkeypatch):
     # A draw the stacked mask rejects goes to the scalar constructor.
     bad = np.array([[1.0, 0.0], [0.0, 2.0]], dtype=complex)
-    monkeypatch.setattr(verify, "_sl2_matrix", lambda rng, max_norm=4.0: bad)
+    draw = verify._normals
+
+    def injected(rng, n, *draws):
+        p, _ = draw(rng, n, *draws)
+        return p, np.array([bad] * n)
+
+    monkeypatch.setattr(verify, "_normals", injected)
     with pytest.raises(NumericalDrift, match="^determinant \\(2\\+0j\\) differs from 1 by more than 1e-12"):
         verify._check_duality(np.random.default_rng(0), 3)
 
@@ -256,15 +388,19 @@ def test_first_failing_mask_raises_its_first_rejected_row(monkeypatch):
     # 3 fails the determinant mask, which the check applies first.  The error
     # is sample 3's, as its scalar constructor raises it.
     bad = {1: np.diag([1e200, 1e-200]).astype(complex), 3: np.diag([1.0, 2.0]).astype(complex)}
-    draws = iter(range(6))
-    monkeypatch.setattr(verify, "_sl2_matrix", lambda rng, max_norm=4.0: bad.get(next(draws), np.eye(2, dtype=complex)))
+    draw = verify._normals
+
+    def injected(rng, n, *draws):
+        p, _ = draw(rng, n, *draws)
+        return p, np.array([bad.get(i, np.eye(2, dtype=complex)) for i in range(n)])
+
+    monkeypatch.setattr(verify, "_normals", injected)
     with pytest.raises(NumericalDrift) as info:
         verify._check_duality(np.random.default_rng(0), 6)
     assert (type(info.value), str(info.value)) == (
         NumericalDrift, "determinant (2+0j) differs from 1 by more than 1e-12; renormalize first")
     # Alone, sample 1 raises act_momentum's error.
     del bad[3]
-    draws = iter(range(6))
     with pytest.raises(ValueError) as info:
         verify._check_duality(np.random.default_rng(0), 6)
     assert (type(info.value), str(info.value)) == (ValueError, "bitensor entries must be finite")

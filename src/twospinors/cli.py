@@ -433,6 +433,17 @@ def _positive_int(text: str) -> int:
     return n
 
 
+def _seed(text: str) -> int:
+    """argparse type of --seed: an integer >= 0, as numpy's generators take."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return n
+
+
 def _gamma_entry(text: str) -> tuple[int, int, int]:
     """argparse type of --corrupt-gamma MU,I,J: three indices in 0..3."""
     try:
@@ -465,7 +476,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="output format (default: text)")
     # Only the commands that read a seed or a tolerance take the option.
     seeded = _Parser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=0, help="random seed")
+    seeded.add_argument("--seed", type=_seed, default=0, help="random seed")
     tolerant = _Parser(add_help=False)
     tolerant.add_argument("--tol", type=_tolerance, default=1e-9,
                           help="fiber-residual tolerance (default: 1e-9)")

@@ -5,8 +5,11 @@ generator and builds no value object, and a build from those numbers, which
 works on one draw or on a stack of them.  random_sl2's rejection test also
 runs on a stack of tries (_sl2_matrices), with _sl2_matrix's verdict and
 matrix bit for bit, so that verify can test a speculative block of draws at
-once; the draws of random_fiber_element (_fiber_draw, _mass) stay one at a
-time.
+once.  random_fiber_element draws its mass, a uniform, between normals on
+one stream.  A layout that mixes kinds cannot be decoded from one stream, so
+verify's three checks whose samples take a mass among normals ("bundle map
+round trip", "bundle map lands in the fiber" and "group action preserves
+fibers") draw their masses from a side stream and their normals as a block.
 """
 
 from __future__ import annotations
@@ -86,11 +89,6 @@ def random_su2(rng) -> SL2Element:
     return SL2Element(_su2_matrices(rng.normal(0.0, 1.0, 4)))
 
 
-def _mass(rng) -> float:
-    """A mass uniform in [0.5, 2]."""
-    return float(rng.uniform(0.5, 2.0))
-
-
 def _complexes(g) -> np.ndarray:
     """Consecutive pairs of draws (re, im) as complex numbers, exactly."""
     return np.ascontiguousarray(g, dtype=float).view(complex)
@@ -104,21 +102,17 @@ def _rest_spinors(z) -> np.ndarray:
     return _cmul(_REST[0], c[..., 0, :]) + _cmul(_REST[1], c[..., 1, :])
 
 
-def _fiber_draw(rng) -> list[float]:
-    """The raw numbers of one random_fiber_element, in drawing order: a mass m
-    (_mass), a spatial momentum Gaussian of width 2m, then the four Gaussians
-    of a unitary (_su2_matrices) and the four of a rest eigenvector
-    (_rest_spinors)."""
-    m = _mass(rng)
-    return [m, *rng.normal(0.0, 2.0 * m, 3).tolist(), *rng.normal(0.0, 1.0, 8).tolist()]
-
-
 def random_fiber_element(rng) -> FiberElement:
     """Random bundle element: a random point of the fiber over a random
     shell point, reached through a generic (boost times unitary) action on
-    a random rest eigenvector."""
-    m, p1, p2, p3, *g = _fiber_draw(rng)
-    q = shell_point(m, p1, p2, p3)
-    A = boost_rep(q) @ SL2Element(_su2_matrices(np.array(g[:4])))
+    a random rest eigenvector.  The draws, in order: a mass uniform in
+    [0.5, 2], a spatial momentum Gaussian of width 2m, then the four
+    Gaussians of a unitary (_su2_matrices) and the four of a rest
+    eigenvector (_rest_spinors)."""
+    m = float(rng.uniform(0.5, 2.0))
+    p = rng.normal(0.0, 2.0 * m, 3)
+    g = rng.normal(0.0, 1.0, 8)
+    q = shell_point(m, *p.tolist())
+    A = boost_rep(q) @ SL2Element(_su2_matrices(g[:4]))
     psi = FourSpinor.from_vec(_tau_act(A.mat, _rest_spinors(g[4:])))
     return FiberElement(q, psi)

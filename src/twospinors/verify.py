@@ -7,28 +7,29 @@ factor-2 anticommutation normalization, the plane-wave phase) are embedded
 in the report so downstream artifacts are self-describing.
 
 A sampled check runs in blocks of samples, each in two phases.  Phase one
-makes the draws of the block's samples, each sample's draws in turn, and
-collects their raw numbers into (n, ...) arrays, building no value object;
-the values and the generator's final state are those of drawing one sample
-at a time.  A check whose draws are all normals, or all uniforms, takes them
-as a speculative block: it saves the generator's state, draws standard
-normals (or random() values), runs the rejection tests of random_sl2 and of
-the disc on the whole block, decodes which numbers each sample takes, then
-restores the state and draws exactly that count again.  This rests on three
-facts of numpy's Generator: normal(0, s, k) is 0.0 + s * standard_normal(k)
-and uniform(a, b, k) is a + (b - a) * random(k), bit for bit; and k calls of
-normal(0, 1, 8) draw what one call of (k, 8) draws.  The checks that mix a
-mass (a uniform) with normals (_fiber_draw, and sl2, g4, mass) draw one
-sample at a time (_draw): a normal takes a variable count of the
-generator's words, so a mixed block cannot be decoded.  The check then
-computes all its defects as one (n, k) array
-on the kernels under the scalar API (eps, h_form, act_momentum, beta, ...
-each calls its kernel on one value), so each row is what the scalar API
-gives for that sample, bit for bit.  Every invariant a value constructor
-would check is checked by that constructor's own test, on the stack.  The
-first row that the first failing mask rejects is handed to its scalar
-constructor, which raises its typed error; a row the constructor accepts
-is a NumericalDrift that names its sample.
+makes the block's draws as (n, ...) arrays of raw numbers, building no
+value object: the values and each generator's final state are those of
+drawing one sample at a time.  Each stream holds one kind of number.  Where
+rejection tests set the count a sample takes, the stream is drawn as a
+speculative block: the check saves the state, draws standard normals (or
+random() values), runs the tests of random_sl2 or of the disc on the block,
+decodes which numbers each sample takes, restores the state and draws
+exactly that count again.  This rests on facts of numpy's Generator:
+normal(0, s, k) is 0.0 + s * standard_normal(k) and uniform(a, b, k) is
+a + (b - a) * random(k), bit for bit, and k calls of normal(0, 1, 8) draw
+what one call of (k, 8) draws.  A normal takes a variable count of the
+generator's words, so a layout that mixes kinds cannot be decoded from one
+stream: "bundle map round trip", "bundle map lands in the fiber" and "group
+action preserves fibers" draw their masses from a side stream,
+bit_generator.jumped() once per check, and their normals from the
+generator.  The check then computes all its defects as one (n, k) array on
+the kernels under the scalar API (eps, h_form, act_momentum, beta, ... each
+calls its kernel on one value), so each row is what the scalar API gives
+for that sample, bit for bit.  Every invariant a value constructor would
+check is checked by that constructor's own test, on the stack.  The first
+row that the first failing mask rejects is handed to its scalar
+constructor, which raises its typed error; a row the constructor accepts is
+a NumericalDrift that names its sample.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ from .momentum import (
     canonical_boosts,
     shell_point,
 )
-from .sampling import _complexes, _fiber_draw, _mass, _rest_spinors, _sl2_matrices, _sl2_matrix, _su2_matrices
+from .sampling import _complexes, _rest_spinors, _sl2_matrices, _su2_matrices
 from .spinor import SL2Element, _act, _cabs, _cmul, _cyclic, _eps, _hypot_norm, _max1, _unimodular, spinor_norms
 
 __all__ = ["CheckResult", "VerifyReport", "CONVENTIONS", "run_verification"]
@@ -147,16 +148,19 @@ def _require(ok: np.ndarray, build) -> None:
         raise _Rejected(row)
 
 
-def _sweep(name: str, tol: float):
+def _sweep(name: str, tol: float, side: bool = False):
     """Turn a function of (rng, n), which draws n samples from rng and returns
     their defects as an (n, k) array (or (n,) for one defect each), into a
     check of n samples against tol, run in blocks of at most _BLOCK samples.
-    The fold keeps the worst finite defect, from +0.0, so that no -0.0 is
-    reported; a non-finite defect fails the check, and detail names the
-    first sample whose row has one."""
+    With side, the function is of (rng, n, side) and draws its uniforms from
+    side, a generator jumped from rng's state once per check.  The fold
+    keeps the worst finite defect, from +0.0, so that no -0.0 is reported; a
+    non-finite defect fails the check, and detail names the first sample
+    whose row has one."""
 
     def wrap(defects):
         def check(rng, n: int) -> CheckResult:
+            streams = (np.random.Generator(rng.bit_generator.jumped()),) if side else ()
             worst, bad = 0.0, None
             for offset in range(0, n, _BLOCK):
                 k = min(_BLOCK, n - offset)
@@ -165,7 +169,7 @@ def _sweep(name: str, tol: float):
                 # the fold reports the non-finite defect.
                 with np.errstate(all="ignore"):
                     try:
-                        d = np.asarray(defects(rng, k), dtype=float).reshape(k, -1)
+                        d = np.asarray(defects(rng, k, *streams), dtype=float).reshape(k, -1)
                     except _Rejected as rejected:
                         sample = offset + rejected.args[0] % k
                         raise NumericalDrift(f"stacked check rejected sample {sample}, which the scalar path accepts")
@@ -183,18 +187,6 @@ def _sweep(name: str, tol: float):
 
 # ---------------------------------------------------------------------------
 # Phase one: the draws, in the scalar API's order.
-
-def _draw(rng, n: int, *draws) -> list[np.ndarray]:
-    """Make the draws of each of n samples in turn, draw(rng) for each draw in
-    order, and stack the results of each draw over the samples."""
-    rows = [[draw(rng) for draw in draws] for _ in range(n)]
-    return [np.array(column) for column in zip(*rows)]
-
-
-def _gaussians(k: int):
-    """The draw of k standard normal numbers."""
-    return lambda rng: rng.normal(0.0, 1.0, k)
-
 
 # A speculative block holds _LOOKAHEAD times the numbers that the samples
 # still to draw take on average, with room for 2 samples more.  A block that
@@ -236,10 +228,11 @@ _G8 = _Normals(8)
 
 
 def _normals(rng, n: int, *draws: _Normals) -> list[np.ndarray]:
-    """_draw of n samples of draws that take only normals, from speculative
-    blocks of standard normals: the same columns, bit for bit, and the same
-    final generator state.  A try of _sl2_matrix is accepted 97% of the time
-    or more, so a sample takes about the normals of its draws."""
+    """The columns of n samples of draws that take only normals, from
+    speculative blocks of standard normals: the columns and the final
+    generator state of drawing one sample at a time, bit for bit.  A try of
+    _sl2_matrix is accepted 97% of the time or more, so a sample takes about
+    the normals of its draws."""
     return _speculate(rng, n, sum(d.k for d in draws), rng.standard_normal,
                       lambda z, n: _decode_normals(z, n, draws))
 
@@ -356,15 +349,16 @@ def _betas(a: np.ndarray, phi: np.ndarray, m: np.ndarray):
     return p, psi, r, norms
 
 
-def _fiber_elements(d: np.ndarray):
-    """The random_fiber_element of each (n, 12) row of _fiber_draw numbers:
-    mass, momentum, 4-spinor, its norm and canonical boost, each checked as
-    its constructor checks one."""
-    m = d[:, 0]
-    p, boost, ok = canonical_boosts(m, d[:, 1], d[:, 2], d[:, 3])
-    _require(ok, lambda i: boost_rep(shell_point(*d[i, :4].tolist())))
-    a = _sl2(boost @ _sl2(_su2_matrices(d[:, 4:8])))
-    psi = _tau_act(a, _rest_spinors(d[:, 8:]))
+def _fiber_elements(side, z: np.ndarray):
+    """The random_fiber_element of each (n, 11) row of normal(0, 1) draws z,
+    its mass from side: mass, momentum, 4-spinor, its norm and canonical
+    boost, each checked as its constructor checks one."""
+    m = 0.5 + 1.5 * side.random(len(z))  # uniform(0.5, 2.0), bit for bit
+    p3 = 0.0 + (2.0 * m)[:, None] * z[:, :3]  # normal(0, 2m, 3), bit for bit
+    p, boost, ok = canonical_boosts(m, *p3.T)
+    _require(ok, lambda i: boost_rep(shell_point(float(m[i]), *p3[i].tolist())))
+    a = _sl2(boost @ _sl2(_su2_matrices(z[:, 3:7])))
+    psi = _tau_act(a, _rest_spinors(z[:, 7:]))
     # canonical_boosts has checked the shell points.
     _, norms, in_fiber = fiber_test(p, psi, m, FIBER_TOL)
     _require(in_fiber, lambda i: FiberElement(
@@ -514,10 +508,9 @@ def _check_beta_well_defined(rng, n):
     ], axis=1)
 
 
-@_sweep("bundle map round trip", 1e-9)
-def _check_beta_round_trip(rng, n):
-    (d,) = _draw(rng, n, _fiber_draw)
-    m, p, psi, norms, boost = _fiber_elements(d)
+@_sweep("bundle map round trip", 1e-9, side=True)
+def _check_beta_round_trip(rng, n, side):
+    m, p, psi, norms, boost = _fiber_elements(side, rng.normal(0.0, 1.0, (n, 11)))
     # beta_inv takes the canonical boost of the same point: boost again.
     phi = _to_rest(boost, psi)
     _class_reps(boost, phi, m)
@@ -528,10 +521,11 @@ def _check_beta_round_trip(rng, n):
     ], axis=1)
 
 
-@_sweep("bundle map lands in the fiber", 1e-9)
-def _check_beta_fiber_membership(rng, n):
-    a, g, m = _draw(rng, n, _sl2_matrix, _gaussians(4), _mass)
+@_sweep("bundle map lands in the fiber", 1e-9, side=True)
+def _check_beta_fiber_membership(rng, n, side):
+    a, g = _normals(rng, n, _SL2, _Normals(4))
     a, psi = _sl2(a), _rest_spinors(g)
+    m = 0.5 + 1.5 * side.random(n)  # uniform(0.5, 2.0), bit for bit
     _class_reps(a, psi, m)
     _, _, r, norms = _betas(a, psi, m)
     return r / (_max1(m) * _max1(norms))
@@ -555,10 +549,10 @@ def _check_spin_character(rng, n: int) -> CheckResult:
     return CheckResult("spin-1/2 character", len(ts), worst, 1e-13, worst <= 1e-13)
 
 
-@_sweep("group action preserves fibers", 1e-9)
-def _check_bundle_equivariance(rng, n):
-    d, a = _draw(rng, n, _fiber_draw, _sl2_matrix)
-    m, p, psi, _, _ = _fiber_elements(d)
+@_sweep("group action preserves fibers", 1e-9, side=True)
+def _check_bundle_equivariance(rng, n, side):
+    z, a = _normals(rng, n, _Normals(11), _SL2)
+    m, p, psi, _, _ = _fiber_elements(side, z)
     a = _sl2(a)
     p_moved = _moved(a, p)
     psi_moved = _tau_act(a, psi)
@@ -580,7 +574,9 @@ def run_verification(seed: int = 0, samples: int = 1000, corrupt_gamma=None) -> 
     rng = np.random.default_rng(seed)
     gammas = [gamma(mu).copy() for mu in range(4)]
     if corrupt_gamma is not None:
-        if not all(0 <= k <= 3 for k in corrupt_gamma):
+        # Three integer indices: a negative one would wrap around.
+        if len(corrupt_gamma) != 3 or not all(
+                isinstance(k, (int, np.integer)) and 0 <= k <= 3 for k in corrupt_gamma):
             raise ValueError(f"corrupt_gamma indices must be in 0..3, got {corrupt_gamma}")
         mu, i, j = corrupt_gamma
         gammas[mu][i, j] += 1e-3

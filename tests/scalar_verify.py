@@ -2,9 +2,10 @@
 
 The reference for twospinors.verify, kept as the checks and generators were
 before they were stacked: each check here draws the same samples from the
-generator, in the same order, as the stacked check of the same name, and
-folds the defects the scalar API computes one sample at a time.  The
-equality tests in test_verify.py compare the two.
+generator, in the same order, as the stacked check of the same name (the
+three checks that take a mass among normals draw it from the same jumped
+side stream), and folds the defects the scalar API computes one sample at a
+time.  The equality tests in test_verify.py compare the two.
 """
 
 from __future__ import annotations
@@ -74,9 +75,10 @@ def random_su2(rng) -> SL2Element:
     return SL2Element([[a, -b.conjugate()], [b, a.conjugate()]])
 
 
-def random_shell_point(rng) -> MassShellPoint:
-    """Forward-shell point of mass uniform in [0.5, 2], spatial momentum Gaussian of width 2m."""
-    m = float(rng.uniform(0.5, 2.0))
+def random_shell_point(rng, masses=None) -> MassShellPoint:
+    """Forward-shell point of mass uniform in [0.5, 2], drawn from masses
+    (rng if None), spatial momentum Gaussian of width 2m."""
+    m = float((rng if masses is None else masses).uniform(0.5, 2.0))
     sigma = 2.0 * m
     return shell_point(m, rng.normal(0.0, sigma), rng.normal(0.0, sigma), rng.normal(0.0, sigma))
 
@@ -88,11 +90,11 @@ def random_rest_spinor(rng) -> FourSpinor:
     return _complex(rng) * v1 + _complex(rng) * v2
 
 
-def random_fiber_element(rng) -> FiberElement:
+def random_fiber_element(rng, masses=None) -> FiberElement:
     """Random bundle element: a random point of the fiber over a random
     shell point, reached through a generic (boost times unitary) action on
-    a random rest eigenvector."""
-    q = random_shell_point(rng)
+    a random rest eigenvector; its mass drawn from masses (rng if None)."""
+    q = random_shell_point(rng, masses)
     A = boost_rep(q) @ random_su2(rng)
     psi = FourSpinor.from_vec(tau(A) @ random_rest_spinor(rng).vec)
     return FiberElement(q, psi)
@@ -110,18 +112,21 @@ def _uniform_spinor(rng, bound: float) -> Spinor2:
     return Spinor2(coeff(), coeff())
 
 
-def _sweep(name: str, tol: float):
+def _sweep(name: str, tol: float, side: bool = False):
     """Turn a one-sample generator, which draws its inputs from rng and yields
-    its defects, into a check of n samples against tol.  Finite defects are
-    folded as they come with worst = max(worst, d); a non-finite defect fails
-    the check, and detail names the first sample that gave one."""
+    its defects, into a check of n samples against tol.  With side, the
+    generator is of (rng, side) and draws its masses from side, a generator
+    jumped from rng's state once per check.  Finite defects are folded as
+    they come with worst = max(worst, d); a non-finite defect fails the
+    check, and detail names the first sample that gave one."""
 
     def wrap(sample):
         def check(rng, n: int) -> CheckResult:
+            streams = (np.random.Generator(rng.bit_generator.jumped()),) if side else ()
             worst = 0.0
             bad = None
             for i in range(n):
-                for d in sample(rng):
+                for d in sample(rng, *streams):
                     if math.isfinite(d):
                         worst = max(worst, d)
                     elif bad is None:
@@ -231,20 +236,20 @@ def _check_beta_well_defined(rng):
     yield float(np.linalg.norm(f1.psi.vec - f2.psi.vec)) / scale
 
 
-@_sweep("bundle map round trip", 1e-9)
-def _check_beta_round_trip(rng):
-    f = random_fiber_element(rng)
+@_sweep("bundle map round trip", 1e-9, side=True)
+def _check_beta_round_trip(rng, side):
+    f = random_fiber_element(rng, side)
     g = beta(beta_inv(f))
     scale = max(1.0, f.psi.norm())
     yield float(np.max(np.abs(f.q.p.coords - g.q.p.coords))) / max(1.0, f.q.p.p0)
     yield float(np.linalg.norm(f.psi.vec - g.psi.vec)) / scale
 
 
-@_sweep("bundle map lands in the fiber", 1e-9)
-def _check_beta_fiber_membership(rng):
+@_sweep("bundle map lands in the fiber", 1e-9, side=True)
+def _check_beta_fiber_membership(rng, side):
     A = random_sl2(rng)
     psi = random_rest_spinor(rng)
-    m = float(rng.uniform(0.5, 2.0))
+    m = float(side.uniform(0.5, 2.0))
     f = beta(AssociatedClassRep(A, psi, m))
     scale = max(1.0, m) * max(1.0, f.psi.norm())
     yield fiber_residual(f.q, f.psi) / scale
@@ -260,9 +265,9 @@ def _check_split_equivariance(rng):
     yield (moved_pair.s - act(T, pair.s)).norm()
 
 
-@_sweep("group action preserves fibers", 1e-9)
-def _check_bundle_equivariance(rng):
-    f = random_fiber_element(rng)
+@_sweep("group action preserves fibers", 1e-9, side=True)
+def _check_bundle_equivariance(rng, side):
+    f = random_fiber_element(rng, side)
     A = random_sl2(rng)
     p_moved = act_momentum(A, f.q.p)
     psi_moved = FourSpinor.from_vec(tau(A) @ f.psi.vec)

@@ -466,6 +466,12 @@ BAD_ARGUMENTS = {
                                 "argument --samples: expected a positive integer, got '-5'"),
     "verify-samples-word": (["verify", "--samples", "many"],
                             "argument --samples: expected a positive integer, got 'many'"),
+    "verify-seed-negative": (["verify", "--seed", "-1"],
+                             "argument --seed: expected a nonnegative integer, got '-1'"),
+    "verify-seed-negative-exponent": (["verify", "--seed=-1e0"],
+                                      "argument --seed: expected a nonnegative integer, got '-1e0'"),
+    "sample-field-seed-negative": (["sample-field", "-m", "1", "--grid", "2:-1:1", "--seed", "-1"],
+                                   "argument --seed: expected a nonnegative integer, got '-1'"),
     "corrupt-gamma-past-table": (["verify", "--corrupt-gamma", "9,0,0"],
                                  "argument --corrupt-gamma: expected MU,I,J with each index "
                                  "in 0..3, got '9,0,0'"),
@@ -556,27 +562,27 @@ PINNED_OUTPUTS = {
                            "36e5aef2adcef5222ba2b20b6e88fdd6809b18a71a6ae04b69a6d423f61d0b79",
                            "327e553ded20d420dd890164dd6bc409b6bf9a16f6e91cf239af17ed1559a4d6"),
     "verify-seed0": (["verify", "--samples", "40", "--seed", "0"], 0,
-                     "ca552d5a562418294d1ac7e8d8660fac5eb62d71103b935140899728c6caf94a",
-                     "9b63eebe176178af1ec28f3f274433154ec62aa12eab0488b3959cd4013a3157"),
+                     "88df7748a1a296308d4e9bd146f8773448f8f25118467be80a81124960a172b6",
+                     "af74b72eeed9605067b2b5180460670c2dca793b1a49cbd5f08b6e778a7878e7"),
     "verify-seed1": (["verify", "--samples", "40", "--seed", "1"], 0,
-                     "27ac1a1879ed068a24a0f97ae9f6bb546a5d66bec9059d6368558342944f3861",
-                     "bf4dab112447711194bd2ffd3e3ad10c18fc4f1f23e81d7e67c970cff4bfab74"),
+                     "778e4f8be1d607abbd2e339777cf8d432eec108b3fb7b950d166348dbad18696",
+                     "d16d534f1dfc1172a6521f1c4f9687ea494286bf908d2254c185708d47750ae5"),
     "verify-seed2": (["verify", "--samples", "40", "--seed", "2"], 0,
-                     "6e50b5b8a8e4a111026eb4d1eb7a620b5638583cb5eda0e6e17efa6931e38964",
-                     "3160cbe79a3329f3b92c775757aa92174298d1cd3ab650d23b3a0358dc2190a9"),
+                     "0c537e666af7aec95057dde31f4cbb1015313ef8a240225881c8bba3ec7d323e",
+                     "065798f2d5f375a369a6adc6af1110014b079e37423f0278cce73cbd3678dc44"),
     "verify-seed3": (["verify", "--samples", "40", "--seed", "3"], 0,
-                     "3a4642184e9ed4bba09360a7ca06c070df233acbe3460dd869b8e0f5b3ba8d0f",
-                     "591a1a8315fb1bd0f144debf39373f73b225cd4447444156419340d585072e56"),
+                     "e1d4a154ce0c1b4191dfdadf2d7c37b876bc6d7677eb8e72a3ce597fe67fcf90",
+                     "12c22f100ec85b493d7e27fa70f2bba050fcac635d4c4e3f8bf3d87f329ee97d"),
     "verify-corrupt": (["verify", "--samples", "40", "--corrupt-gamma", "2,1,3"], 1,
-                       "52f163e6aba7bb34672664a73d5c3084c67097820f6f9b582b818561b0f629b1",
-                       "253674e9aa37ef155dedafcc1b9d4b95c2bd74fd0a6d1ecf31efa1ff526b4a37"),
+                       "cd54db769852db82ceb93f0f851a8adf3ec5b832edc94aa8b36659a50a5572f3",
+                       "ee2971f4669ab7eb142536ce1147f2d9781aa1832f5d62def66a03ca07d117e1"),
     # The CI command, and a run that crosses verify._BLOCK (1024 samples).
     "verify-1000": (["verify", "--samples", "1000", "--seed", "7"], 0,
-                    "f0df4e2da9af579605351294653b7df3e2a9bda934c4ccf77c83c438879361c5",
-                    "d293fc14cce26cf46fa23e8ab05d0afaa702194b3a873c5c7b3610eb2fd053b5"),
+                    "5f51fa6dc7fc34db2f2ebabb3351571097de84bd922052a0bff9ea1bff10f1e0",
+                    "7ecbb2ae8400b5667ece4eb0601ed501a85700994b2c71675e4174798c51ab85"),
     "verify-2500": (["verify", "--samples", "2500", "--seed", "7"], 0,
-                    "03585ae256c2f994bde9849f0d3a2438cd3fbcb7d1278ee0cfd81607d8e08d92",
-                    "8382406ff574072a54dcda077b7a994c66dfbee79e8e393d4860e55071c0742c"),
+                    "f51249dcaecbee88d85e1d96bcb9dcf39aaaf5f0d251c319192584953338d5ee",
+                    "0c2ad29795e512fe173fc097055fc72ad49d733f8cfc8b970d0be1559c9e09b9"),
 }
 
 

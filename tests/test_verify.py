@@ -67,7 +67,8 @@ def test_rejects_zero_samples():
         run_verification(seed=0, samples=0)
 
 
-@pytest.mark.parametrize("entry", [(-1, 0, 0), (4, 0, 0), (0, -1, 0), (0, 0, 4)])
+@pytest.mark.parametrize("entry", [(-1, 0, 0), (4, 0, 0), (0, -1, 0), (0, 0, 4),
+                                   (0, 0), (0, 0, 0, 0), (1.5, 0, 0)])
 def test_corruption_hook_refuses_an_index_outside_the_table(entry):
     # A negative index would wrap around and corrupt gamma(3) instead.
     with pytest.raises(ValueError, match=r"^corrupt_gamma indices must be in 0\.\.3, got "):
@@ -283,9 +284,21 @@ def scalar_uniform_spinors(rng) -> list[float]:
     return out
 
 
-# The block draws of verify's checks that draw only normals or only uniforms,
-# each with the scalar draws of one sample in the same order; the checks
-# that use each layout in parentheses.
+def _draw(rng, n: int, *draws) -> list[np.ndarray]:
+    """Make the draws of each of n samples in turn, draw(rng) for each draw in
+    order, and stack the results of each draw over the samples."""
+    rows = [[draw(rng) for draw in draws] for _ in range(n)]
+    return [np.array(column) for column in zip(*rows)]
+
+
+def _gaussians(k: int):
+    """The draw of k standard normal numbers."""
+    return lambda rng: rng.normal(0.0, 1.0, k)
+
+
+# The block draws of verify's checks on one stream of normals or of
+# uniforms, each with the scalar draws of one sample in the same order; the
+# checks that use each layout in parentheses.
 BLOCK_LAYOUTS = {
     "sl2 (two-to-one, metric)": (
         lambda rng, n: verify._normals(rng, n, verify._SL2), [sampling._sl2_matrix]),
@@ -294,13 +307,20 @@ BLOCK_LAYOUTS = {
         [sampling._sl2_matrix, sampling._sl2_matrix]),
     "sl2, g8 (involution, well-defined)": (
         lambda rng, n: verify._normals(rng, n, verify._SL2, verify._G8),
-        [sampling._sl2_matrix, verify._gaussians(8)]),
+        [sampling._sl2_matrix, _gaussians(8)]),
     "sl2(10), g8 (equivariance)": (
         lambda rng, n: verify._normals(rng, n, verify._Normals(8, 1.0, 10.0), verify._G8),
-        [lambda r: sampling._sl2_matrix(r, 10.0), verify._gaussians(8)]),
+        [lambda r: sampling._sl2_matrix(r, 10.0), _gaussians(8)]),
     "normal(0, 3, 4), sl2 (duality)": (
         lambda rng, n: verify._normals(rng, n, verify._Normals(4, 3.0), verify._SL2),
         [lambda r: r.normal(0.0, 3.0, 4), sampling._sl2_matrix]),
+    "sl2, g4 (lands in the fiber)": (
+        lambda rng, n: verify._normals(rng, n, verify._SL2, verify._Normals(4)),
+        [sampling._sl2_matrix, _gaussians(4)]),
+    # The first layout whose windows start at every normal (unit 1).
+    "g11, sl2 (group action)": (
+        lambda rng, n: verify._normals(rng, n, verify._Normals(11), verify._SL2),
+        [_gaussians(11), sampling._sl2_matrix]),
     "disc (cyclic)": (
         lambda rng, n: [verify._uniform_spinors(rng, n)], [scalar_uniform_spinors]),
 }
@@ -312,11 +332,11 @@ def same_columns(a, b) -> bool:
 
 
 def scalar_columns(seed, draws, sizes):
-    """verify._draw of max(sizes) samples from default_rng(seed), and the
+    """_draw of max(sizes) samples from default_rng(seed), and the
     generator's state after each count of samples in sizes."""
     rng, parts, states, done = np.random.default_rng(seed), [], {}, 0
     for n in sizes:
-        parts.append(verify._draw(rng, n - done, *draws))
+        parts.append(_draw(rng, n - done, *draws))
         states[n], done = rng.bit_generator.state, n
     return [np.concatenate(c) for c in zip(*parts)], states
 

@@ -210,6 +210,8 @@ _WORLD_BASIS = (
     (_dyad(0, 0) - _dyad(1, 1)) * (1.0 / _SQRT2),
 )
 _WORLD_STACK = _sealed(np.stack([u.t for u in _WORLD_BASIS]))
+# Its one nonzero magnitude, 1/sqrt(2) as stored: the factor of _world_coords.
+_R = float(_WORLD_STACK[0, 0, 0].real)
 
 
 def world_basis() -> tuple[BiTensor, BiTensor, BiTensor, BiTensor]:
@@ -261,15 +263,21 @@ def _world_coords(t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     (..., 2, 2) bitensor matrices, and whether each defect is within
     REALITY_TOL: the reality test, and the kernel under to_minkowski.
 
-    Coordinate i is tr(u_i T), which recovers the coefficient of u_i because
-    the u_i are trace-orthonormal: tr(u_i u_j) = delta_ij.  The stacked
-    np.trace sums each diagonal as the unstacked one does (signed zeros
-    included), so every row equals the scalar result bit for bit.  A
-    non-finite entry gives a non-finite defect; overflow is silent.
-    """
+    Coordinate i is Re tr(u_i T), the coefficient of u_i (tr(u_i u_j) =
+    delta_ij), in real arithmetic with r = 1/sqrt(2) as the u_i store it:
+    (0.0 + r t00) + r t11, (0.0 + r t10) + r t01, (0.0 - r t10.im) + r t01.im
+    and (0.0 + r t00) - r t11, real parts unless marked.  That is the trace
+    bit for bit, its other terms being exact zeros; the 0.0 starts the sum as
+    the trace does, so that a zero coordinate is +0.0.  A non-finite entry
+    fails real by its defect, and the row's coordinates are unspecified (every
+    caller refuses it).  Overflow is silent."""
     t = np.asarray(t, dtype=complex)
     with np.errstate(all="ignore"):
-        coords = np.trace(_WORLD_STACK @ t[..., None, :, :], axis1=-2, axis2=-1).real
+        a, b = _R * t[..., 0, 0].real, _R * t[..., 1, 1].real
+        coords = np.empty(t.shape[:-2] + (4,))
+        coords[..., 0], coords[..., 3] = (0.0 + a) + b, (0.0 + a) - b
+        coords[..., 1] = (0.0 + _R * t[..., 1, 0].real) + _R * t[..., 0, 1].real
+        coords[..., 2] = (0.0 - _R * t[..., 1, 0].imag) + _R * t[..., 0, 1].imag
         # Each defect is np.linalg.norm of one row's T - T*.
         d = t - _involution(t)
         defects = spinor_norms(d.reshape(d.shape[:-2] + (4,)))

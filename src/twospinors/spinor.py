@@ -199,15 +199,25 @@ def _cmul(x, y) -> np.ndarray:
     return out
 
 
+def _det_of(a, b, c, d) -> np.ndarray:
+    """a*d - b*c of complex arrays, broadcast, part by part: _cmul(a, d) -
+    _cmul(b, c) bit for bit, with its warnings, but without its two arrays."""
+    re = (a.real * d.real - a.imag * d.imag) - (b.real * c.real - b.imag * c.imag)
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real = re
+    out.imag = (a.real * d.imag + a.imag * d.real) - (b.real * c.imag + b.imag * c.real)
+    return out
+
+
 def _det2(t):
     """Determinant of a 2x2 array (a Python complex, silent on overflow) or of
     each matrix of a (..., 2, 2) stack, equal to it bit for bit."""
-    # One matrix is a*d - b*c on the complexes of tolist(); a stack repeats
-    # Python's complex products with _cmul.
+    # One matrix is a*d - b*c on the complexes of tolist(); a stack forms the
+    # same roundings of Python's complex products part by part (_det_of).
     if t.ndim == 2:
         (a, b), (c, d) = t.tolist()
         return a * d - b * c
-    return _cmul(t[..., 0, 0], t[..., 1, 1]) - _cmul(t[..., 0, 1], t[..., 1, 0])
+    return _det_of(t[..., 0, 0], t[..., 0, 1], t[..., 1, 0], t[..., 1, 1])
 
 
 def _eps(x, y):
@@ -217,7 +227,7 @@ def _eps(x, y):
     if x.ndim == 1:
         (x1, x2), (y1, y2) = x.tolist(), y.tolist()
         return x1 * y2 - x2 * y1
-    return _cmul(x[..., 0], y[..., 1]) - _cmul(x[..., 1], y[..., 0])
+    return _det_of(x[..., 0], x[..., 1], y[..., 0], y[..., 1])
 
 
 def _max1(x):

@@ -37,9 +37,20 @@ from twospinors import (
     to_minkowski,
     world_basis,
 )
-from twospinors.bitensor import REALITY_TOL, _covering, _dyads, _involution, _lorentz_test, _polar, _transport, lorentz_defect
+from twospinors.bitensor import (
+    _WORLD_STACK,
+    REALITY_TOL,
+    _covering,
+    _dyads,
+    _involution,
+    _lorentz_test,
+    _polar,
+    _transport,
+    _world_coords,
+    lorentz_defect,
+)
 
-from test_spinor import random_sl2
+from test_spinor import extreme_matrices, random_sl2
 
 SQRT2 = math.sqrt(2.0)
 E11 = np.array([[1, 0], [0, 0]], dtype=complex)
@@ -620,6 +631,41 @@ def test_stacked_to_minkowski_equals_scalar():
         assert np.float64(defects[0]).tobytes() == np.float64(defects[1]).tobytes()
     pairs = [(T, outcome(to_minkowski, T)) for T in tensors]
     assert any(isinstance(o, tuple) and o[0] is NotReal for _, o in pairs)
+
+
+def trace_coords(t):
+    """World coordinates as the real parts of the traces of the products with
+    the world basis: the reference of _world_coords' closed form."""
+    with np.errstate(all="ignore"):
+        return np.trace(_WORLD_STACK @ t[..., None, :, :], axis1=-2, axis2=-1).real
+
+
+def test_world_coords_are_the_trace_bit_for_bit():
+    # Extreme finite rows, Hermitian or not: the closed form gives the
+    # trace's coordinates bit for bit (signed zeros count), in a one-matrix
+    # call and in stacks.  A row with a non-finite entry gets the same defect
+    # and the same verdict; its coordinates are unspecified.
+    rng = np.random.default_rng(64)
+    t = extreme_matrices(rng, 17 * 4 * 150)[: 17 * 4 * 150]
+    hermitian = t[1::2]  # a view: every other row made Hermitian
+    hermitian[:, 1, 0] = np.conj(hermitian[:, 0, 1])
+    hermitian[:, [0, 1], [0, 1]] = hermitian[:, [0, 1], [0, 1]].real
+    finite = np.isfinite(t).all(axis=(-2, -1))
+    assert 0 < (~finite).sum() < len(t) // 10
+    # Each row's reality defect, as reference_reality_defect computes it.
+    with np.errstate(all="ignore"):
+        reference = np.array([np.linalg.norm(m - m.conj().T) for m in t])
+    for shape in ((2, 2), (4, 2, 2), (17, 4, 2, 2)):
+        rows = int(np.prod(shape[:-2]))
+        for stack, ok, ref in zip(t.reshape((-1,) + shape), finite.reshape(-1, rows), reference.reshape(-1, rows)):
+            coords, defects, real = _world_coords(stack)
+            assert coords.shape == shape[:-2] + (4,)
+            flat = coords.reshape(-1, 4)
+            assert (flat[ok].view(np.int64) == trace_coords(stack).reshape(-1, 4)[ok].view(np.int64)).all()
+            assert (np.reshape(defects, -1).view(np.int64) == ref.view(np.int64)).all()
+            assert np.reshape(real, -1).tolist() == (ref <= REALITY_TOL).tolist()
+    # Zero coordinates are +0.0, as the trace's sum gives them.
+    assert _world_coords(np.full((2, 2), complex(-0.0, -0.0)))[0].view(np.int64).tolist() == [0] * 4
 
 
 def extreme_sl2(rng, log10_norm):

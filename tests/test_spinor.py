@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -418,15 +419,58 @@ def _det_stack(rng):
     random = scale * (rng.normal(size=(500, 2, 2)) + 1j * rng.normal(size=(500, 2, 2)))
     spatial = rng.normal(size=(3, 200)) * 10.0 ** rng.uniform(-3, 3, 200)
     boosts = canonical_boosts(1.3, *spatial)[1]
-    edges = np.array([
-        [[1e200, 1e200], [1e200, 1e200]],
-        [[1e200, 0], [0, 1e200j]],
-        [[1.3e154, 1], [2, 1.3e154 + 1.3e154j]],
-        [[np.nan, 0], [0, 1]],
-        [[1, complex(0, np.nan)], [2, 1]],
-        [[complex(1, -0.0), 0], [0, complex(1, -0.0)]],
-    ], dtype=complex)
-    return np.concatenate((random, boosts, edges))
+    return np.concatenate((random, boosts, DET_EDGES))
+
+
+DET_EDGES = np.array([
+    [[1e200, 1e200], [1e200, 1e200]],
+    [[1e200, 0], [0, 1e200j]],
+    [[1.3e154, 1], [2, 1.3e154 + 1.3e154j]],
+    [[np.nan, 0], [0, 1]],
+    [[1, complex(0, np.nan)], [2, 1]],
+    [[complex(1, -0.0), 0], [0, complex(1, -0.0)]],
+], dtype=complex)
+
+
+def extreme_parts(rng, shape):
+    """Finite real parts of log-uniform magnitude from 1e-323 to 1e308 with
+    random signs, a sixth of them replaced by +-0.0, subnormals, +-1.7e308
+    or +-1.0."""
+    x = 10.0 ** rng.uniform(-323, 308, shape) * rng.choice([-1.0, 1.0], shape)
+    special = rng.random(shape) < 1 / 6
+    x[special] = rng.choice([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1.7e308, -1.7e308, 1.0, -1.0], special.sum())
+    return x
+
+
+def extreme_matrices(rng, n):
+    """n complex 2x2 matrices of extreme_parts, the last 200 of signed zeros
+    only, about a twentieth with one part set to inf, -inf or nan, then the
+    rows of DET_EDGES."""
+    m = extreme_parts(rng, (n, 8))
+    m[-200:] = rng.choice([0.0, -0.0], (200, 8))
+    bad = rng.random(n) < 1 / 20
+    m[bad, rng.integers(0, 8, bad.sum())] = rng.choice([np.inf, -np.inf, np.nan], bad.sum())
+    return np.concatenate((m.view(complex).reshape(n, 2, 2), DET_EDGES))
+
+
+def cmul_det2(t):
+    """The determinants of a (..., 2, 2) stack as two _cmul products and a
+    complex subtraction: the reference of the stacked _det2 and _eps."""
+    return _cmul(t[..., 0, 0], t[..., 1, 1]) - _cmul(t[..., 0, 1], t[..., 1, 0])
+
+
+# Stacks whose determinants overflow in both parts, the real part only and
+# the imaginary part only.
+BIG = [np.full((3, 2, 2), 1e200 + 1e200j), np.full((3, 2, 2), 1e200 + 0j),
+       np.array([[[1e200 + 1e-200j] * 2, [1e-200 + 1e200j] * 2]] * 3)]
+
+
+def warnings_of(f, *args) -> set:
+    """The categories and messages of the warnings that f(*args) emits."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        f(*args)
+    return {(w.category, str(w.message)) for w in caught}
 
 
 def test_stacked_det2_equals_one_matrix():
@@ -439,6 +483,16 @@ def test_stacked_det2_equals_one_matrix():
     assert math.copysign(1.0, stacked[-1].imag) == -1.0
     # A (k, n, 2, 2) stack is folded the same way.
     assert _det2(stack[:500].reshape(20, 25, 2, 2)).tobytes() == one[:500].tobytes()
+    # The stack's real arithmetic is _cmul's products and the complex
+    # difference, bit for bit, on signed zeros, overflowing and nan rows too.
+    extreme = extreme_matrices(np.random.default_rng(77), 20000)
+    with np.errstate(all="ignore"):
+        for t in (stack, extreme, extreme.reshape(2, -1, 2, 2)):
+            assert _det2(t).tobytes() == cmul_det2(t).tobytes()
+    # Like _cmul, it warns unless the caller silences it, with the
+    # reference's warnings, from either part.
+    for big in BIG:
+        assert warnings_of(_det2, big) == warnings_of(cmul_det2, big) != set()
 
 
 def test_cmul_equals_python_products():
@@ -530,3 +584,10 @@ def test_stacked_eps_and_cyclic_equal_one_triple():
         s = [Spinor2.from_vec(u) for u in (a, b, c)]
         assert np.complex128(eps(s[0], s[1])).tobytes() == e.tobytes()
         assert cyclic_defect(*s).vec.tobytes() == r.tobytes()
+    # eps of two rows is the determinant of the matrix they make, with
+    # _cmul's roundings: bit for bit on signed zeros, overflowing and nan rows.
+    extreme = extreme_matrices(np.random.default_rng(78), 20000)
+    with np.errstate(all="ignore"):
+        assert _eps(extreme[:, 0], extreme[:, 1]).tobytes() == cmul_det2(extreme).tobytes()
+    for big in BIG:
+        assert warnings_of(_eps, big[:, 0], big[:, 1]) == warnings_of(cmul_det2, big) != set()

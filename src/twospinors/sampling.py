@@ -4,12 +4,9 @@ Each generator is split in two: a draw, which takes raw numbers from the
 generator and builds no value object, and a build from those numbers, which
 works on one draw or on a stack of them.  random_sl2's rejection test also
 runs on a stack of tries (_sl2_matrices), with _sl2_matrix's verdict and
-matrix bit for bit, so that verify can test a speculative block of draws at
+matrix bit for bit, so that verify can test a speculative block of tries at
 once.  random_fiber_element draws its mass, a uniform, between normals on
-one stream.  A layout that mixes kinds cannot be decoded from one stream, so
-verify's three checks whose samples take a mass among normals ("bundle map
-round trip", "bundle map lands in the fiber" and "group action preserves
-fibers") draw their masses from a side stream and their normals as a block.
+one stream; verify's checks draw each kind from a stream of its own.
 """
 
 from __future__ import annotations
@@ -75,7 +72,11 @@ def _su2_matrices(v) -> np.ndarray:
     """The unitary unimodular matrices [[a, -conj(b)], [b, conj(a)]] of (..., 4)
     Gaussian draws v, normalized to unit quaternions a = v0 + i v1,
     b = v2 + i v3: (..., 2, 2), each row as one draw gives it."""
-    # np.vecdot is the dot kernel of np.linalg.norm (see spinor.spinor_norms).
+    # np.vecdot is the dot kernel of np.linalg.norm (see spinor.spinor_norms),
+    # here on a fresh copy, whose rows are contiguous and 16-byte aligned as
+    # one draw's are: an SSE ddot (OpenBLAS's Prescott core) sums a vector
+    # that is not 16-byte aligned in another order.
+    v = np.array(v, dtype=float)
     u = v / np.sqrt(np.vecdot(v, v))[..., None]
     # Real and imaginary parts of a, -conj(b), b, conj(a), stored exactly.
     out = np.empty(u.shape[:-1] + (2, 2), dtype=complex)

@@ -1,42 +1,42 @@
 """Seeded verification sweeps for every algebraic identity the kernel builds on.
 
-Each check draws its own samples from a deterministic generator, records the
+Each check draws its own samples from deterministic streams, records the
 worst defect seen against a pinned tolerance, and the report passes only if
 every check passes.  The conventions in force (basis order, metric, the
 factor-2 anticommutation normalization, the plane-wave phase) are embedded
 in the report so downstream artifacts are self-describing.
 
+Stream k of a seed is default_rng(seed)'s PCG64 advanced by k * 2**96
+draws; stream 0 is default_rng(seed) itself.  The sampled check of index i
+draws each kind of number a sample takes (fixed-width normals, random_sl2's
+tries of eight normals, the disc's uniforms, masses) from stream 4i + j, j
+counting the kinds in the order a sample first takes them.  So a check run
+alone gives its entry of the whole run.
+
 A sampled check runs in blocks of samples, each in two phases.  Phase one
 makes the block's draws as (n, ...) arrays of raw numbers, building no
-value object: the values and each generator's final state are those of
-drawing one sample at a time.  Each stream holds one kind of number.  Where
-rejection tests set the count a sample takes, the stream is drawn as a
-speculative block: the check saves the state, draws standard normals (or
-random() values), runs the tests of random_sl2 or of the disc on the block,
-decodes which numbers each sample takes, restores the state and draws
-exactly that count again.  This rests on facts of numpy's Generator:
-normal(0, s, k) is 0.0 + s * standard_normal(k) and uniform(a, b, k) is
+value object: the values and each stream's final state are those of
+drawing one sample at a time.  Where rejection tests set the count a sample
+takes, the stream is drawn as a speculative block: save the state, draw
+standard normals (or random() values), run the tests on the block, keep the
+first samples that pass, restore the state and draw exactly the count they
+take again.  This rests on facts of numpy's Generator: normal(0, s, k) is
+0.0 + s * standard_normal(k) and uniform(a, b, k) is
 a + (b - a) * random(k), bit for bit, and k calls of normal(0, 1, 8) draw
-what one call of (k, 8) draws.  A normal takes a variable count of the
-generator's words, so a layout that mixes kinds cannot be decoded from one
-stream: "bundle map round trip", "bundle map lands in the fiber" and "group
-action preserves fibers" draw their masses from a side stream,
-bit_generator.jumped() once per check, and their normals from the
-generator.  The check then computes all its defects as one (n, k) array on
-the kernels under the scalar API (eps, h_form, act_momentum, beta, ... each
-calls its kernel on one value), so each row is what the scalar API gives
-for that sample, bit for bit.  Every invariant a value constructor would
-check is checked by that constructor's own test, on the stack.  The first
-row that the first failing mask rejects is handed to its scalar
-constructor, which raises its typed error; a row the constructor accepts is
-a NumericalDrift that names its sample.
+what one call of (k, 8) draws.  Phase two computes all the block's defects
+as one (n, k) array on the kernels under the scalar API (eps, h_form,
+act_momentum, beta, ... each calls its kernel on one value), so each row is
+what the scalar API gives for that sample, bit for bit.  Every invariant a
+value constructor would check is checked by that constructor's own test, on
+the stack.  The first row that the first failing mask rejects is handed to
+its scalar constructor, which raises its typed error; a row the constructor
+accepts is a NumericalDrift that names its sample.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -148,19 +148,36 @@ def _require(ok: np.ndarray, build) -> None:
         raise _Rejected(row)
 
 
-def _sweep(name: str, tol: float, side: bool = False):
-    """Turn a function of (rng, n), which draws n samples from rng and returns
-    their defects as an (n, k) array (or (n,) for one defect each), into a
-    check of n samples against tol, run in blocks of at most _BLOCK samples.
-    With side, the function is of (rng, n, side) and draws its uniforms from
-    side, a generator jumped from rng's state once per check.  The fold
+class _Streams:
+    """The streams of one seed on three Generators, made once and reused:
+    take(k, count) sets them to streams k, ..., k + count - 1."""
+
+    def __init__(self, seed):
+        self.gens = [np.random.default_rng(seed) for _ in range(3)]
+        self.seeded = self.gens[0].bit_generator.state
+
+    def take(self, k: int, count: int) -> list[np.random.Generator]:
+        for j, g in enumerate(self.gens[:count], k):
+            g.bit_generator.state = self.seeded
+            g.bit_generator.advance(j << 96)
+        return self.gens[:count]
+
+
+def _sweep(name: str, tol: float, index: int):
+    """Turn a function of (*streams, n), which draws n samples from its
+    streams and returns their defects as an (n, k) array (or (n,) for one
+    defect each), into a check of n samples against tol, run in blocks of at
+    most _BLOCK samples.  The check of index i takes as many streams as the
+    function has, from stream 4i on, once before its first block.  The fold
     keeps the worst finite defect, from +0.0, so that no -0.0 is reported; a
     non-finite defect fails the check, and detail names the first sample
     whose row has one."""
 
     def wrap(defects):
-        def check(rng, n: int) -> CheckResult:
-            streams = (np.random.Generator(rng.bit_generator.jumped()),) if side else ()
+        count = defects.__code__.co_argcount - 1
+
+        def check(streams: _Streams, n: int) -> CheckResult:
+            gens = streams.take(4 * index, count)
             worst, bad = 0.0, None
             for offset in range(0, n, _BLOCK):
                 k = min(_BLOCK, n - offset)
@@ -169,7 +186,7 @@ def _sweep(name: str, tol: float, side: bool = False):
                 # the fold reports the non-finite defect.
                 with np.errstate(all="ignore"):
                     try:
-                        d = np.asarray(defects(rng, k, *streams), dtype=float).reshape(k, -1)
+                        d = np.asarray(defects(*gens, k), dtype=float).reshape(k, -1)
                     except _Rejected as rejected:
                         sample = offset + rejected.args[0] % k
                         raise NumericalDrift(f"stacked check rejected sample {sample}, which the scalar path accepts")
@@ -180,6 +197,7 @@ def _sweep(name: str, tol: float, side: bool = False):
             detail = "" if bad is None else f"non-finite defect at sample {bad}"
             return CheckResult(name, n, worst, tol, bad is None and worst <= tol, detail)
 
+        check.index = index
         return check
 
     return wrap
@@ -195,84 +213,41 @@ def _sweep(name: str, tol: float, side: bool = False):
 _LOOKAHEAD = 1.2
 
 
-def _speculate(rng, n: int, w: int, draw, decode) -> list[np.ndarray]:
-    """The columns of n samples drawn by draw(size), a method of rng, each
-    sample taking about w numbers, from speculative blocks.  decode(block,
-    n) gives the columns of at most n whole samples at the start of the block
-    and the count of numbers they take; the state saved before the block is
-    restored and exactly that count drawn again, so that the generator ends
-    where drawing those numbers alone leaves it."""
+def _speculate(rng, n: int, w: int, draw, decode) -> np.ndarray:
+    """n samples drawn by draw(size), a method of rng, each sample taking
+    about w numbers, from speculative blocks.  decode(block, n) gives at most
+    n whole samples at the start of the block, stacked, and the count of
+    numbers they take; the state saved before the block is restored and
+    exactly that count drawn again, so that the generator ends where drawing
+    those numbers alone leaves it."""
     parts, size = [], 0
     while n:
         size = max(2 * size, w, math.ceil(_LOOKAHEAD * w * (n + 2)))
         state = rng.bit_generator.state
-        columns, used = decode(draw(size), n)
+        samples, used = decode(draw(size), n)
         rng.bit_generator.state = state
         draw(used)
-        parts.append(columns)
-        n -= len(columns[0])
-    return parts[0] if len(parts) == 1 else [np.concatenate(c) for c in zip(*parts)]
+        parts.append(samples)
+        n -= len(samples)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-class _Normals(NamedTuple):
-    """A draw of k normals of width s, rng.normal(0.0, s, k); with a max_norm,
-    the draw of _sl2_matrix(rng, max_norm), whose tries are each eight normals
-    of width 1."""
-    k: int
-    s: float = 1.0
-    max_norm: float | None = None
+def _sl2s(rng, n: int, max_norm: float = 4.0) -> np.ndarray:
+    """The matrices of n calls of _sl2_matrix(rng, max_norm), (n, 2, 2).  A
+    try is accepted 97% of the time or more, so a sample takes about eight
+    normals."""
+    return _speculate(rng, n, 8, rng.standard_normal, lambda z, n: _decode_sl2(z, n, max_norm))
 
 
-_SL2 = _Normals(8, 1.0, 4.0)
-_G8 = _Normals(8)
-
-
-def _normals(rng, n: int, *draws: _Normals) -> list[np.ndarray]:
-    """The columns of n samples of draws that take only normals, from
-    speculative blocks of standard normals: the columns and the final
-    generator state of drawing one sample at a time, bit for bit.  A try of
-    _sl2_matrix is accepted 97% of the time or more, so a sample takes about
-    the normals of its draws."""
-    return _speculate(rng, n, sum(d.k for d in draws), rng.standard_normal,
-                      lambda z, n: _decode_normals(z, n, draws))
-
-
-def _decode_normals(z: np.ndarray, n: int, draws) -> tuple[list[np.ndarray], int]:
-    """The columns of at most n whole samples of draws in the standard normals
-    z, and the count of normals they take.  Every draw starts at a multiple
-    of `unit` normals, so every try that a sample can make is tested at once,
-    then one scan over the verdicts places each draw."""
-    unit = math.gcd(8, *(d.k for d in draws))
-    end = len(z) // unit
-    period = sum(d.k for d in draws) // unit
-    mats, verdicts = None, {}
-    for max_norm in {d.max_norm for d in draws} - {None}:
-        # A try is normal(0, 1, 8): 0.0 + z turns a -0.0 into +0.0 as it does.
-        mats, ok = _sl2_matrices(_windows(0.0 + z, 8, unit), max_norm)
-        # Past the block, a try counts as accepted: the scan then stops within
-        # a sample's draws of the end, and the sample is dropped.
-        verdicts[max_norm] = ok.tolist() + [True] * (period + 8 // unit)
-    steps = [(d.k // unit, verdicts.get(d.max_norm)) for d in draws]
-    starts = [[] for _ in draws]
-    c, used, whole = 0, 0, 0
-    while whole < n:
-        for (k, accepted), at in zip(steps, starts):
-            if accepted is not None:
-                while not accepted[c]:
-                    c += k
-            at.append(c)
-            c += k
-        if c > end:  # the block ends inside this sample
-            break
-        whole, used = whole + 1, c
-    return [0.0 + d.s * _windows(z, d.k, unit)[at[:whole]] if d.max_norm is None else mats[at[:whole]]
-            for d, at in zip(draws, starts)], unit * used
-
-
-def _windows(x: np.ndarray, k: int, unit: int) -> np.ndarray:
-    """The k numbers of the flat array x that start at each multiple of unit,
-    as the rows of a view: (rows, k)."""
-    return np.ndarray((max(0, (len(x) - k) // unit + 1), k), x.dtype, x, strides=(unit * x.itemsize, x.itemsize))
+def _decode_sl2(z: np.ndarray, n: int, max_norm: float) -> tuple[np.ndarray, int]:
+    """The (k, 2, 2) matrices of at most n whole samples of _sl2s in the
+    standard normals z, eight to a try, and the count of normals they
+    take."""
+    # A try is normal(0, 1, 8): 0.0 + z turns a -0.0 into +0.0 as it does.
+    mats, ok = _sl2_matrices(0.0 + z[:len(z) // 8 * 8].reshape(-1, 8), max_norm)
+    kept = np.flatnonzero(ok)[:n]
+    used = 8 * (int(kept[-1]) + 1) if len(kept) else 0
+    return mats[kept], used
 
 
 def _uniform_spinors(rng, n: int) -> np.ndarray:
@@ -280,17 +255,17 @@ def _uniform_spinors(rng, n: int) -> np.ndarray:
     of radius 10 by rejection from the square, one uniform(-10, 10, 2) pair
     per try: (n, 12), six (re, im) pairs in drawing order.  A pair is kept
     with probability pi/4, so a sample takes about 16 values."""
-    return _speculate(rng, n, 16, rng.random, _decode_disc)[0]
+    return _speculate(rng, n, 16, rng.random, _decode_disc)
 
 
-def _decode_disc(u: np.ndarray, n: int) -> tuple[list[np.ndarray], int]:
+def _decode_disc(u: np.ndarray, n: int) -> tuple[np.ndarray, int]:
     """The (k, 12) coefficients of at most n whole samples of _uniform_spinors
     in the random() values u, and the count of values they take."""
     pairs = (-10.0 + 20.0 * u[:len(u) // 2 * 2]).reshape(-1, 2)
     kept = np.flatnonzero(pairs[:, 0] * pairs[:, 0] + pairs[:, 1] * pairs[:, 1] <= 100.0)
     whole = min(n, len(kept) // 6)
     used = 2 * (int(kept[6 * whole - 1]) + 1) if whole else 0
-    return [pairs[kept[:6 * whole]].reshape(whole, 12)], used
+    return pairs[kept[:6 * whole]].reshape(whole, 12), used
 
 
 def _bitensors(g: np.ndarray) -> np.ndarray:
@@ -349,11 +324,10 @@ def _betas(a: np.ndarray, phi: np.ndarray, m: np.ndarray):
     return p, psi, r, norms
 
 
-def _fiber_elements(side, z: np.ndarray):
-    """The random_fiber_element of each (n, 11) row of normal(0, 1) draws z,
-    its mass from side: mass, momentum, 4-spinor, its norm and canonical
-    boost, each checked as its constructor checks one."""
-    m = 0.5 + 1.5 * side.random(len(z))  # uniform(0.5, 2.0), bit for bit
+def _fiber_elements(m: np.ndarray, z: np.ndarray):
+    """The random_fiber_element of each mass in m, uniform(0.5, 2.0) draws,
+    and (n, 11) row of normal(0, 1) draws z: mass, momentum, 4-spinor, its
+    norm and canonical boost, each checked as its constructor checks one."""
     p3 = 0.0 + (2.0 * m)[:, None] * z[:, :3]  # normal(0, 2m, 3), bit for bit
     p, boost, ok = canonical_boosts(m, *p3.T)
     _require(ok, lambda i: boost_rep(shell_point(float(m[i]), *p3[i].tolist())))
@@ -369,15 +343,15 @@ def _fiber_elements(side, z: np.ndarray):
 # ---------------------------------------------------------------------------
 # The checks, in the order run_verification runs them.
 
-@_sweep("cyclic identity", 1e-12)
-def _check_cyclic(rng, n):
-    g = _uniform_spinors(rng, n)
+@_sweep("cyclic identity", 1e-12, 0)
+def _check_cyclic(disc, n):
+    g = _uniform_spinors(disc, n)
     return _norms2(_cyclic(*_complexes(g).reshape(n, 3, 2).swapaxes(0, 1)))
 
 
-@_sweep("symplectic form identities", 1e-12)
-def _check_symplectic(rng, n):
-    g = rng.normal(0.0, 1.0, (n, 14))
+@_sweep("symplectic form identities", 1e-12, 1)
+def _check_symplectic(normals, n):
+    g = normals.normal(0.0, 1.0, (n, 14))
     x, y, z = _complexes(g[:, :12]).reshape(n, 3, 2).swapaxes(0, 1)
     al, be = g[:, 12], g[:, 13]
     combination = _cmul(x, al[:, None]) + _cmul(y, be[:, None])  # al * x + be * y
@@ -388,7 +362,7 @@ def _check_symplectic(rng, n):
     ], axis=1)
 
 
-def _check_signature(rng, n: int) -> CheckResult:
+def _check_signature(streams, n: int) -> CheckResult:
     u = world_basis()
     gram = np.array([[h_form(u[i], u[j]) for j in range(4)] for i in range(4)])
     off = np.abs(gram - ETA)
@@ -401,9 +375,9 @@ def _check_signature(rng, n: int) -> CheckResult:
     return CheckResult("world-basis signature", 1, worst, 1e-14, ok, detail)
 
 
-@_sweep("polarized form vs dyadic definition", 1e-12)
-def _check_h_polarization(rng, n):
-    a, c, b, d = _complexes(rng.normal(0.0, 1.0, (n, 16))).reshape(n, 4, 2).swapaxes(0, 1)
+@_sweep("polarized form vs dyadic definition", 1e-12, 2)
+def _check_h_polarization(normals, n):
+    a, c, b, d = _complexes(normals.normal(0.0, 1.0, (n, 16))).reshape(n, 4, 2).swapaxes(0, 1)
     bbar, dbar = np.conj(b), np.conj(d)
     return _cabs(_polar(_dyads(a, bbar), _dyads(c, dbar)) - _cmul(_eps(a, c), _eps(bbar, dbar)))
 
@@ -417,69 +391,66 @@ def _check_gamma_relations(gammas, n: int) -> CheckResult:
     return CheckResult("gamma anticommutation table", 16, worst, 1e-13, ok, detail)
 
 
-@_sweep("clifford anticommutation (dyadic sweep)", 1e-11)
-def _check_anticommutator(rng, n):
-    s = _complexes(rng.normal(0.0, 1.0, (n, 16))).reshape(n, 4, 2)
+@_sweep("clifford anticommutation (dyadic sweep)", 1e-11, 3)
+def _check_anticommutator(normals, n):
+    s = _complexes(normals.normal(0.0, 1.0, (n, 16))).reshape(n, 4, 2)
     X, Y = _dyads(s[:, 0], np.conj(s[:, 1])), _dyads(s[:, 2], np.conj(s[:, 3]))
     return np.max(np.abs(_anticommutators(X, Y)), axis=(1, 2))
 
 
-@_sweep("slash square equals quadratic form", 1e-11)
-def _check_slash_square(rng, n):
-    p = rng.uniform(-10.0, 10.0, (n, 4))
+@_sweep("slash square equals quadratic form", 1e-11, 4)
+def _check_slash_square(uniforms, n):
+    p = uniforms.uniform(-10.0, 10.0, (n, 4))
     s = slash(p)
     return np.max(np.abs(s @ s - q_form(p)[:, None, None] * np.eye(4)), axis=(1, 2))
 
 
-@_sweep("momentum duality preserves the form", 1e-10)
-def _check_duality(rng, n):
+@_sweep("momentum duality preserves the form", 1e-10, 5)
+def _check_duality(normals, tries, n):
     # The duality is the identity on coordinates (world vectors and momenta
     # are one type), so what is left to check is that the action preserves
     # the form.
-    p, a = _normals(rng, n, _Normals(4, 3.0), _SL2)
-    moved = _moved(_sl2(a), p)
+    p = normals.normal(0.0, 3.0, (n, 4))
+    moved = _moved(_sl2(_sl2s(tries, n)), p)
     scale = np.fmax(_max1(np.sum(p**2, axis=-1)), np.sum(moved**2, axis=-1))
     return np.abs(q_form(moved) - q_form(p)) / scale
 
 
-@_sweep("clifford-map equivariance", 1e-9)
-def _check_equivariance(rng, n):
-    a, g = _normals(rng, n, _Normals(8, 1.0, 10.0), _G8)
-    return np.max(np.abs(_equivariance(_sl2(a), _bitensors(g))), axis=(1, 2))
+@_sweep("clifford-map equivariance", 1e-9, 6)
+def _check_equivariance(tries, normals, n):
+    a = _sl2(_sl2s(tries, n, 10.0))
+    return np.max(np.abs(_equivariance(a, _bitensors(normals.normal(0.0, 1.0, (n, 8))))), axis=(1, 2))
 
 
-@_sweep("bitensor action commutes with reality involution", 1e-13)
-def _check_pi_commutes_J(rng, n):
-    a, g = _normals(rng, n, _SL2, _G8)
-    a, t = _sl2(a), _bitensors(g)
+@_sweep("bitensor action commutes with reality involution", 1e-13, 7)
+def _check_pi_commutes_J(tries, normals, n):
+    a, t = _sl2(_sl2s(tries, n)), _bitensors(normals.normal(0.0, 1.0, (n, 8)))
     return np.max(np.abs(_transport(a, _involution(t)) - _involution(_transport(a, t))), axis=(1, 2))
 
 
-@_sweep("covering homomorphism", 1e-10)
-def _check_covering_hom(rng, n):
-    a, b = _normals(rng, n, _SL2, _SL2)
-    a, b = _sl2(a), _sl2(b)
+@_sweep("covering homomorphism", 1e-10, 8)
+def _check_covering_hom(tries, n):
+    ab = _sl2s(tries, 2 * n)
+    a, b = _sl2(ab[0::2]), _sl2(ab[1::2])
     # One stacked covering of A B, A and B.
     L, _ = _lorentz(np.concatenate([_sl2(a @ b), a, b]))
     return np.max(np.abs(L[:n] - L[n:2 * n] @ L[2 * n:]), axis=(1, 2))
 
 
-@_sweep("covering is two-to-one (sign kernel)", 0.0)
-def _check_covering_two_to_one(rng, n):
-    (a,) = _normals(rng, n, _SL2)
-    a = _sl2(a)
+@_sweep("covering is two-to-one (sign kernel)", 0.0, 9)
+def _check_covering_two_to_one(tries, n):
+    a = _sl2(_sl2s(tries, n))
     L, _ = _lorentz(np.concatenate([a, -a]))
     # Equal images give 0, which the fold cannot tell from no defect.
     return np.max(np.abs(L[:n] - L[n:]), axis=(1, 2))
 
 
-@_sweep("lorentz metric orthogonality", 1e-10)
-def _check_eta_orthogonality(rng, n):
-    (a,) = _normals(rng, n, _SL2)
-    return _lorentz(_sl2(a))[1]
+@_sweep("lorentz metric orthogonality", 1e-10, 10)
+def _check_eta_orthogonality(tries, n):
+    return _lorentz(_sl2(_sl2s(tries, n)))[1]
 
 
-def _check_rest_fiber(rng, n: int) -> CheckResult:
+def _check_rest_fiber(streams, n: int) -> CheckResult:
     g0 = gamma(0)
     # The four rest evaluations: +1 on the fiber basis, -1 on its complement.
     v_plus = [v.vec for v in rest_fiber_basis()]
@@ -492,10 +463,10 @@ def _check_rest_fiber(rng, n: int) -> CheckResult:
     return CheckResult("rest fiber eigenspace", 1, worst, 1e-12, worst <= 1e-12)
 
 
-@_sweep("bundle map well-defined on classes", 1e-10)
-def _check_beta_well_defined(rng, n):
-    a, g = _normals(rng, n, _SL2, _G8)
-    a, psi, m = _sl2(a), _rest_spinors(g[:, :4]), np.ones(n)
+@_sweep("bundle map well-defined on classes", 1e-10, 11)
+def _check_beta_well_defined(tries, normals, n):
+    g = normals.normal(0.0, 1.0, (n, 8))
+    a, psi, m = _sl2(_sl2s(tries, n)), _rest_spinors(g[:, :4]), np.ones(n)
     _class_reps(a, psi, m)
     t = _sl2(_su2_matrices(g[:, 4:]))
     at, moved = _sl2(a @ t), _to_rest(t, psi)
@@ -508,9 +479,9 @@ def _check_beta_well_defined(rng, n):
     ], axis=1)
 
 
-@_sweep("bundle map round trip", 1e-9, side=True)
-def _check_beta_round_trip(rng, n, side):
-    m, p, psi, norms, boost = _fiber_elements(side, rng.normal(0.0, 1.0, (n, 11)))
+@_sweep("bundle map round trip", 1e-9, 12)
+def _check_beta_round_trip(masses, normals, n):
+    m, p, psi, norms, boost = _fiber_elements(masses.uniform(0.5, 2.0, n), normals.normal(0.0, 1.0, (n, 11)))
     # beta_inv takes the canonical boost of the same point: boost again.
     phi = _to_rest(boost, psi)
     _class_reps(boost, phi, m)
@@ -521,19 +492,18 @@ def _check_beta_round_trip(rng, n, side):
     ], axis=1)
 
 
-@_sweep("bundle map lands in the fiber", 1e-9, side=True)
-def _check_beta_fiber_membership(rng, n, side):
-    a, g = _normals(rng, n, _SL2, _Normals(4))
-    a, psi = _sl2(a), _rest_spinors(g)
-    m = 0.5 + 1.5 * side.random(n)  # uniform(0.5, 2.0), bit for bit
+@_sweep("bundle map lands in the fiber", 1e-9, 13)
+def _check_beta_fiber_membership(tries, normals, masses, n):
+    a, psi = _sl2(_sl2s(tries, n)), _rest_spinors(normals.normal(0.0, 1.0, (n, 4)))
+    m = masses.uniform(0.5, 2.0, n)
     _class_reps(a, psi, m)
     _, _, r, norms = _betas(a, psi, m)
     return r / (_max1(m) * _max1(norms))
 
 
-@_sweep("conjugate-pair split equivariance", 1e-11)
-def _check_split_equivariance(rng, n):
-    g = rng.normal(0.0, 1.0, (n, 8))
+@_sweep("conjugate-pair split equivariance", 1e-11, 15)
+def _check_split_equivariance(normals, n):
+    g = normals.normal(0.0, 1.0, (n, 8))
     t, psi = _sl2(_su2_matrices(g[:, :4])), _rest_spinors(g[:, 4:])
     ident = np.broadcast_to(np.eye(2), (n, 2, 2))
     _class_reps(ident, psi, np.ones(n))
@@ -542,18 +512,17 @@ def _check_split_equivariance(rng, n):
     return _norms2(_split(moved) - _act(t, _split(psi)))
 
 
-def _check_spin_character(rng, n: int) -> CheckResult:
+def _check_spin_character(streams, n: int) -> CheckResult:
     ts = np.linspace(0.0, 2.0 * math.pi, 100)
     cos, _ = _phases(ts)
     worst = float(np.max(_cabs(spin_characters(ts) - 2.0 * cos)))
     return CheckResult("spin-1/2 character", len(ts), worst, 1e-13, worst <= 1e-13)
 
 
-@_sweep("group action preserves fibers", 1e-9, side=True)
-def _check_bundle_equivariance(rng, n, side):
-    z, a = _normals(rng, n, _Normals(11), _SL2)
-    m, p, psi, _, _ = _fiber_elements(side, z)
-    a = _sl2(a)
+@_sweep("group action preserves fibers", 1e-9, 14)
+def _check_bundle_equivariance(masses, normals, tries, n):
+    m, p, psi, _, _ = _fiber_elements(masses.uniform(0.5, 2.0, n), normals.normal(0.0, 1.0, (n, 11)))
+    a = _sl2(_sl2s(tries, n))
     p_moved = _moved(a, p)
     psi_moved = _tau_act(a, psi)
     _require(np.all(_shell_test(p_moved, m)[1], axis=0),
@@ -571,7 +540,7 @@ def run_verification(seed: int = 0, samples: int = 1000, corrupt_gamma=None) -> 
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
+    streams = _Streams(seed)
     gammas = [gamma(mu).copy() for mu in range(4)]
     if corrupt_gamma is not None:
         # Three integer indices: a negative one would wrap around.
@@ -583,25 +552,25 @@ def run_verification(seed: int = 0, samples: int = 1000, corrupt_gamma=None) -> 
 
     n = samples
     checks = [
-        _check_cyclic(rng, n),
-        _check_symplectic(rng, n),
-        _check_signature(rng, n),
-        _check_h_polarization(rng, n),
+        _check_cyclic(streams, n),
+        _check_symplectic(streams, n),
+        _check_signature(streams, n),
+        _check_h_polarization(streams, n),
         _check_gamma_relations(gammas, n),
-        _check_anticommutator(rng, n),
-        _check_slash_square(rng, n),
-        _check_duality(rng, n),
-        _check_equivariance(rng, n),
-        _check_pi_commutes_J(rng, n),
-        _check_covering_hom(rng, n),
-        _check_covering_two_to_one(rng, n),
-        _check_eta_orthogonality(rng, n),
-        _check_rest_fiber(rng, n),
-        _check_beta_well_defined(rng, n),
-        _check_beta_round_trip(rng, n),
-        _check_beta_fiber_membership(rng, n),
-        _check_bundle_equivariance(rng, n),
-        _check_split_equivariance(rng, n),
-        _check_spin_character(rng, n),
+        _check_anticommutator(streams, n),
+        _check_slash_square(streams, n),
+        _check_duality(streams, n),
+        _check_equivariance(streams, n),
+        _check_pi_commutes_J(streams, n),
+        _check_covering_hom(streams, n),
+        _check_covering_two_to_one(streams, n),
+        _check_eta_orthogonality(streams, n),
+        _check_rest_fiber(streams, n),
+        _check_beta_well_defined(streams, n),
+        _check_beta_round_trip(streams, n),
+        _check_beta_fiber_membership(streams, n),
+        _check_bundle_equivariance(streams, n),
+        _check_split_equivariance(streams, n),
+        _check_spin_character(streams, n),
     ]
     return VerifyReport(seed=seed, samples=samples, conventions=dict(CONVENTIONS), checks=checks)

@@ -1,11 +1,13 @@
 """The sampled verify checks on the scalar API, one value object at a time.
 
 The reference for twospinors.verify, kept as the checks and generators were
-before they were stacked: each check here draws the same samples from the
-generator, in the same order, as the stacked check of the same name (the
-three checks that take a mass among normals draw it from the same jumped
-side stream), and folds the defects the scalar API computes one sample at a
-time.  The equality tests in test_verify.py compare the two.
+before they were stacked: each check here draws the same samples, in the
+same order, from the same streams as the stacked check of the same name,
+one sample at a time, and folds the defects the scalar API computes.  Its
+streams are made here from their definition: stream k of a seed is
+default_rng(seed) advanced by k * 2**96 draws, and the check of index i
+takes streams 4i, 4i + 1, ..., one per argument of its sample.  The
+equality tests in test_verify.py compare the two.
 """
 
 from __future__ import annotations
@@ -112,123 +114,130 @@ def _uniform_spinor(rng, bound: float) -> Spinor2:
     return Spinor2(coeff(), coeff())
 
 
-def _sweep(name: str, tol: float, side: bool = False):
-    """Turn a one-sample generator, which draws its inputs from rng and yields
-    its defects, into a check of n samples against tol.  With side, the
-    generator is of (rng, side) and draws its masses from side, a generator
-    jumped from rng's state once per check.  Finite defects are folded as
-    they come with worst = max(worst, d); a non-finite defect fails the
-    check, and detail names the first sample that gave one."""
+def stream(seed, k: int) -> np.random.Generator:
+    """Stream k of seed: default_rng(seed) advanced by k * 2**96 draws."""
+    rng = np.random.default_rng(seed)
+    rng.bit_generator.advance(k * 2**96)
+    return rng
+
+
+def _sweep(name: str, tol: float, index: int):
+    """Turn a one-sample generator, which draws its inputs from its streams
+    and yields its defects, into a check of n samples of a seed against tol:
+    check(seed, n) gives the CheckResult and the streams, in their final
+    state.  Finite defects are folded as they come with
+    worst = max(worst, d); a non-finite defect fails the check, and detail
+    names the first sample that gave one."""
 
     def wrap(sample):
-        def check(rng, n: int) -> CheckResult:
-            streams = (np.random.Generator(rng.bit_generator.jumped()),) if side else ()
+        def check(seed, n: int) -> tuple[CheckResult, list[np.random.Generator]]:
+            streams = [stream(seed, 4 * index + j) for j in range(sample.__code__.co_argcount)]
             worst = 0.0
             bad = None
             for i in range(n):
-                for d in sample(rng, *streams):
+                for d in sample(*streams):
                     if math.isfinite(d):
                         worst = max(worst, d)
                     elif bad is None:
                         bad = i
             detail = "" if bad is None else f"non-finite defect at sample {bad}"
-            return CheckResult(name, n, worst, tol, bad is None and worst <= tol, detail)
+            return CheckResult(name, n, worst, tol, bad is None and worst <= tol, detail), streams
 
         return check
 
     return wrap
 
 
-@_sweep("cyclic identity", 1e-12)
-def _check_cyclic(rng):
-    a, b, c = (_uniform_spinor(rng, 10.0) for _ in range(3))
+@_sweep("cyclic identity", 1e-12, 0)
+def _check_cyclic(disc):
+    a, b, c = (_uniform_spinor(disc, 10.0) for _ in range(3))
     yield cyclic_defect(a, b, c).norm()
 
 
-@_sweep("symplectic form identities", 1e-12)
-def _check_symplectic(rng):
-    x, y, z = (random_spinor(rng) for _ in range(3))
-    al, be = rng.normal(), rng.normal()
+@_sweep("symplectic form identities", 1e-12, 1)
+def _check_symplectic(normals):
+    x, y, z = (random_spinor(normals) for _ in range(3))
+    al, be = normals.normal(), normals.normal()
     yield abs(eps(x, y) + eps(y, x))
     yield abs(eps(al * x + be * y, z) - al * eps(x, z) - be * eps(y, z))
     yield abs(eps_bar(conjugate(x), conjugate(y)) - eps(x, y).conjugate())
 
 
-@_sweep("polarized form vs dyadic definition", 1e-12)
-def _check_h_polarization(rng):
-    a, c = random_spinor(rng), random_spinor(rng)
-    b, d = random_spinor(rng), random_spinor(rng)
+@_sweep("polarized form vs dyadic definition", 1e-12, 2)
+def _check_h_polarization(normals):
+    a, c = random_spinor(normals), random_spinor(normals)
+    b, d = random_spinor(normals), random_spinor(normals)
     bbar, dbar = conjugate(b), conjugate(d)
     lhs = h_form(elementary(a, bbar), elementary(c, dbar))
     yield abs(lhs - eps(a, c) * eps_bar(bbar, dbar))
 
 
-@_sweep("clifford anticommutation (dyadic sweep)", 1e-11)
-def _check_anticommutator(rng):
-    X = elementary(random_spinor(rng), conjugate(random_spinor(rng)))
-    Y = elementary(random_spinor(rng), conjugate(random_spinor(rng)))
+@_sweep("clifford anticommutation (dyadic sweep)", 1e-11, 3)
+def _check_anticommutator(normals):
+    X = elementary(random_spinor(normals), conjugate(random_spinor(normals)))
+    Y = elementary(random_spinor(normals), conjugate(random_spinor(normals)))
     yield float(np.max(np.abs(anticommutator_defect(X, Y))))
 
 
-@_sweep("slash square equals quadratic form", 1e-11)
-def _check_slash_square(rng):
-    p = Momentum.from_coords(rng.uniform(-10.0, 10.0, 4))
+@_sweep("slash square equals quadratic form", 1e-11, 4)
+def _check_slash_square(uniforms):
+    p = Momentum.from_coords(uniforms.uniform(-10.0, 10.0, 4))
     yield float(np.max(np.abs(slash(p) @ slash(p) - q_form(p) * np.eye(4))))
 
 
-@_sweep("momentum duality preserves the form", 1e-10)
-def _check_duality(rng):
+@_sweep("momentum duality preserves the form", 1e-10, 5)
+def _check_duality(normals, tries):
     # The duality is the identity on coordinates (world vectors and momenta
     # are one type), so what is left to check is that the action preserves
     # the form.
-    p = Momentum.from_coords(rng.normal(0.0, 3.0, 4))
-    A = random_sl2(rng)
+    p = Momentum.from_coords(normals.normal(0.0, 3.0, 4))
+    A = random_sl2(tries)
     moved = act_momentum(A, p)
     scale = max(1.0, float(np.sum(p.coords**2)), float(np.sum(moved.coords**2)))
     yield abs(q_form(moved) - q_form(p)) / scale
 
 
-@_sweep("clifford-map equivariance", 1e-9)
-def _check_equivariance(rng):
-    A = random_sl2(rng, max_norm=10.0)
-    X = random_bitensor(rng)
+@_sweep("clifford-map equivariance", 1e-9, 6)
+def _check_equivariance(tries, normals):
+    A = random_sl2(tries, max_norm=10.0)
+    X = random_bitensor(normals)
     yield float(np.max(np.abs(equivariance_defect(A, X))))
 
 
-@_sweep("bitensor action commutes with reality involution", 1e-13)
-def _check_pi_commutes_J(rng):
-    A = random_sl2(rng)
-    T = random_bitensor(rng)
+@_sweep("bitensor action commutes with reality involution", 1e-13, 7)
+def _check_pi_commutes_J(tries, normals):
+    A = random_sl2(tries)
+    T = random_bitensor(normals)
     defect = pi_act(A, involution_J(T)).t - involution_J(pi_act(A, T)).t
     yield float(np.max(np.abs(defect)))
 
 
-@_sweep("covering homomorphism", 1e-10)
-def _check_covering_hom(rng):
-    A, B = random_sl2(rng), random_sl2(rng)
+@_sweep("covering homomorphism", 1e-10, 8)
+def _check_covering_hom(tries):
+    A, B = random_sl2(tries), random_sl2(tries)
     lhs = lorentz_of(A @ B).mat
     rhs = lorentz_of(A).mat @ lorentz_of(B).mat
     yield float(np.max(np.abs(lhs - rhs)))
 
 
-@_sweep("covering is two-to-one (sign kernel)", 0.0)
-def _check_covering_two_to_one(rng):
-    A = random_sl2(rng)
+@_sweep("covering is two-to-one (sign kernel)", 0.0, 9)
+def _check_covering_two_to_one(tries):
+    A = random_sl2(tries)
     if not np.array_equal(lorentz_of(A).mat, lorentz_of(-A).mat):
         yield float(np.max(np.abs(lorentz_of(A).mat - lorentz_of(-A).mat)))
 
 
-@_sweep("lorentz metric orthogonality", 1e-10)
-def _check_eta_orthogonality(rng):
-    yield lorentz_defect(lorentz_of(random_sl2(rng)).mat)
+@_sweep("lorentz metric orthogonality", 1e-10, 10)
+def _check_eta_orthogonality(tries):
+    yield lorentz_defect(lorentz_of(random_sl2(tries)).mat)
 
 
-@_sweep("bundle map well-defined on classes", 1e-10)
-def _check_beta_well_defined(rng):
-    A = random_sl2(rng)
-    psi = random_rest_spinor(rng)
+@_sweep("bundle map well-defined on classes", 1e-10, 11)
+def _check_beta_well_defined(tries, normals):
+    A = random_sl2(tries)
+    psi = random_rest_spinor(normals)
     rep = AssociatedClassRep(A, psi, 1.0)
-    T = random_su2(rng)
+    T = random_su2(normals)
     moved = AssociatedClassRep(A @ T, FourSpinor.from_vec(tau(T.inverse()) @ psi.vec), 1.0)
     f1, f2 = beta(rep), beta(moved)
     scale = max(1.0, f1.psi.norm())
@@ -236,45 +245,43 @@ def _check_beta_well_defined(rng):
     yield float(np.linalg.norm(f1.psi.vec - f2.psi.vec)) / scale
 
 
-@_sweep("bundle map round trip", 1e-9, side=True)
-def _check_beta_round_trip(rng, side):
-    f = random_fiber_element(rng, side)
+@_sweep("bundle map round trip", 1e-9, 12)
+def _check_beta_round_trip(masses, normals):
+    f = random_fiber_element(normals, masses)
     g = beta(beta_inv(f))
     scale = max(1.0, f.psi.norm())
     yield float(np.max(np.abs(f.q.p.coords - g.q.p.coords))) / max(1.0, f.q.p.p0)
     yield float(np.linalg.norm(f.psi.vec - g.psi.vec)) / scale
 
 
-@_sweep("bundle map lands in the fiber", 1e-9, side=True)
-def _check_beta_fiber_membership(rng, side):
-    A = random_sl2(rng)
-    psi = random_rest_spinor(rng)
-    m = float(side.uniform(0.5, 2.0))
+@_sweep("bundle map lands in the fiber", 1e-9, 13)
+def _check_beta_fiber_membership(tries, normals, masses):
+    A = random_sl2(tries)
+    psi = random_rest_spinor(normals)
+    m = float(masses.uniform(0.5, 2.0))
     f = beta(AssociatedClassRep(A, psi, m))
     scale = max(1.0, m) * max(1.0, f.psi.norm())
     yield fiber_residual(f.q, f.psi) / scale
 
 
-@_sweep("conjugate-pair split equivariance", 1e-11)
-def _check_split_equivariance(rng):
-    T = random_su2(rng)
-    psi = random_rest_spinor(rng)
+@_sweep("conjugate-pair split equivariance", 1e-11, 15)
+def _check_split_equivariance(normals):
+    T = random_su2(normals)
+    psi = random_rest_spinor(normals)
     pair = split_conjugate_pair(AssociatedClassRep(SL2Element.identity(), psi, 1.0))
     moved_psi = FourSpinor.from_vec(tau(T) @ psi.vec)
     moved_pair = split_conjugate_pair(AssociatedClassRep(SL2Element.identity(), moved_psi, 1.0))
     yield (moved_pair.s - act(T, pair.s)).norm()
 
 
-@_sweep("group action preserves fibers", 1e-9, side=True)
-def _check_bundle_equivariance(rng, side):
-    f = random_fiber_element(rng, side)
-    A = random_sl2(rng)
+@_sweep("group action preserves fibers", 1e-9, 14)
+def _check_bundle_equivariance(masses, normals, tries):
+    f = random_fiber_element(normals, masses)
+    A = random_sl2(tries)
     p_moved = act_momentum(A, f.q.p)
     psi_moved = FourSpinor.from_vec(tau(A) @ f.psi.vec)
     scale = max(1.0, f.q.m) * max(1.0, psi_moved.norm()) * max(1.0, p_moved.p0 / f.q.m)
     yield fiber_residual(MassShellPoint(p_moved, f.q.m), psi_moved) / scale
-
-
 
 
 # The sampled checks in the order run_verification runs them.

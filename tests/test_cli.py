@@ -562,27 +562,27 @@ PINNED_OUTPUTS = {
                            "36e5aef2adcef5222ba2b20b6e88fdd6809b18a71a6ae04b69a6d423f61d0b79",
                            "327e553ded20d420dd890164dd6bc409b6bf9a16f6e91cf239af17ed1559a4d6"),
     "verify-seed0": (["verify", "--samples", "40", "--seed", "0"], 0,
-                     "88df7748a1a296308d4e9bd146f8773448f8f25118467be80a81124960a172b6",
-                     "af74b72eeed9605067b2b5180460670c2dca793b1a49cbd5f08b6e778a7878e7"),
+                     "564c3eba8dcf1d18892a7b2d4df18a6d0c4d192f35e486278ccbce30d3b37c4f",
+                     "b1b643ed055f67d4af1eff4186155a433c02f049d6bc4d4d9f80f3741746a0c2"),
     "verify-seed1": (["verify", "--samples", "40", "--seed", "1"], 0,
-                     "778e4f8be1d607abbd2e339777cf8d432eec108b3fb7b950d166348dbad18696",
-                     "d16d534f1dfc1172a6521f1c4f9687ea494286bf908d2254c185708d47750ae5"),
+                     "8e8c1bec5030127d65de9b2d0d86b463efd3756206fe86fe40bc01cab0cc8ca1",
+                     "e295123437269a78c7abb4a47a6f86c6f4d2e374360e90142c52eb58fa177ce1"),
     "verify-seed2": (["verify", "--samples", "40", "--seed", "2"], 0,
-                     "0c537e666af7aec95057dde31f4cbb1015313ef8a240225881c8bba3ec7d323e",
-                     "065798f2d5f375a369a6adc6af1110014b079e37423f0278cce73cbd3678dc44"),
+                     "f7232b81ad7f195be7e3b6336bea0b601515e39e54cebb54dcf4d431763a50d3",
+                     "a71688c3974890a1cf3be31a53bdcb834887394bce66d2e9a5c36843b743705b"),
     "verify-seed3": (["verify", "--samples", "40", "--seed", "3"], 0,
-                     "e1d4a154ce0c1b4191dfdadf2d7c37b876bc6d7677eb8e72a3ce597fe67fcf90",
-                     "12c22f100ec85b493d7e27fa70f2bba050fcac635d4c4e3f8bf3d87f329ee97d"),
+                     "35d755bdadcdca8f6b88471a77a15bc571585b37de6bf507455e48e04deed8bc",
+                     "b74812371f69f3ea65fa9f8c594bf6bda27128710a453a25d050836429d406b9"),
     "verify-corrupt": (["verify", "--samples", "40", "--corrupt-gamma", "2,1,3"], 1,
-                       "cd54db769852db82ceb93f0f851a8adf3ec5b832edc94aa8b36659a50a5572f3",
-                       "ee2971f4669ab7eb142536ce1147f2d9781aa1832f5d62def66a03ca07d117e1"),
+                       "62b869db73ab2af50f3a60076b561927736f318046309549a7edd22bfae73ae6",
+                       "f4834b76e384309fbd6f8d42476d6ef24c244890f5ed997aed1ae00e794f1a93"),
     # The CI command, and a run that crosses verify._BLOCK (1024 samples).
     "verify-1000": (["verify", "--samples", "1000", "--seed", "7"], 0,
-                    "5f51fa6dc7fc34db2f2ebabb3351571097de84bd922052a0bff9ea1bff10f1e0",
-                    "7ecbb2ae8400b5667ece4eb0601ed501a85700994b2c71675e4174798c51ab85"),
+                    "c3cb024ece081d26a028e415b8e7118c63ec543cdc7284c241ff2459144cde26",
+                    "1b7ef2040acb8b8790f5d818d6d49c43c98226debe413d88248f6b5756aab397"),
     "verify-2500": (["verify", "--samples", "2500", "--seed", "7"], 0,
-                    "f51249dcaecbee88d85e1d96bcb9dcf39aaaf5f0d251c319192584953338d5ee",
-                    "0c2ad29795e512fe173fc097055fc72ad49d733f8cfc8b970d0be1559c9e09b9"),
+                    "f5f2a776606f0bd71d2ed0a7cb0db4469614e875d6058e7a35c51d0d5c446235",
+                    "973454b8e3fb78d5b3369e0c5873a7eac4a81ef1ec0e1cfe1f1df82eb662a605"),
 }
 
 

@@ -86,31 +86,31 @@ def test_corruption_hook_fails_and_names_relation():
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), np.float64("nan")])
 def test_sweep_fails_on_non_finite_defect(bad):
-    @_sweep("probe", 1.0)
+    @_sweep("probe", 1.0, 0)
     def probe(rng, n):
         return np.array([[0.25, bad, 0.5]])
 
-    result = probe(np.random.default_rng(0), 1)
+    result = probe(verify._Streams(0), 1)
     assert not result.passed
     assert result.max_defect == 0.5
     assert result.detail == "non-finite defect at sample 0"
 
 
 def test_sweep_names_first_non_finite_sample():
-    @_sweep("probe", 1.0)
+    @_sweep("probe", 1.0, 0)
     def probe(rng, n):
         return np.array([0.1, 0.2, float("nan"), 0.3, float("nan")])
 
-    result = probe(np.random.default_rng(0), 5)
+    result = probe(verify._Streams(0), 5)
     assert (result.passed, result.max_defect, result.detail) == (False, 0.3, "non-finite defect at sample 2")
 
 
 def test_sweep_reports_no_negative_zero():
-    @_sweep("probe", 0.0)
+    @_sweep("probe", 0.0, 0)
     def probe(rng, n):
         return np.full((n, 2), -0.0)
 
-    result = probe(np.random.default_rng(0), 3)
+    result = probe(verify._Streams(0), 3)
     assert result.passed and math.copysign(1.0, result.max_defect) == 1.0
 
 
@@ -136,11 +136,11 @@ def test_overflowing_stacked_kernel_is_a_non_finite_defect(kernel):
     with pytest.raises(RuntimeWarning, match="overflow"):
         kernel(scaled(np.random.default_rng(0), 4))
 
-    @_sweep("probe", 1.0)
+    @_sweep("probe", 1.0, 0)
     def probe(rng, n):
         return verify._cabs(kernel(scaled(rng, n))).reshape(n, -1)
 
-    result = probe(np.random.default_rng(0), 4)
+    result = probe(verify._Streams(0), 4)
     assert (result.passed, result.detail) == (False, "non-finite defect at sample 2")
 
 
@@ -155,20 +155,42 @@ def test_overflowing_cyclic_check_is_a_non_finite_defect(monkeypatch):
         return g
 
     monkeypatch.setattr(verify, "_uniform_spinors", scaled)
-    result = verify._check_cyclic(np.random.default_rng(0), 3)
+    result = verify._check_cyclic(verify._Streams(0), 3)
     assert (result.passed, result.detail) == (False, "non-finite defect at sample 1")
+
+
+def states(gens) -> list[dict]:
+    return [g.bit_generator.state for g in gens]
 
 
 @pytest.mark.parametrize("samples", [1, 10, 200])
 @pytest.mark.parametrize("name", list(scalar_verify.CHECKS))
 def test_stacked_check_equals_scalar_reference(name, samples):
-    # Same draws (the generator ends in the same state) and the same fold of
-    # the same defects, bit for bit, as the scalar API one sample at a time.
+    # Same draws (every stream ends in the same state) and the same fold of
+    # the same defects, bit for bit, as the scalar API one sample at a time
+    # on streams made from their definition.
     reference, stacked = scalar_verify.CHECKS[name], getattr(verify, "_check_" + name)
     for seed in range(8):
-        r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert stacked(r2, samples) == reference(r1, samples), seed
-        assert r2.bit_generator.state == r1.bit_generator.state, seed
+        streams = verify._Streams(seed)
+        result, gens = reference(seed, samples)
+        assert stacked(streams, samples) == result, seed
+        assert states(streams.gens[:len(gens)]) == states(gens), seed
+
+
+@pytest.mark.parametrize("samples", [1, 10])
+@pytest.mark.parametrize("seed", range(4))
+def test_each_check_run_alone_replays_its_entry(seed, samples):
+    # A check's samples depend only on the seed and its index: run alone, it
+    # gives its entry of the whole run.
+    report = {c.name: c for c in run_verification(seed, samples).checks}
+    for name in scalar_verify.CHECKS:
+        result = getattr(verify, "_check_" + name)(verify._Streams(seed), samples)
+        assert result == report[result.name], name
+
+
+def test_sweep_indices_are_distinct():
+    indices = [getattr(verify, "_check_" + name).index for name in scalar_verify.CHECKS]
+    assert len(set(indices)) == len(indices) == 16
 
 
 def test_every_sampled_check_has_a_reference():
@@ -284,123 +306,85 @@ def scalar_uniform_spinors(rng) -> list[float]:
     return out
 
 
-def _draw(rng, n: int, *draws) -> list[np.ndarray]:
-    """Make the draws of each of n samples in turn, draw(rng) for each draw in
-    order, and stack the results of each draw over the samples."""
-    rows = [[draw(rng) for draw in draws] for _ in range(n)]
-    return [np.array(column) for column in zip(*rows)]
-
-
-def _gaussians(k: int):
-    """The draw of k standard normal numbers."""
-    return lambda rng: rng.normal(0.0, 1.0, k)
-
-
-# The block draws of verify's checks on one stream of normals or of
-# uniforms, each with the scalar draws of one sample in the same order; the
-# checks that use each layout in parentheses.
+# The speculative block draws of verify, each with the scalar draw of one
+# sample: a stream of random_sl2 tries at each norm bound verify uses, and
+# the cyclic check's disc.
 BLOCK_LAYOUTS = {
-    "sl2 (two-to-one, metric)": (
-        lambda rng, n: verify._normals(rng, n, verify._SL2), [sampling._sl2_matrix]),
-    "sl2, sl2 (homomorphism)": (
-        lambda rng, n: verify._normals(rng, n, verify._SL2, verify._SL2),
-        [sampling._sl2_matrix, sampling._sl2_matrix]),
-    "sl2, g8 (involution, well-defined)": (
-        lambda rng, n: verify._normals(rng, n, verify._SL2, verify._G8),
-        [sampling._sl2_matrix, _gaussians(8)]),
-    "sl2(10), g8 (equivariance)": (
-        lambda rng, n: verify._normals(rng, n, verify._Normals(8, 1.0, 10.0), verify._G8),
-        [lambda r: sampling._sl2_matrix(r, 10.0), _gaussians(8)]),
-    "normal(0, 3, 4), sl2 (duality)": (
-        lambda rng, n: verify._normals(rng, n, verify._Normals(4, 3.0), verify._SL2),
-        [lambda r: r.normal(0.0, 3.0, 4), sampling._sl2_matrix]),
-    "sl2, g4 (lands in the fiber)": (
-        lambda rng, n: verify._normals(rng, n, verify._SL2, verify._Normals(4)),
-        [sampling._sl2_matrix, _gaussians(4)]),
-    # The first layout whose windows start at every normal (unit 1).
-    "g11, sl2 (group action)": (
-        lambda rng, n: verify._normals(rng, n, verify._Normals(11), verify._SL2),
-        [_gaussians(11), sampling._sl2_matrix]),
-    "disc (cyclic)": (
-        lambda rng, n: [verify._uniform_spinors(rng, n)], [scalar_uniform_spinors]),
+    "sl2 (norm 4)": (verify._sl2s, sampling._sl2_matrix),
+    "sl2 (norm 10)": (lambda rng, n: verify._sl2s(rng, n, 10.0), lambda rng: sampling._sl2_matrix(rng, 10.0)),
+    "disc (cyclic)": (verify._uniform_spinors, scalar_uniform_spinors),
 }
 BLOCK_SIZES = [1, 2, 10, 200, 1025]
 
 
-def same_columns(a, b) -> bool:
-    return [(c.dtype, c.shape, c.tobytes()) for c in a] == [(c.dtype, c.shape, c.tobytes()) for c in b]
+def same_draws(a, b) -> bool:
+    return (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
-def scalar_columns(seed, draws, sizes):
-    """_draw of max(sizes) samples from default_rng(seed), and the
-    generator's state after each count of samples in sizes."""
-    rng, parts, states, done = np.random.default_rng(seed), [], {}, 0
+def scalar_draws(seed, draw, sizes):
+    """draw(rng) for max(sizes) samples from default_rng(seed), stacked, and
+    the generator's state after each count of samples in sizes."""
+    rng, rows, states = np.random.default_rng(seed), [], {}
     for n in sizes:
-        parts.append(_draw(rng, n - done, *draws))
-        states[n], done = rng.bit_generator.state, n
-    return [np.concatenate(c) for c in zip(*parts)], states
+        rows += [draw(rng) for _ in range(n - len(rows))]
+        states[n] = rng.bit_generator.state
+    return np.array(rows), states
 
 
-@pytest.mark.parametrize("block, draws", BLOCK_LAYOUTS.values(), ids=BLOCK_LAYOUTS)
-def test_block_draws_are_the_scalar_draws(block, draws):
+@pytest.mark.parametrize("block, draw", BLOCK_LAYOUTS.values(), ids=BLOCK_LAYOUTS)
+def test_block_draws_are_the_scalar_draws(block, draw):
     # The values of n samples and the generator's final state are those of
     # the scalar loop, bit for bit, on seeds 0-49.
     for seed in range(50):
-        columns, states = scalar_columns(seed, draws, BLOCK_SIZES)
+        rows, states = scalar_draws(seed, draw, BLOCK_SIZES)
         for n in BLOCK_SIZES:
             rng = np.random.default_rng(seed)
-            assert same_columns(block(rng, n), [c[:n] for c in columns]), (seed, n)
+            assert same_draws(block(rng, n), rows[:n]), (seed, n)
             assert rng.bit_generator.state == states[n], (seed, n)
 
 
-@pytest.mark.parametrize("block, draws", BLOCK_LAYOUTS.values(), ids=BLOCK_LAYOUTS)
-def test_short_blocks_are_refilled(monkeypatch, block, draws):
+@pytest.mark.parametrize("block, draw", BLOCK_LAYOUTS.values(), ids=BLOCK_LAYOUTS)
+def test_short_blocks_are_refilled(monkeypatch, block, draw):
     # Speculative blocks far too short for their samples: each is given back
     # up to its last whole sample, and the draws still end where the scalar
     # loop's do.
     passes = Counter()
-    for name in ("_decode_normals", "_decode_disc"):
+    for name in ("_decode_sl2", "_decode_disc"):
         decode = getattr(verify, name)
         monkeypatch.setattr(verify, name, lambda *args, decode=decode: passes.update(["pass"]) or decode(*args))
     monkeypatch.setattr(verify, "_LOOKAHEAD", 0.01)
-    for seed in range(5):
-        columns, states = scalar_columns(seed, draws, [1, 200])
+    for seed in range(50):
+        rows, states = scalar_draws(seed, draw, [1, 200])
         for n in (1, 200):
             rng, before = np.random.default_rng(seed), passes["pass"]
-            assert same_columns(block(rng, n), [c[:n] for c in columns]), (seed, n)
+            assert same_draws(block(rng, n), rows[:n]), (seed, n)
             assert rng.bit_generator.state == states[n], (seed, n)
             assert passes["pass"] - before > (1 if n > 1 else 0)
 
 
-@pytest.mark.parametrize("block, draws", BLOCK_LAYOUTS.values(), ids=BLOCK_LAYOUTS)
-def test_block_draws_are_a_prefix_of_longer_draws(block, draws):
+@pytest.mark.parametrize("block, draw", BLOCK_LAYOUTS.values(), ids=BLOCK_LAYOUTS)
+def test_block_draws_are_a_prefix_of_longer_draws(block, draw):
     # n samples and then m more are the first n + m samples of one draw, and
-    # leave the generator in the same state.
-    for seed, n, m in [(0, 1, 1), (1, 3, 200), (2, 1024, 1), (3, 10, 1025)]:
+    # leave the generator in the same state, on seeds 0-49.
+    for seed in range(50):
+        n, m = [(1, 1), (3, 200), (1024, 1), (10, 1025)][seed % 4]
         r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
-        parts = zip(block(r1, n), block(r1, m))
-        assert same_columns([np.concatenate(c) for c in parts], block(r2, n + m)), seed
+        assert same_draws(np.concatenate([block(r1, n), block(r1, m)]), block(r2, n + m)), seed
         assert r1.bit_generator.state == r2.bit_generator.state, seed
 
 
 def test_rejected_sample_raises_the_constructor_error(monkeypatch):
     # A draw the stacked mask rejects goes to the scalar constructor.
     bad = np.array([[1.0, 0.0], [0.0, 2.0]], dtype=complex)
-    draw = verify._normals
-
-    def injected(rng, n, *draws):
-        p, _ = draw(rng, n, *draws)
-        return p, np.array([bad] * n)
-
-    monkeypatch.setattr(verify, "_normals", injected)
+    monkeypatch.setattr(verify, "_sl2s", lambda rng, n: np.array([bad] * n))
     with pytest.raises(NumericalDrift, match="^determinant \\(2\\+0j\\) differs from 1 by more than 1e-12"):
-        verify._check_duality(np.random.default_rng(0), 3)
+        verify._check_duality(verify._Streams(0), 3)
 
 
 def test_mask_rejecting_what_the_scalar_path_accepts_is_reported(monkeypatch):
     monkeypatch.setattr(verify, "_unimodular", lambda a: (_det2(a), np.arange(len(a)) != 1))
     with pytest.raises(NumericalDrift, match="^stacked check rejected sample 1, which the scalar path accepts$"):
-        verify._check_covering_hom(np.random.default_rng(0), 3)
+        verify._check_covering_hom(verify._Streams(0), 3)
 
 
 def test_first_failing_mask_raises_its_first_rejected_row(monkeypatch):
@@ -408,46 +392,41 @@ def test_first_failing_mask_raises_its_first_rejected_row(monkeypatch):
     # 3 fails the determinant mask, which the check applies first.  The error
     # is sample 3's, as its scalar constructor raises it.
     bad = {1: np.diag([1e200, 1e-200]).astype(complex), 3: np.diag([1.0, 2.0]).astype(complex)}
-    draw = verify._normals
-
-    def injected(rng, n, *draws):
-        p, _ = draw(rng, n, *draws)
-        return p, np.array([bad.get(i, np.eye(2, dtype=complex)) for i in range(n)])
-
-    monkeypatch.setattr(verify, "_normals", injected)
+    monkeypatch.setattr(verify, "_sl2s", lambda rng, n: np.array([bad.get(i, np.eye(2, dtype=complex))
+                                                                 for i in range(n)]))
     with pytest.raises(NumericalDrift) as info:
-        verify._check_duality(np.random.default_rng(0), 6)
+        verify._check_duality(verify._Streams(0), 6)
     assert (type(info.value), str(info.value)) == (
         NumericalDrift, "determinant (2+0j) differs from 1 by more than 1e-12; renormalize first")
     # Alone, sample 1 raises act_momentum's error.
     del bad[3]
     with pytest.raises(ValueError) as info:
-        verify._check_duality(np.random.default_rng(0), 6)
+        verify._check_duality(verify._Streams(0), 6)
     assert (type(info.value), str(info.value)) == (ValueError, "bitensor entries must be finite")
 
 
 @pytest.mark.parametrize("name", list(scalar_verify.CHECKS))
 def test_blocks_draw_and_fold_as_one_block(monkeypatch, name):
     # A check runs in blocks of _BLOCK samples; blocks of 7 draw the same
-    # samples, leave the generator in the same state and fold to the same
+    # samples, leave every stream in the same state and fold to the same
     # result as one block.
     check = getattr(verify, "_check_" + name)
-    r1, r2 = np.random.default_rng(5), np.random.default_rng(5)
-    whole = check(r1, 30)
+    s1, s2 = verify._Streams(5), verify._Streams(5)
+    whole = check(s1, 30)
     monkeypatch.setattr(verify, "_BLOCK", 7)
-    assert check(r2, 30) == whole
-    assert r2.bit_generator.state == r1.bit_generator.state
+    assert check(s2, 30) == whole
+    assert states(s2.gens) == states(s1.gens)
 
 
 def test_blocks_name_the_first_non_finite_sample(monkeypatch):
     monkeypatch.setattr(verify, "_BLOCK", 2)
     defects = iter([[0.1, 0.2], [0.3, float("nan")], [float("inf")]])
 
-    @_sweep("probe", 1.0)
+    @_sweep("probe", 1.0, 0)
     def probe(rng, n):
         return np.array(next(defects))
 
-    result = probe(np.random.default_rng(0), 5)
+    result = probe(verify._Streams(0), 5)
     assert (result.passed, result.max_defect, result.detail) == (False, 0.3, "non-finite defect at sample 3")
 
 
@@ -458,4 +437,4 @@ def test_a_rejected_copy_names_its_sample(monkeypatch):
     monkeypatch.setattr(verify, "_lorentz_test",
                         lambda L: (lorentz_defect(L), None, (np.arange(len(L)) != len(L) // 2 + 1, True, True)))
     with pytest.raises(NumericalDrift, match="^stacked check rejected sample 1, which the scalar path accepts$"):
-        verify._check_covering_two_to_one(np.random.default_rng(0), 3)
+        verify._check_covering_two_to_one(verify._Streams(0), 3)

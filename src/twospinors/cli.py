@@ -245,6 +245,13 @@ def _rest_split(m) -> list:
     return [(_pairs(pair.s.vec), _pairs(pair.sbar.vec)) for pair in pairs]
 
 
+def _sinh(t: float) -> float:
+    try:
+        return math.sinh(t)
+    except OverflowError:
+        return math.copysign(math.inf, t)
+
+
 def _field_planes(m, grid, tol, rapidity):
     """sample-field's nodes, one plane (one p1 value) at a time, on stacked
     arrays by canonical_boosts (shell_point and boost_rep), tau and fiber_test,
@@ -255,11 +262,13 @@ def _field_planes(m, grid, tol, rapidity):
     fails every node, so it is refused at the first."""
     n, lo, hi = grid
     # An axis value that overflows, or a span that does, is refused at its
-    # first node.
+    # first node.  math.sinh, per axis value, gives the same bits on every
+    # host (np.sinh's SIMD loops do not); past its range it raises, and the
+    # value is inf, as np.sinh gives.
     with np.errstate(all="ignore"):
         axis = np.linspace(lo, hi, n)
         if rapidity:
-            axis = m * np.sinh(axis)
+            axis = m * np.array(list(map(_sinh, axis.tolist())))
     p2, p3 = (c.ravel() for c in np.meshgrid(axis, axis, indexing="ij"))
     for p1 in axis:
         p, A, accepted = canonical_boosts(m, p1, p2, p3)

@@ -2,16 +2,18 @@
 
 Each generator is split in two: a draw, which takes raw numbers from the
 generator and builds no value object, and a build from those numbers, which
-works on one draw or on a stack of them.  random_sl2's rejection test also
-runs on a stack of tries (_sl2_matrices), with _sl2_matrix's verdict and
-matrix bit for bit, so that verify can test a speculative block of tries at
-once.  random_fiber_element draws its mass, a uniform, between normals on
-one stream; verify's checks draw each kind from a stream of its own.
+works on one draw or on a stack of them.  Every draw takes a fixed count of
+numbers: random_sl2 takes one try of eight normals, and a try that fails its
+tests is replaced, not drawn again, so that a stack of n draws
+(_sl2_matrices) is n fixed-width rows, each bit for bit random_sl2's matrix.
+random_fiber_element draws its mass, a uniform, between normals on one
+stream; verify's checks draw each kind from a stream of its own.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 
 import numpy as np
 
@@ -20,6 +22,8 @@ from .clifford import FourSpinor, _tau_act
 from .momentum import boost_rep, shell_point
 from .spinor import SL2Element, _cabs, _cmul, _det2, spinor_norms
 
+_SQRT2 = math.sqrt(2.0)
+
 __all__ = [
     "random_sl2",
     "random_su2",
@@ -27,45 +31,37 @@ __all__ = [
 ]
 
 
-def _sl2_matrix(rng, max_norm: float = 4.0) -> np.ndarray:
-    """The matrix of random_sl2: a determinant-normalized complex Gaussian 2x2
-    array with bounded Frobenius norm; near-singular draws are rejected to
-    keep the bound effective."""
-    while True:
-        # One generator call per try: the four real parts, then the four
-        # imaginary parts, stored exactly (re + 1j * im would multiply).
-        g = rng.normal(0.0, 1.0, 8)
-        m = np.empty((2, 2), dtype=complex)
-        m.real = g[:4].reshape(2, 2)
-        m.imag = g[4:].reshape(2, 2)
-        d = _det2(m)
-        if abs(d) < 0.25:
-            continue
-        m = m / cmath.sqrt(d)
-        if np.linalg.norm(m) <= max_norm:
-            return m
-
-
-def _sl2_matrices(g, max_norm: float):
-    """_sl2_matrix's test on each row of (n, 8) normals, each row one try:
-    the tries divided by the root of their determinants, (n, 2, 2), and the
-    verdicts, (n,), both bit for bit.  A row the determinant test rejects is
-    divided by 1, so that no root of a zero determinant is taken."""
+def _sl2_matrices(g, max_norm: float = 4.0) -> np.ndarray:
+    """random_sl2's matrix of each row of (n, 8) normals, one try per row:
+    (n, 2, 2).  A try is divided by the root of its determinant; one with
+    |det| < 0.25, or whose divided matrix has Frobenius norm above max_norm,
+    is replaced by _su2_matrices of its first four normals (norm sqrt(2) up
+    to rounding; nan for four zeros, which no Gaussian draw gives).  A
+    max_norm below sqrt(2), the least norm of an SL2(C) matrix, is refused."""
+    if not max_norm >= _SQRT2:
+        raise ValueError(f"max_norm must be at least sqrt(2) = {_SQRT2!r}, the least Frobenius norm "
+                         f"of an SL2(C) matrix; got {max_norm!r}")
+    # The four real parts, then the four imaginary parts, stored exactly
+    # (re + 1j * im would multiply).
     m = np.empty((len(g), 2, 2), dtype=complex)
     m.real = g[:, :4].reshape(-1, 2, 2)
     m.imag = g[:, 4:].reshape(-1, 2, 2)
     d = _det2(m)
-    # _cabs is Python's abs; cmath.sqrt per row is _sl2_matrix's root, and
-    # spinor_norms its np.linalg.norm.
+    # _cabs is Python's abs and cmath.sqrt is taken per row, as on one try.
+    # A near-singular try is divided by 1, so that no root of a zero
+    # determinant is taken.
     regular = ~(_cabs(d) < 0.25)
     m = m / np.array(list(map(cmath.sqrt, np.where(regular, d, 1.0).tolist())), dtype=complex)[:, None, None]
-    return m, regular & (spinor_norms(m.reshape(-1, 4)) <= max_norm)
+    replaced = ~(regular & (spinor_norms(m.reshape(-1, 4)) <= max_norm))
+    if replaced.any():
+        m[replaced] = _su2_matrices(g[replaced, :4])
+    return m
 
 
 def random_sl2(rng, max_norm: float = 4.0) -> SL2Element:
-    """Determinant-normalized complex Gaussian matrix with bounded Frobenius
-    norm; near-singular draws are rejected to keep the bound effective."""
-    return SL2Element(_sl2_matrix(rng, max_norm))
+    """Determinant-normalized complex Gaussian matrix of Frobenius norm at
+    most max_norm, from one try of eight normals (see _sl2_matrices)."""
+    return SL2Element(_sl2_matrices(rng.normal(0.0, 1.0, (1, 8)), max_norm)[0])
 
 
 def _su2_matrices(v) -> np.ndarray:

@@ -8,29 +8,27 @@ in the report so downstream artifacts are self-describing.
 
 Stream k of a seed is default_rng(seed)'s PCG64 advanced by k * 2**96
 draws; stream 0 is default_rng(seed) itself.  The sampled check of index i
-draws each kind of number a sample takes (fixed-width normals, random_sl2's
-tries of eight normals, the disc's uniforms, masses) from stream 4i + j, j
-counting the kinds in the order a sample first takes them.  So a check run
-alone gives its entry of the whole run.
+draws each kind of number a sample takes (normals; uniforms: the disc, the
+masses or the slash check's values) from stream 2i + j, j counting the
+kinds in the order a sample first takes them.  So a check run alone gives
+its entry of the whole run.
 
-A sampled check runs in blocks of samples, each in two phases.  Phase one
-makes the block's draws as (n, ...) arrays of raw numbers, building no
-value object: the values and each stream's final state are those of
-drawing one sample at a time.  Where rejection tests set the count a sample
-takes, the stream is drawn as a speculative block: save the state, draw
-standard normals (or random() values), run the tests on the block, keep the
-first samples that pass, restore the state and draw exactly the count they
-take again.  This rests on facts of numpy's Generator: normal(0, s, k) is
-0.0 + s * standard_normal(k) and uniform(a, b, k) is
-a + (b - a) * random(k), bit for bit, and k calls of normal(0, 1, 8) draw
-what one call of (k, 8) draws.  Phase two computes all the block's defects
-as one (n, k) array on the kernels under the scalar API (eps, h_form,
-act_momentum, beta, ... each calls its kernel on one value), so each row is
-what the scalar API gives for that sample, bit for bit.  Every invariant a
-value constructor would check is checked by that constructor's own test, on
-the stack.  The first row that the first failing mask rejects is handed to
-its scalar constructor, which raises its typed error; a row the constructor
-accepts is a NumericalDrift that names its sample.
+Every sample takes a fixed count of numbers of each kind: random_sl2's try
+is eight of the check's normals, replaced rather than redrawn when it fails
+its tests (sampling._sl2_matrices), and a disc coefficient is one pair of
+uniforms, with no rejection.  A sampled check runs in blocks of samples,
+each in two phases.  Phase one draws the block as one (n, k) array per
+stream, building no value object: the values and each stream's final state
+are those of drawing one sample at a time, since numpy's Generator draws k
+calls of normal(0, 1, w) as one call of (k, w), and normal(0, s) is
+0.0 + s * normal(0, 1) bit for bit.  Phase two computes all the block's
+defects as one (n, k) array on the kernels under the scalar API (eps,
+h_form, act_momentum, beta, ... each calls its kernel on one value), so
+each row is what the scalar API gives for that sample, bit for bit.  Every
+invariant a value constructor would check is checked by that constructor's
+own test, on the stack.  The first row that the first failing mask rejects
+is handed to its scalar constructor, which raises its typed error; a row
+the constructor accepts is a NumericalDrift that names its sample.
 """
 
 from __future__ import annotations
@@ -149,18 +147,22 @@ def _require(ok: np.ndarray, build) -> None:
 
 
 class _Streams:
-    """The streams of one seed on three Generators, made once and reused:
-    take(k, count) sets them to streams k, ..., k + count - 1."""
+    """The streams of one seed: take(k, count) makes Generators at streams
+    k, ..., k + count - 1.  It is their PCG64s' seed sequence, which hands
+    each the words of SeedSequence(seed), hashed once."""
 
     def __init__(self, seed):
-        self.gens = [np.random.default_rng(seed) for _ in range(3)]
-        self.seeded = self.gens[0].bit_generator.state
+        # Registered here, not at import, so that importing verify does not
+        # import numpy.random.
+        np.random.bit_generator.ISeedSequence.register(_Streams)
+        self.words = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        # PCG64 asks for the four uint64 words it seeds from, and only them.
+        return self.words
 
     def take(self, k: int, count: int) -> list[np.random.Generator]:
-        for j, g in enumerate(self.gens[:count], k):
-            g.bit_generator.state = self.seeded
-            g.bit_generator.advance(j << 96)
-        return self.gens[:count]
+        return [np.random.Generator(np.random.PCG64(self).advance(j << 96)) for j in range(k, k + count)]
 
 
 def _sweep(name: str, tol: float, index: int):
@@ -168,7 +170,7 @@ def _sweep(name: str, tol: float, index: int):
     streams and returns their defects as an (n, k) array (or (n,) for one
     defect each), into a check of n samples against tol, run in blocks of at
     most _BLOCK samples.  The check of index i takes as many streams as the
-    function has, from stream 4i on, once before its first block.  The fold
+    function has, from stream 2i on, once before its first block.  The fold
     keeps the worst finite defect, from +0.0, so that no -0.0 is reported; a
     non-finite defect fails the check, and detail names the first sample
     whose row has one."""
@@ -177,7 +179,7 @@ def _sweep(name: str, tol: float, index: int):
         count = defects.__code__.co_argcount - 1
 
         def check(streams: _Streams, n: int) -> CheckResult:
-            gens = streams.take(4 * index, count)
+            gens = streams.take(2 * index, count)
             worst, bad = 0.0, None
             for offset in range(0, n, _BLOCK):
                 k = min(_BLOCK, n - offset)
@@ -206,66 +208,15 @@ def _sweep(name: str, tol: float, index: int):
 # ---------------------------------------------------------------------------
 # Phase one: the draws, in the scalar API's order.
 
-# A speculative block holds _LOOKAHEAD times the numbers that the samples
-# still to draw take on average, with room for 2 samples more.  A block that
-# falls short is given back up to its last whole sample, and the next block
-# is twice as long.
-_LOOKAHEAD = 1.2
-
-
-def _speculate(rng, n: int, w: int, draw, decode) -> np.ndarray:
-    """n samples drawn by draw(size), a method of rng, each sample taking
-    about w numbers, from speculative blocks.  decode(block, n) gives at most
-    n whole samples at the start of the block, stacked, and the count of
-    numbers they take; the state saved before the block is restored and
-    exactly that count drawn again, so that the generator ends where drawing
-    those numbers alone leaves it."""
-    parts, size = [], 0
-    while n:
-        size = max(2 * size, w, math.ceil(_LOOKAHEAD * w * (n + 2)))
-        state = rng.bit_generator.state
-        samples, used = decode(draw(size), n)
-        rng.bit_generator.state = state
-        draw(used)
-        parts.append(samples)
-        n -= len(samples)
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
-def _sl2s(rng, n: int, max_norm: float = 4.0) -> np.ndarray:
-    """The matrices of n calls of _sl2_matrix(rng, max_norm), (n, 2, 2).  A
-    try is accepted 97% of the time or more, so a sample takes about eight
-    normals."""
-    return _speculate(rng, n, 8, rng.standard_normal, lambda z, n: _decode_sl2(z, n, max_norm))
-
-
-def _decode_sl2(z: np.ndarray, n: int, max_norm: float) -> tuple[np.ndarray, int]:
-    """The (k, 2, 2) matrices of at most n whole samples of _sl2s in the
-    standard normals z, eight to a try, and the count of normals they
-    take."""
-    # A try is normal(0, 1, 8): 0.0 + z turns a -0.0 into +0.0 as it does.
-    mats, ok = _sl2_matrices(0.0 + z[:len(z) // 8 * 8].reshape(-1, 8), max_norm)
-    kept = np.flatnonzero(ok)[:n]
-    used = 8 * (int(kept[-1]) + 1) if len(kept) else 0
-    return mats[kept], used
-
-
-def _uniform_spinors(rng, n: int) -> np.ndarray:
+def _uniform_spinors(uniforms, n: int) -> np.ndarray:
     """The coefficients of three spinors per sample, each uniform in the disc
-    of radius 10 by rejection from the square, one uniform(-10, 10, 2) pair
-    per try: (n, 12), six (re, im) pairs in drawing order.  A pair is kept
-    with probability pi/4, so a sample takes about 16 values."""
-    return _speculate(rng, n, 16, rng.random, _decode_disc)
-
-
-def _decode_disc(u: np.ndarray, n: int) -> tuple[np.ndarray, int]:
-    """The (k, 12) coefficients of at most n whole samples of _uniform_spinors
-    in the random() values u, and the count of values they take."""
-    pairs = (-10.0 + 20.0 * u[:len(u) // 2 * 2]).reshape(-1, 2)
-    kept = np.flatnonzero(pairs[:, 0] * pairs[:, 0] + pairs[:, 1] * pairs[:, 1] <= 100.0)
-    whole = min(n, len(kept) // 6)
-    used = 2 * (int(kept[6 * whole - 1]) + 1) if whole else 0
-    return pairs[kept[:6 * whole]].reshape(whole, 12), used
+    of radius 10, from one random() pair (u, v) each: r (cos t, sin t) with
+    r = 10 sqrt(u) and t = 2 pi v, the cosine and sine by math
+    (bundle._phases).  (n, 12), six (re, im) pairs in drawing order."""
+    u = uniforms.random((n, 6, 2))
+    r = 10.0 * np.sqrt(u[..., 0])
+    cos, sin = _phases((2.0 * math.pi * u[..., 1]).ravel())
+    return np.stack([r * cos.reshape(n, 6), r * sin.reshape(n, 6)], axis=-1).reshape(n, 12)
 
 
 def _bitensors(g: np.ndarray) -> np.ndarray:
@@ -406,31 +357,35 @@ def _check_slash_square(uniforms, n):
 
 
 @_sweep("momentum duality preserves the form", 1e-10, 5)
-def _check_duality(normals, tries, n):
+def _check_duality(normals, n):
     # The duality is the identity on coordinates (world vectors and momenta
     # are one type), so what is left to check is that the action preserves
     # the form.
-    p = normals.normal(0.0, 3.0, (n, 4))
-    moved = _moved(_sl2(_sl2s(tries, n)), p)
+    g = normals.normal(0.0, 1.0, (n, 12))
+    p = 0.0 + 3.0 * g[:, :4]  # normal(0, 3, 4), bit for bit
+    moved = _moved(_sl2(_sl2_matrices(g[:, 4:])), p)
     scale = np.fmax(_max1(np.sum(p**2, axis=-1)), np.sum(moved**2, axis=-1))
     return np.abs(q_form(moved) - q_form(p)) / scale
 
 
 @_sweep("clifford-map equivariance", 1e-9, 6)
-def _check_equivariance(tries, normals, n):
-    a = _sl2(_sl2s(tries, n, 10.0))
-    return np.max(np.abs(_equivariance(a, _bitensors(normals.normal(0.0, 1.0, (n, 8))))), axis=(1, 2))
+def _check_equivariance(normals, n):
+    g = normals.normal(0.0, 1.0, (n, 16))
+    a = _sl2(_sl2_matrices(g[:, :8], 10.0))
+    return np.max(np.abs(_equivariance(a, _bitensors(g[:, 8:]))), axis=(1, 2))
 
 
 @_sweep("bitensor action commutes with reality involution", 1e-13, 7)
-def _check_pi_commutes_J(tries, normals, n):
-    a, t = _sl2(_sl2s(tries, n)), _bitensors(normals.normal(0.0, 1.0, (n, 8)))
+def _check_pi_commutes_J(normals, n):
+    g = normals.normal(0.0, 1.0, (n, 16))
+    a, t = _sl2(_sl2_matrices(g[:, :8])), _bitensors(g[:, 8:])
     return np.max(np.abs(_transport(a, _involution(t)) - _involution(_transport(a, t))), axis=(1, 2))
 
 
 @_sweep("covering homomorphism", 1e-10, 8)
-def _check_covering_hom(tries, n):
-    ab = _sl2s(tries, 2 * n)
+def _check_covering_hom(normals, n):
+    # A from columns 0:8 of a sample's row, B from 8:16: rows 0::2 and 1::2.
+    ab = _sl2_matrices(normals.normal(0.0, 1.0, (n, 16)).reshape(2 * n, 8))
     a, b = _sl2(ab[0::2]), _sl2(ab[1::2])
     # One stacked covering of A B, A and B.
     L, _ = _lorentz(np.concatenate([_sl2(a @ b), a, b]))
@@ -438,16 +393,16 @@ def _check_covering_hom(tries, n):
 
 
 @_sweep("covering is two-to-one (sign kernel)", 0.0, 9)
-def _check_covering_two_to_one(tries, n):
-    a = _sl2(_sl2s(tries, n))
+def _check_covering_two_to_one(normals, n):
+    a = _sl2(_sl2_matrices(normals.normal(0.0, 1.0, (n, 8))))
     L, _ = _lorentz(np.concatenate([a, -a]))
     # Equal images give 0, which the fold cannot tell from no defect.
     return np.max(np.abs(L[:n] - L[n:]), axis=(1, 2))
 
 
 @_sweep("lorentz metric orthogonality", 1e-10, 10)
-def _check_eta_orthogonality(tries, n):
-    return _lorentz(_sl2(_sl2s(tries, n)))[1]
+def _check_eta_orthogonality(normals, n):
+    return _lorentz(_sl2(_sl2_matrices(normals.normal(0.0, 1.0, (n, 8)))))[1]
 
 
 def _check_rest_fiber(streams, n: int) -> CheckResult:
@@ -464,11 +419,11 @@ def _check_rest_fiber(streams, n: int) -> CheckResult:
 
 
 @_sweep("bundle map well-defined on classes", 1e-10, 11)
-def _check_beta_well_defined(tries, normals, n):
-    g = normals.normal(0.0, 1.0, (n, 8))
-    a, psi, m = _sl2(_sl2s(tries, n)), _rest_spinors(g[:, :4]), np.ones(n)
+def _check_beta_well_defined(normals, n):
+    g = normals.normal(0.0, 1.0, (n, 16))
+    a, psi, m = _sl2(_sl2_matrices(g[:, :8])), _rest_spinors(g[:, 8:12]), np.ones(n)
     _class_reps(a, psi, m)
-    t = _sl2(_su2_matrices(g[:, 4:]))
+    t = _sl2(_su2_matrices(g[:, 12:]))
     at, moved = _sl2(a @ t), _to_rest(t, psi)
     _class_reps(at, moved, m)
     # One stacked beta of both representatives of each class.
@@ -493,8 +448,9 @@ def _check_beta_round_trip(masses, normals, n):
 
 
 @_sweep("bundle map lands in the fiber", 1e-9, 13)
-def _check_beta_fiber_membership(tries, normals, masses, n):
-    a, psi = _sl2(_sl2s(tries, n)), _rest_spinors(normals.normal(0.0, 1.0, (n, 4)))
+def _check_beta_fiber_membership(normals, masses, n):
+    g = normals.normal(0.0, 1.0, (n, 12))
+    a, psi = _sl2(_sl2_matrices(g[:, :8])), _rest_spinors(g[:, 8:])
     m = masses.uniform(0.5, 2.0, n)
     _class_reps(a, psi, m)
     _, _, r, norms = _betas(a, psi, m)
@@ -520,9 +476,10 @@ def _check_spin_character(streams, n: int) -> CheckResult:
 
 
 @_sweep("group action preserves fibers", 1e-9, 14)
-def _check_bundle_equivariance(masses, normals, tries, n):
-    m, p, psi, _, _ = _fiber_elements(masses.uniform(0.5, 2.0, n), normals.normal(0.0, 1.0, (n, 11)))
-    a = _sl2(_sl2s(tries, n))
+def _check_bundle_equivariance(masses, normals, n):
+    g = normals.normal(0.0, 1.0, (n, 19))
+    m, p, psi, _, _ = _fiber_elements(masses.uniform(0.5, 2.0, n), g[:, :11])
+    a = _sl2(_sl2_matrices(g[:, 11:]))
     p_moved = _moved(a, p)
     psi_moved = _tau_act(a, psi)
     _require(np.all(_shell_test(p_moved, m)[1], axis=0),

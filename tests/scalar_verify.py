@@ -3,11 +3,13 @@
 The reference for twospinors.verify, kept as the checks and generators were
 before they were stacked: each check here draws the same samples, in the
 same order, from the same streams as the stacked check of the same name,
-one sample at a time, and folds the defects the scalar API computes.  Its
-streams are made here from their definition: stream k of a seed is
-default_rng(seed) advanced by k * 2**96 draws, and the check of index i
-takes streams 4i, 4i + 1, ..., one per argument of its sample.  The
-equality tests in test_verify.py compare the two.
+one sample at a time, and folds the defects the scalar API computes.  Each
+sample takes one fixed-width row of each stream: random_sl2 is one try of
+eight normals, replaced when it fails its tests, and a disc coefficient one
+pair of uniforms.  The streams are made here from their definition: stream
+k of a seed is default_rng(seed) advanced by k * 2**96 draws, and the check
+of index i takes streams 2i and 2i + 1, one per argument of its sample.
+The equality tests in test_verify.py compare the two.
 """
 
 from __future__ import annotations
@@ -55,26 +57,32 @@ def random_bitensor(rng) -> BiTensor:
     return BiTensor(rng.normal(0.0, 1.0, (2, 2)) + 1j * rng.normal(0.0, 1.0, (2, 2)))
 
 
-def random_sl2(rng, max_norm: float = 4.0) -> SL2Element:
-    """Determinant-normalized complex Gaussian matrix with bounded Frobenius
-    norm; near-singular draws are rejected to keep the bound effective."""
-    while True:
-        m = rng.normal(0.0, 1.0, (2, 2)) + 1j * rng.normal(0.0, 1.0, (2, 2))
-        d = _det2(m)
-        if abs(d) < 0.25:
-            continue
-        m = m / cmath.sqrt(d)
-        if np.linalg.norm(m) <= max_norm:
-            return SL2Element(m)
-
-
-def random_su2(rng) -> SL2Element:
-    """Haar-uniform unitary unimodular matrix via a unit quaternion."""
-    v = rng.normal(0.0, 1.0, 4)
+def su2(v) -> SL2Element:
+    """The unitary unimodular matrix of four Gaussian draws v, through the
+    unit quaternion v / |v|."""
     v = v / np.linalg.norm(v)
     a = complex(v[0], v[1])
     b = complex(v[2], v[3])
     return SL2Element([[a, -b.conjugate()], [b, a.conjugate()]])
+
+
+def random_su2(rng) -> SL2Element:
+    """Haar-uniform unitary unimodular matrix via a unit quaternion."""
+    return su2(rng.normal(0.0, 1.0, 4))
+
+
+def random_sl2(rng, max_norm: float = 4.0) -> SL2Element:
+    """One try of eight normals, divided by the root of its determinant; a
+    near-singular try, or one whose Frobenius norm passes max_norm, gives
+    su2 of its first four normals instead."""
+    re = rng.normal(0.0, 1.0, (2, 2))
+    m = re + 1j * rng.normal(0.0, 1.0, (2, 2))
+    d = _det2(m)
+    if abs(d) >= 0.25:
+        m = m / cmath.sqrt(d)
+        if np.linalg.norm(m) <= max_norm:
+            return SL2Element(m)
+    return su2(re.ravel())
 
 
 def random_shell_point(rng, masses=None) -> MassShellPoint:
@@ -102,16 +110,11 @@ def random_fiber_element(rng, masses=None) -> FiberElement:
     return FiberElement(q, psi)
 
 
-def _uniform_spinor(rng, bound: float) -> Spinor2:
-    # Components uniform in [-bound, bound] with coefficient magnitude
-    # capped at bound (rejection), matching the sweep's stated coefficient range.
-    def coeff() -> complex:
-        while True:
-            re, im = rng.uniform(-bound, bound, 2)
-            if re * re + im * im <= bound * bound:
-                return complex(re, im)
-
-    return Spinor2(coeff(), coeff())
+def disc_coefficient(u: float, v: float) -> complex:
+    """The coefficient of a random() pair (u, v), uniform in the disc of
+    radius 10: radius 10 sqrt(u), angle 2 pi v."""
+    r, t = 10.0 * math.sqrt(u), 2.0 * math.pi * v
+    return complex(r * math.cos(t), r * math.sin(t))
 
 
 def stream(seed, k: int) -> np.random.Generator:
@@ -131,7 +134,7 @@ def _sweep(name: str, tol: float, index: int):
 
     def wrap(sample):
         def check(seed, n: int) -> tuple[CheckResult, list[np.random.Generator]]:
-            streams = [stream(seed, 4 * index + j) for j in range(sample.__code__.co_argcount)]
+            streams = [stream(seed, 2 * index + j) for j in range(sample.__code__.co_argcount)]
             worst = 0.0
             bad = None
             for i in range(n):
@@ -150,7 +153,8 @@ def _sweep(name: str, tol: float, index: int):
 
 @_sweep("cyclic identity", 1e-12, 0)
 def _check_cyclic(disc):
-    a, b, c = (_uniform_spinor(disc, 10.0) for _ in range(3))
+    z = [disc_coefficient(*disc.random(2).tolist()) for _ in range(6)]
+    a, b, c = Spinor2(z[0], z[1]), Spinor2(z[2], z[3]), Spinor2(z[4], z[5])
     yield cyclic_defect(a, b, c).norm()
 
 
@@ -186,55 +190,55 @@ def _check_slash_square(uniforms):
 
 
 @_sweep("momentum duality preserves the form", 1e-10, 5)
-def _check_duality(normals, tries):
+def _check_duality(normals):
     # The duality is the identity on coordinates (world vectors and momenta
     # are one type), so what is left to check is that the action preserves
     # the form.
     p = Momentum.from_coords(normals.normal(0.0, 3.0, 4))
-    A = random_sl2(tries)
+    A = random_sl2(normals)
     moved = act_momentum(A, p)
     scale = max(1.0, float(np.sum(p.coords**2)), float(np.sum(moved.coords**2)))
     yield abs(q_form(moved) - q_form(p)) / scale
 
 
 @_sweep("clifford-map equivariance", 1e-9, 6)
-def _check_equivariance(tries, normals):
-    A = random_sl2(tries, max_norm=10.0)
+def _check_equivariance(normals):
+    A = random_sl2(normals, max_norm=10.0)
     X = random_bitensor(normals)
     yield float(np.max(np.abs(equivariance_defect(A, X))))
 
 
 @_sweep("bitensor action commutes with reality involution", 1e-13, 7)
-def _check_pi_commutes_J(tries, normals):
-    A = random_sl2(tries)
+def _check_pi_commutes_J(normals):
+    A = random_sl2(normals)
     T = random_bitensor(normals)
     defect = pi_act(A, involution_J(T)).t - involution_J(pi_act(A, T)).t
     yield float(np.max(np.abs(defect)))
 
 
 @_sweep("covering homomorphism", 1e-10, 8)
-def _check_covering_hom(tries):
-    A, B = random_sl2(tries), random_sl2(tries)
+def _check_covering_hom(normals):
+    A, B = random_sl2(normals), random_sl2(normals)
     lhs = lorentz_of(A @ B).mat
     rhs = lorentz_of(A).mat @ lorentz_of(B).mat
     yield float(np.max(np.abs(lhs - rhs)))
 
 
 @_sweep("covering is two-to-one (sign kernel)", 0.0, 9)
-def _check_covering_two_to_one(tries):
-    A = random_sl2(tries)
+def _check_covering_two_to_one(normals):
+    A = random_sl2(normals)
     if not np.array_equal(lorentz_of(A).mat, lorentz_of(-A).mat):
         yield float(np.max(np.abs(lorentz_of(A).mat - lorentz_of(-A).mat)))
 
 
 @_sweep("lorentz metric orthogonality", 1e-10, 10)
-def _check_eta_orthogonality(tries):
-    yield lorentz_defect(lorentz_of(random_sl2(tries)).mat)
+def _check_eta_orthogonality(normals):
+    yield lorentz_defect(lorentz_of(random_sl2(normals)).mat)
 
 
 @_sweep("bundle map well-defined on classes", 1e-10, 11)
-def _check_beta_well_defined(tries, normals):
-    A = random_sl2(tries)
+def _check_beta_well_defined(normals):
+    A = random_sl2(normals)
     psi = random_rest_spinor(normals)
     rep = AssociatedClassRep(A, psi, 1.0)
     T = random_su2(normals)
@@ -255,8 +259,8 @@ def _check_beta_round_trip(masses, normals):
 
 
 @_sweep("bundle map lands in the fiber", 1e-9, 13)
-def _check_beta_fiber_membership(tries, normals, masses):
-    A = random_sl2(tries)
+def _check_beta_fiber_membership(normals, masses):
+    A = random_sl2(normals)
     psi = random_rest_spinor(normals)
     m = float(masses.uniform(0.5, 2.0))
     f = beta(AssociatedClassRep(A, psi, m))
@@ -275,9 +279,9 @@ def _check_split_equivariance(normals):
 
 
 @_sweep("group action preserves fibers", 1e-9, 14)
-def _check_bundle_equivariance(masses, normals, tries):
+def _check_bundle_equivariance(masses, normals):
     f = random_fiber_element(normals, masses)
-    A = random_sl2(tries)
+    A = random_sl2(normals)
     p_moved = act_momentum(A, f.q.p)
     psi_moved = FourSpinor.from_vec(tau(A) @ f.psi.vec)
     scale = max(1.0, f.q.m) * max(1.0, psi_moved.norm()) * max(1.0, p_moved.p0 / f.q.m)

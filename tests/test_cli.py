@@ -293,15 +293,16 @@ def test_written_lines_match_field_records(tmp_path, capsys, mass, grid, flags, 
 
 
 # Failing grids: the exit code, the last stderr line and the sha256 of the
-# partial file are those of the scalar implementation.  The mid-grid row
+# partial file are those of the scalar implementation, on rapidity axes of
+# math.sinh values, which no host's SIMD loops change.  The mid-grid row
 # fails on its eighth node, whose boost has determinant 1.0000000000010232:
 # spinor._unimodular marks it and SL2Element refuses it.
 SAMPLE_FIELD_ERRORS = {
     "determinant": (
-        ["-m", "1", "--grid", "3:-12:12", "--rapidity"],
-        "error: determinant (0.9999999999854481+0j) differs from 1 by more than 1e-12; "
+        ["-m", "1", "--grid", "3:-11:11", "--rapidity"],
+        "error: determinant (1.000000000007276+0j) differs from 1 by more than 1e-12; "
         "renormalize first",
-        "62521a5c31ddc0bc2ee671df8ca45adad29b70812019db7ae45e89d622b70626",
+        "7417fb3f779b825ccf5121faa5c9f6a81a4365f6b8e1c057f2cfac2857aa88fd",
     ),
     "off-shell": (
         ["-m", "1", "--grid", "5:-30:30", "--rapidity"],
@@ -318,7 +319,7 @@ SAMPLE_FIELD_ERRORS = {
          "--rapidity"],
         "error: determinant (1.0000000000010232+0j) differs from 1 by more than 1e-12; "
         "renormalize first",
-        "d2b4a486c727534e6d74bf6aa07fde1b2daca78933e9ebae4d0bbb2726e050d5",
+        "35418a99dc081a0509d26e2b9983784c47835a07fddbebd6bcf6e8c8539772cf",
     ),
     "bad-mass": (
         ["-m", "-1", "--grid", "2:0:1"],
@@ -562,27 +563,27 @@ PINNED_OUTPUTS = {
                            "36e5aef2adcef5222ba2b20b6e88fdd6809b18a71a6ae04b69a6d423f61d0b79",
                            "327e553ded20d420dd890164dd6bc409b6bf9a16f6e91cf239af17ed1559a4d6"),
     "verify-seed0": (["verify", "--samples", "40", "--seed", "0"], 0,
-                     "564c3eba8dcf1d18892a7b2d4df18a6d0c4d192f35e486278ccbce30d3b37c4f",
-                     "b1b643ed055f67d4af1eff4186155a433c02f049d6bc4d4d9f80f3741746a0c2"),
+                     "56e653bf83a191ce305f5fe424f5baf42ba6bc03c39f201d82e462a38f81b32b",
+                     "5116c70e50edaecaf86014b25fc1023a44ff959fe520dceed057935d5270f9f3"),
     "verify-seed1": (["verify", "--samples", "40", "--seed", "1"], 0,
-                     "8e8c1bec5030127d65de9b2d0d86b463efd3756206fe86fe40bc01cab0cc8ca1",
-                     "e295123437269a78c7abb4a47a6f86c6f4d2e374360e90142c52eb58fa177ce1"),
+                     "b60fe94491329c4eabceb6efd8a249ab81df4e7a73aa1c95388c961c255e6c45",
+                     "a79741d07b034ae877084c4ea1ce9ef00cbedd365e952dc45d7026df7c9aae10"),
     "verify-seed2": (["verify", "--samples", "40", "--seed", "2"], 0,
-                     "f7232b81ad7f195be7e3b6336bea0b601515e39e54cebb54dcf4d431763a50d3",
-                     "a71688c3974890a1cf3be31a53bdcb834887394bce66d2e9a5c36843b743705b"),
+                     "e913314661cc5d595b0533618e27eacc110d8958da60849cfa3e2f29c300e7f8",
+                     "ce11826e68560567ff2f091db6c3ab4ca0ca0f3d07856f48b117f6ec191e676d"),
     "verify-seed3": (["verify", "--samples", "40", "--seed", "3"], 0,
-                     "35d755bdadcdca8f6b88471a77a15bc571585b37de6bf507455e48e04deed8bc",
-                     "b74812371f69f3ea65fa9f8c594bf6bda27128710a453a25d050836429d406b9"),
+                     "995570cd7a9672540ef48a84601aeffaea94f82e7f81c4e696bba98959f1a588",
+                     "bc54e4be760eddd4e0593dc5e395e72bfecc31e1cace7cecb4d0762455a5e100"),
     "verify-corrupt": (["verify", "--samples", "40", "--corrupt-gamma", "2,1,3"], 1,
-                       "62b869db73ab2af50f3a60076b561927736f318046309549a7edd22bfae73ae6",
-                       "f4834b76e384309fbd6f8d42476d6ef24c244890f5ed997aed1ae00e794f1a93"),
+                       "9c55c2a649cbe11b71de11870ad91c3d3ec196f656e088ec93d20aa0910502f3",
+                       "284d738bc2c5805676fd42b263adaf36154fb2d8eb936ed69275b3fd0fe43049"),
     # The CI command, and a run that crosses verify._BLOCK (1024 samples).
     "verify-1000": (["verify", "--samples", "1000", "--seed", "7"], 0,
-                    "c3cb024ece081d26a028e415b8e7118c63ec543cdc7284c241ff2459144cde26",
-                    "1b7ef2040acb8b8790f5d818d6d49c43c98226debe413d88248f6b5756aab397"),
+                    "f4eba20e4071e259950297bacdaa0f9be8425196a43b54c037fe2ddd329b4c2c",
+                    "0d4b1f3ae95f68c251b94c0139ac68c03f6a3be80f2c85925777dfa2896963f7"),
     "verify-2500": (["verify", "--samples", "2500", "--seed", "7"], 0,
-                    "f5f2a776606f0bd71d2ed0a7cb0db4469614e875d6058e7a35c51d0d5c446235",
-                    "973454b8e3fb78d5b3369e0c5873a7eac4a81ef1ec0e1cfe1f1df82eb662a605"),
+                    "d988911d19165279ac48760cee9671d05c9cfab9ef4e2e0da0762e1a8680f208",
+                    "2969ed507b73f1f4e0830e5c31a12378506a411f06a08b9274207562b1f43c6f"),
 }
 
 

@@ -3,7 +3,10 @@ each stacked check against its scalar reference."""
 
 import cmath
 import math
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -163,6 +166,14 @@ def states(gens) -> list[dict]:
     return [g.bit_generator.state for g in gens]
 
 
+class Recorded(verify._Streams):
+    """_Streams that keeps the Generators of its last take in gens."""
+
+    def take(self, k, count):
+        self.gens = super().take(k, count)
+        return self.gens
+
+
 @pytest.mark.parametrize("samples", [1, 10, 200])
 @pytest.mark.parametrize("name", list(scalar_verify.CHECKS))
 def test_stacked_check_equals_scalar_reference(name, samples):
@@ -171,10 +182,10 @@ def test_stacked_check_equals_scalar_reference(name, samples):
     # on streams made from their definition.
     reference, stacked = scalar_verify.CHECKS[name], getattr(verify, "_check_" + name)
     for seed in range(8):
-        streams = verify._Streams(seed)
+        streams = Recorded(seed)
         result, gens = reference(seed, samples)
         assert stacked(streams, samples) == result, seed
-        assert states(streams.gens[:len(gens)]) == states(gens), seed
+        assert states(streams.gens) == states(gens), seed
 
 
 @pytest.mark.parametrize("samples", [1, 10])
@@ -191,6 +202,34 @@ def test_each_check_run_alone_replays_its_entry(seed, samples):
 def test_sweep_indices_are_distinct():
     indices = [getattr(verify, "_check_" + name).index for name in scalar_verify.CHECKS]
     assert len(set(indices)) == len(indices) == 16
+
+
+def test_each_check_takes_at_most_two_streams():
+    # Check i takes streams 2i and 2i + 1: a third would be check i + 1's.
+    for name in scalar_verify.CHECKS:
+        streams = Recorded(0)
+        getattr(verify, "_check_" + name)(streams, 1)
+        assert 1 <= len(streams.gens) <= 2, name
+
+
+def test_streams_seed_as_default_rng():
+    # _Streams is its PCG64s' seed sequence: the words of SeedSequence(seed),
+    # hashed once.  Stream k is default_rng(seed) advanced by k * 2**96.
+    streams = verify._Streams(11)
+    assert streams.generate_state(4, np.uint64).tobytes() == (
+        np.random.SeedSequence(11).generate_state(4, np.uint64).tobytes())
+    for k, gen in enumerate(streams.take(0, 2) + streams.take(5, 2)):
+        assert gen.bit_generator.state == scalar_verify.stream(11, [0, 1, 5, 6][k]).bit_generator.state
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # _Streams registers itself as numpy's ISeedSequence on first use: the
+    # import of numpy.random would cost every command's start-up.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys; import twospinors; print('numpy.random' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+                         cwd=src).stdout
+    assert out == "False\n"
 
 
 def test_every_sampled_check_has_a_reference():
@@ -229,89 +268,141 @@ def test_samplers_draw_and_build_as_the_scalar_generators():
         assert r2.bit_generator.state == r1.bit_generator.state
 
 
-def old_sl2_tries(rng, max_norm):
-    """The outcome of each try of the two-call draw loop up to its next
-    accepted matrix: "singular", "norm" or "accepted"."""
-    outcomes = []
-    while outcomes[-1:] != ["accepted"]:
-        m = rng.normal(0.0, 1.0, (2, 2)) + 1j * rng.normal(0.0, 1.0, (2, 2))
-        d = _det2(m)
-        if abs(d) < 0.25:
-            outcomes.append("singular")
-        else:
-            outcomes.append("norm" if np.linalg.norm(m / cmath.sqrt(d)) > max_norm else "accepted")
-    return outcomes
+def sl2_outcome(g, max_norm) -> str:
+    """The outcome of the random_sl2 try g, eight normals: "singular",
+    "norm" (both replaced) or "accepted"."""
+    m = g[:4].reshape(2, 2) + 1j * g[4:].reshape(2, 2)
+    d = _det2(m)
+    if abs(d) < 0.25:
+        return "singular"
+    return "norm" if np.linalg.norm(m / cmath.sqrt(d)) > max_norm else "accepted"
 
 
 @pytest.mark.parametrize("max_norm", [4.0, 10.0])
 def test_sl2_draw_is_the_two_call_stream(max_norm):
-    # One generator call of eight normals per try gives the matrices of the
-    # two (2, 2) calls re + 1j * im, and the same generator state after every
-    # draw.  The loop counts the rejections the draws pass through; a norm
-    # rejection is too rare to meet at max_norm 10 (none in 30,000 draws).
+    # One generator call of eight normals per draw gives the matrix of the
+    # scalar draw's two (2, 2) calls re + 1j * im, and the same generator
+    # state after every draw.  The draws pass through both replacements; a
+    # norm replacement is rare at max_norm 10.
     outcomes = Counter()
     for seed in range(100):
         r1, r2, r3 = (np.random.default_rng(seed) for _ in range(3))
         for _ in range(20):
-            assert sampling._sl2_matrix(r2, max_norm).tobytes() == scalar_verify.random_sl2(r1, max_norm).mat.tobytes()
+            assert sampling.random_sl2(r2, max_norm).mat.tobytes() == scalar_verify.random_sl2(r1, max_norm).mat.tobytes()
             assert r2.bit_generator.state == r1.bit_generator.state
-            outcomes.update(old_sl2_tries(r3, max_norm))
+            outcomes[sl2_outcome(r3.normal(0.0, 1.0, 8), max_norm)] += 1
         assert r3.bit_generator.state == r1.bit_generator.state
     assert outcomes["singular"] > 0
     assert outcomes["norm"] > 0 or max_norm == 10.0
 
 
-class _Tries:
-    """A stand-in generator whose normal(0, 1, 8) calls return the rows of g
-    in turn, counting them."""
+class _Numbers:
+    """A stand-in generator whose normal(0, 1, size) calls return the next
+    numbers of g, in order."""
 
     def __init__(self, g):
-        self.rows, self.taken = iter(g), 0
+        self.numbers = iter(np.ravel(g).tolist())
 
     def normal(self, loc, scale, size):
-        self.taken += 1
-        return next(self.rows)
+        return np.array([next(self.numbers) for _ in range(np.prod(size))]).reshape(size)
+
+
+def one_try(g, max_norm) -> list[bytes]:
+    """The matrix of the try g by sampling.random_sl2 and by the scalar
+    reference's random_sl2."""
+    return [f(_Numbers(g), max_norm).mat.tobytes() for f in (sampling.random_sl2, scalar_verify.random_sl2)]
 
 
 @pytest.mark.parametrize("max_norm", [2.0, 4.0, 10.0])
 def test_stacked_sl2_test_is_the_scalar_test(max_norm):
-    # Each row's verdict and divided matrix are those of _sl2_matrix on that
-    # try, bit for bit: singular rows (a zero row among them) and, at max_norm
-    # 2, many norm rejections.
+    # Each row of _sl2_matrices is random_sl2's matrix of that try, bit for
+    # bit: the try divided by the root of its determinant, or, for a
+    # near-singular try (row 5 is singular, row 6 has -0.0 imaginary parts) or
+    # one past the norm bound (many at max_norm 2), the unitary matrix of its
+    # first four normals.
     g = np.random.default_rng(3).normal(0.0, 1.0, (3000, 8))
-    g[5] = 0.0
-    g[6, :4] = -0.0
-    mats, ok = sampling._sl2_matrices(g, max_norm)
-    tries, accepted = _Tries(g), []
-    while True:
-        try:
-            m = sampling._sl2_matrix(tries, max_norm)
-        except StopIteration:
-            break
-        accepted.append(tries.taken - 1)
-        assert m.tobytes() == mats[tries.taken - 1].tobytes()
-    assert np.flatnonzero(ok).tolist() == accepted
-    assert 5 not in accepted and len(accepted) < 3000
+    g[5] = [1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0]
+    g[6, 4:] = -0.0
+    mats = sampling._sl2_matrices(g, max_norm)
+    outcomes = Counter()
+    for row, mat in zip(g, mats):
+        assert one_try(row, max_norm) == [mat.tobytes()] * 2
+        outcome = sl2_outcome(row, max_norm)
+        outcomes[outcome] += 1
+        if outcome != "accepted":
+            assert mat.tobytes() == sampling._su2_matrices(row[:4]).tobytes()
+    assert sl2_outcome(g[5], max_norm) == "singular"
+    assert outcomes["singular"] > 1 and outcomes["accepted"] > 0
+    assert outcomes["norm"] > 0 or max_norm == 10.0
+
+
+def test_a_try_exactly_at_the_bound_is_kept():
+    # A try whose divided matrix has norm exactly max_norm is kept; one ulp
+    # below, it is replaced.  Stacked and one-try paths agree bit for bit.
+    for g in np.random.default_rng(4).normal(0.0, 1.0, (20, 8)):
+        if sl2_outcome(g, 1e300) == "singular":
+            continue
+        m = g[:4].reshape(2, 2) + 1j * g[4:].reshape(2, 2)
+        bound = float(np.linalg.norm(m / cmath.sqrt(_det2(m))))
+        for max_norm, expected in [(bound, m / cmath.sqrt(_det2(m))),
+                                   (np.nextafter(bound, 0.0), sampling._su2_matrices(g[:4]))]:
+            mat = sampling._sl2_matrices(g[None], max_norm)[0]
+            assert mat.tobytes() == expected.tobytes()
+            assert one_try(g, max_norm) == [mat.tobytes()] * 2
+
+
+@pytest.mark.parametrize("max_norm", [1.0, 1.41, float("nan"), -4.0])
+def test_sl2_refuses_a_bound_below_every_sl2_norm(max_norm):
+    # Every SL2(C) matrix has Frobenius norm at least sqrt(2): no try could
+    # keep such a bound.
+    with pytest.raises(ValueError, match=r"^max_norm must be at least sqrt\(2\) = 1\.4142135623730951, "):
+        sampling.random_sl2(np.random.default_rng(0), max_norm)
+    with pytest.raises(ValueError, match=r"sqrt\(2\)"):
+        sampling._sl2_matrices(np.ones((3, 8)), max_norm)
+
+
+def test_sl2_accepts_the_least_bound():
+    mat = sampling.random_sl2(np.random.default_rng(0), 2**0.5).mat
+    assert mat.tobytes() == sampling._su2_matrices(np.random.default_rng(0).normal(0.0, 1.0, 4)).tobytes()
+
+
+def test_draws_keep_their_bounds():
+    # On 10**5 draws: every disc coefficient lies in the disc of radius 10,
+    # spread as a uniform disc (mean |z|^2 is 50, mean z is 0); every matrix
+    # is unimodular with Frobenius norm at most max_norm.
+    z = verify._complexes(verify._uniform_spinors(np.random.default_rng(8), 10**5))
+    assert np.all(np.hypot(z.real, z.imag) <= 10.0)
+    assert abs(np.mean(np.abs(z)**2) - 50.0) < 0.5 and abs(np.mean(z)) < 0.05
+    for max_norm in (4.0, 10.0):
+        mats = sampling._sl2_matrices(np.random.default_rng(9).normal(0.0, 1.0, (10**5, 8)), max_norm)
+        assert np.all(np.linalg.norm(mats, axis=(1, 2)) <= max_norm)
+        assert verify._unimodular(mats)[1].all()
 
 
 def scalar_uniform_spinors(rng) -> list[float]:
-    """The draw of one cyclic-check sample, one try at a time: six (re, im)
-    pairs, each uniform in the disc of radius 10 by rejection from the
-    square."""
+    """The draw of one cyclic-check sample: six coefficients of the disc,
+    one random() pair each, as (re, im) pairs."""
     out = []
-    while len(out) < 12:
-        re, im = rng.uniform(-10.0, 10.0, 2).tolist()
-        if re * re + im * im <= 100.0:
-            out += (re, im)
+    for _ in range(6):
+        z = scalar_verify.disc_coefficient(*rng.random(2).tolist())
+        out += (z.real, z.imag)
     return out
 
 
-# The speculative block draws of verify, each with the scalar draw of one
-# sample: a stream of random_sl2 tries at each norm bound verify uses, and
-# the cyclic check's disc.
+def sl2_block(max_norm):
+    return lambda rng, n: sampling._sl2_matrices(rng.normal(0.0, 1.0, (n, 8)), max_norm)
+
+
+def sl2_draw(max_norm):
+    return lambda rng: scalar_verify.random_sl2(rng, max_norm).mat
+
+
+# The fixed-width block draws of verify, each with the scalar draw of one
+# sample: random_sl2 tries at each norm bound verify uses, and the cyclic
+# check's disc.
 BLOCK_LAYOUTS = {
-    "sl2 (norm 4)": (verify._sl2s, sampling._sl2_matrix),
-    "sl2 (norm 10)": (lambda rng, n: verify._sl2s(rng, n, 10.0), lambda rng: sampling._sl2_matrix(rng, 10.0)),
+    "sl2 (norm 4)": (sl2_block(4.0), sl2_draw(4.0)),
+    "sl2 (norm 10)": (sl2_block(10.0), sl2_draw(10.0)),
     "disc (cyclic)": (verify._uniform_spinors, scalar_uniform_spinors),
 }
 BLOCK_SIZES = [1, 2, 10, 200, 1025]
@@ -344,25 +435,6 @@ def test_block_draws_are_the_scalar_draws(block, draw):
 
 
 @pytest.mark.parametrize("block, draw", BLOCK_LAYOUTS.values(), ids=BLOCK_LAYOUTS)
-def test_short_blocks_are_refilled(monkeypatch, block, draw):
-    # Speculative blocks far too short for their samples: each is given back
-    # up to its last whole sample, and the draws still end where the scalar
-    # loop's do.
-    passes = Counter()
-    for name in ("_decode_sl2", "_decode_disc"):
-        decode = getattr(verify, name)
-        monkeypatch.setattr(verify, name, lambda *args, decode=decode: passes.update(["pass"]) or decode(*args))
-    monkeypatch.setattr(verify, "_LOOKAHEAD", 0.01)
-    for seed in range(50):
-        rows, states = scalar_draws(seed, draw, [1, 200])
-        for n in (1, 200):
-            rng, before = np.random.default_rng(seed), passes["pass"]
-            assert same_draws(block(rng, n), rows[:n]), (seed, n)
-            assert rng.bit_generator.state == states[n], (seed, n)
-            assert passes["pass"] - before > (1 if n > 1 else 0)
-
-
-@pytest.mark.parametrize("block, draw", BLOCK_LAYOUTS.values(), ids=BLOCK_LAYOUTS)
 def test_block_draws_are_a_prefix_of_longer_draws(block, draw):
     # n samples and then m more are the first n + m samples of one draw, and
     # leave the generator in the same state, on seeds 0-49.
@@ -376,7 +448,7 @@ def test_block_draws_are_a_prefix_of_longer_draws(block, draw):
 def test_rejected_sample_raises_the_constructor_error(monkeypatch):
     # A draw the stacked mask rejects goes to the scalar constructor.
     bad = np.array([[1.0, 0.0], [0.0, 2.0]], dtype=complex)
-    monkeypatch.setattr(verify, "_sl2s", lambda rng, n: np.array([bad] * n))
+    monkeypatch.setattr(verify, "_sl2_matrices", lambda g, max_norm=4.0: np.array([bad] * len(g)))
     with pytest.raises(NumericalDrift, match="^determinant \\(2\\+0j\\) differs from 1 by more than 1e-12"):
         verify._check_duality(verify._Streams(0), 3)
 
@@ -392,8 +464,8 @@ def test_first_failing_mask_raises_its_first_rejected_row(monkeypatch):
     # 3 fails the determinant mask, which the check applies first.  The error
     # is sample 3's, as its scalar constructor raises it.
     bad = {1: np.diag([1e200, 1e-200]).astype(complex), 3: np.diag([1.0, 2.0]).astype(complex)}
-    monkeypatch.setattr(verify, "_sl2s", lambda rng, n: np.array([bad.get(i, np.eye(2, dtype=complex))
-                                                                 for i in range(n)]))
+    monkeypatch.setattr(verify, "_sl2_matrices", lambda g, max_norm=4.0: np.array(
+        [bad.get(i, np.eye(2, dtype=complex)) for i in range(len(g))]))
     with pytest.raises(NumericalDrift) as info:
         verify._check_duality(verify._Streams(0), 6)
     assert (type(info.value), str(info.value)) == (
@@ -411,7 +483,7 @@ def test_blocks_draw_and_fold_as_one_block(monkeypatch, name):
     # samples, leave every stream in the same state and fold to the same
     # result as one block.
     check = getattr(verify, "_check_" + name)
-    s1, s2 = verify._Streams(5), verify._Streams(5)
+    s1, s2 = Recorded(5), Recorded(5)
     whole = check(s1, 30)
     monkeypatch.setattr(verify, "_BLOCK", 7)
     assert check(s2, 30) == whole

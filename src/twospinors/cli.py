@@ -101,17 +101,18 @@ def _header(seed=None, tol=None) -> dict:
     return h
 
 
-def _print_matrix_c(name: str, m: np.ndarray) -> None:
-    print(f"{name} =")
-    for row in m:
-        cells = "  ".join(f"{z.real:+.12g}{z.imag:+.12g}j" for z in row)
-        print(f"    [{cells}]")
+def _complex_cell(z) -> str:
+    """The text of a complex entry of gamma's matrices and solve's solutions."""
+    return f"{z.real:+.12g}{z.imag:+.12g}j"
 
 
-def _print_matrix_r(name: str, m: np.ndarray) -> None:
+_real_cell = "{:+.12g}".format
+
+
+def _print_matrix(name: str, m: np.ndarray, cell) -> None:
     print(f"{name} =")
     for row in m:
-        print("    [" + "  ".join(f"{x:+.12g}" for x in row) + "]")
+        print("    [" + "  ".join(map(cell, row)) + "]")
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +133,8 @@ def _cmd_gamma(args) -> int:
     else:
         print("conventions:", CONVENTIONS["clifford_anticommutator"])
         for mu in range(4):
-            _print_matrix_c(f"gamma{mu}", gammas[mu])
-        _print_matrix_r("eta", ETA)
+            _print_matrix(f"gamma{mu}", gammas[mu], _complex_cell)
+        _print_matrix("eta", ETA, _real_cell)
         print(f"max anticommutation residual: {_g17(np.max(table))}")
     return 0
 
@@ -153,7 +154,7 @@ def _cmd_lorentz(args) -> int:
             "det_defect": det_defect,
         }))
     else:
-        _print_matrix_r("lorentz", lam)
+        _print_matrix("lorentz", lam, _real_cell)
         print(f"eta defect: {_g17(eta_defect)}   det defect: {_g17(det_defect)}")
     return 0
 
@@ -211,8 +212,7 @@ def _cmd_solve(args) -> int:
     else:
         print("momentum:", " ".join(map(_g17, q.p.coords.tolist())))
         for k, (psi, r) in enumerate(zip(basis.tolist(), residuals.tolist())):
-            flat = ", ".join(f"{z.real:+.12g}{z.imag:+.12g}j" for z in psi)
-            print(f"solution {k}: [{flat}]  residual={_g17(r)}")
+            print(f"solution {k}: [{', '.join(map(_complex_cell, psi))}]  residual={_g17(r)}")
     return 0
 
 
@@ -431,26 +431,24 @@ def _tolerance(text: str) -> float:
     return x
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of a count: an integer >= 1."""
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return n
+def _int_at_least(least: int, expected: str):
+    """argparse type of an integer >= least, refused as "expected <expected>"."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            n = least - 1
+        if n < least:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return n
+
+    return parse
 
 
-def _seed(text: str) -> int:
-    """argparse type of --seed: an integer >= 0, as numpy's generators take."""
-    try:
-        n = int(text)
-    except ValueError:
-        n = -1
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
-    return n
+_positive_int = _int_at_least(1, "a positive integer")
+_seed = _int_at_least(0, "a nonnegative integer")  # as numpy's generators take
+_nodes = _int_at_least(1, "at least one node per axis")
 
 
 def _gamma_entry(text: str) -> tuple[int, int, int]:
@@ -470,13 +468,7 @@ def _parse_grid(text: str) -> tuple[int, float, float]:
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected N:LO:HI, got {text!r}")
-    try:
-        n = int(parts[0])
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"expected at least one node per axis, got {parts[0]!r}")
-    return n, _finite_float(parts[1]), _finite_float(parts[2])
+    return _nodes(parts[0]), _finite_float(parts[1]), _finite_float(parts[2])
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -22,13 +22,27 @@ from .clifford import FourSpinor, _tau_act
 from .momentum import boost_rep, shell_point
 from .spinor import SL2Element, _cabs, _cmul, _det2, spinor_norms
 
-_SQRT2 = math.sqrt(2.0)
-
 __all__ = [
     "random_sl2",
     "random_su2",
     "random_fiber_element",
 ]
+
+
+# The least max_norm: the least float at or above every norm spinor_norms
+# can give a replaced try, _su2_matrices of four normals, whose exact norm is
+# sqrt(2).  With u = 2**-53 and gamma_k = k u / (1 - k u) (Higham, Accuracy
+# and Stability of Numerical Algorithms, 2nd ed., ch. 3), the normalization's
+# 4-term dot, root and division make each squared part at most
+# (1 + u)**2 / ((1 - gamma_4) (1 - u)**2) times its exact value, the norm's
+# sum of the eight squared parts, in any order, adds a factor 1 + gamma_8,
+# and its root (1 + u)**2 on the square.  With U = 2**53 the squared norm is
+# at most 2 (U+1)**4 (U-4) / (U (U-8)**2 (U-1)**2), so the floor is M 2**-52
+# for the least integer M with M**2 >= that bound times 2**104, in integers,
+# exactly: sqrt(2) plus 6 ulp.
+_U = 2**53
+_M2 = -(-(2 * (_U + 1) ** 4 * (_U - 4) << 104) // (_U * (_U - 8) ** 2 * (_U - 1) ** 2))
+_NORM_FLOOR = math.ldexp(math.isqrt(_M2 - 1) + 1, -52)
 
 
 def _sl2_matrices(g, max_norm: float = 4.0) -> np.ndarray:
@@ -37,10 +51,11 @@ def _sl2_matrices(g, max_norm: float = 4.0) -> np.ndarray:
     |det| < 0.25, or whose divided matrix has Frobenius norm above max_norm,
     is replaced by _su2_matrices of its first four normals (norm sqrt(2) up
     to rounding; nan for four zeros, which no Gaussian draw gives).  A
-    max_norm below sqrt(2), the least norm of an SL2(C) matrix, is refused."""
-    if not max_norm >= _SQRT2:
-        raise ValueError(f"max_norm must be at least sqrt(2) = {_SQRT2!r}, the least Frobenius norm "
-                         f"of an SL2(C) matrix; got {max_norm!r}")
+    max_norm below _NORM_FLOOR, which every replacement's norm keeps, is
+    refused."""
+    if not max_norm >= _NORM_FLOOR:
+        raise ValueError(f"max_norm must be at least {_NORM_FLOOR!r}: sqrt(2), the least Frobenius norm of an "
+                         f"SL2(C) matrix, plus the rounding of a replaced try's norm; got {max_norm!r}")
     # The four real parts, then the four imaginary parts, stored exactly
     # (re + 1j * im would multiply).
     m = np.empty((len(g), 2, 2), dtype=complex)

@@ -33,6 +33,7 @@ the constructor accepts is a NumericalDrift that names its sample.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -47,7 +48,6 @@ from .bitensor import (
     _lorentz_test,
     _polar,
     _transport,
-    h_form,
     lorentz_of,
     q_form,
     world_basis,
@@ -165,6 +165,16 @@ class _Streams:
         return [np.random.Generator(np.random.PCG64(self).advance(j << 96)) for j in range(k, k + count)]
 
 
+def _fixed(name: str, samples: int, defects: np.ndarray, tol: float, worst_entry: str = "") -> CheckResult:
+    """A check of constants the construction builds, with no draws: the worst
+    of its defects (nan if any is nan) against tol.  A failure's detail is
+    worst_entry formatted with the index of the worst defect."""
+    worst = float(np.max(defects))
+    ok = worst <= tol
+    detail = "" if ok else worst_entry.format(*np.unravel_index(np.argmax(defects), defects.shape))
+    return CheckResult(name, samples, worst, tol, ok, detail)
+
+
 def _sweep(name: str, tol: float, index: int):
     """Turn a function of (*streams, n), which draws n samples from its
     streams and returns their defects as an (n, k) array (or (n,) for one
@@ -210,13 +220,12 @@ def _sweep(name: str, tol: float, index: int):
 
 def _uniform_spinors(uniforms, n: int) -> np.ndarray:
     """The coefficients of three spinors per sample, each uniform in the disc
-    of radius 10, from one random() pair (u, v) each: r (cos t, sin t) with
-    r = 10 sqrt(u) and t = 2 pi v, the cosine and sine by math
-    (bundle._phases).  (n, 12), six (re, im) pairs in drawing order."""
-    u = uniforms.random((n, 6, 2))
-    r = 10.0 * np.sqrt(u[..., 0])
-    cos, sin = _phases((2.0 * math.pi * u[..., 1]).ravel())
-    return np.stack([r * cos.reshape(n, 6), r * sin.reshape(n, 6)], axis=-1).reshape(n, 12)
+    of radius 10, from one random() pair (u, v) each: cmath.rect(r, t), which
+    is r cos t + i r sin t by math, with r = 10 sqrt(u) and t = 2 pi v.
+    (n, 12), six (re, im) pairs in drawing order."""
+    u = uniforms.random((6 * n, 2))
+    r, t = (10.0 * np.sqrt(u[:, 0])).tolist(), (2.0 * math.pi * u[:, 1]).tolist()
+    return np.fromiter(map(cmath.rect, r, t), complex, 6 * n).view(float).reshape(n, 12)
 
 
 def _bitensors(g: np.ndarray) -> np.ndarray:
@@ -314,16 +323,12 @@ def _check_symplectic(normals, n):
 
 
 def _check_signature(streams, n: int) -> CheckResult:
-    u = world_basis()
-    gram = np.array([[h_form(u[i], u[j]) for j in range(4)] for i in range(4)])
-    off = np.abs(gram - ETA)
-    worst = float(np.max(off))
-    signs = np.sign(np.linalg.eigvalsh(gram.real))
-    sign_ok = sorted(signs) == [-1.0, -1.0, -1.0, 1.0]
-    ok = worst <= 1e-14 and sign_ok
-    i, j = divmod(int(np.argmax(off)), 4)
-    detail = "" if ok else "eigenvalue signs wrong" if not sign_ok else f"worst entry: u({i}), u({j})"
-    return CheckResult("world-basis signature", 1, worst, 1e-14, ok, detail)
+    # The Gram matrix h(u_i, u_j), one stacked _polar (h_form's kernel).
+    # Within 1e-14 of ETA entrywise, its eigenvalues are within 4e-14 of
+    # +-1 (Weyl's inequality), so the entrywise bound decides the signs too.
+    t = np.array([u.t for u in world_basis()])
+    gram = _polar(t[:, None], t[None, :])
+    return _fixed("world-basis signature", 1, np.abs(gram - ETA), 1e-14, "worst entry: u({}), u({})")
 
 
 @_sweep("polarized form vs dyadic definition", 1e-12, 2)
@@ -334,12 +339,8 @@ def _check_h_polarization(normals, n):
 
 
 def _check_gamma_relations(gammas, n: int) -> CheckResult:
-    table = gamma_relation_residuals(gammas)
-    worst = float(np.max(table))
-    mu, nu = divmod(int(np.argmax(table)), 4)
-    ok = worst <= 1e-13
-    detail = "" if ok else f"worst relation: gamma({mu}), gamma({nu})"
-    return CheckResult("gamma anticommutation table", 16, worst, 1e-13, ok, detail)
+    return _fixed("gamma anticommutation table", 16, gamma_relation_residuals(gammas), 1e-13,
+                  "worst relation: gamma({}), gamma({})")
 
 
 @_sweep("clifford anticommutation (dyadic sweep)", 1e-11, 3)
@@ -406,16 +407,14 @@ def _check_eta_orthogonality(normals, n):
 
 
 def _check_rest_fiber(streams, n: int) -> CheckResult:
-    g0 = gamma(0)
-    # The four rest evaluations: +1 on the fiber basis, -1 on its complement.
-    v_plus = [v.vec for v in rest_fiber_basis()]
-    v_minus = [np.array([1, 0, 0, 1]), np.array([0, 1, -1, 0])]
-    # Projector image equals the stated span (orthogonal projector form).
+    # gamma(0) is +1 on the fiber basis (rows 0 and 1) and -1 on its
+    # complement (rows 2 and 3); the rest projector is the orthogonal
+    # projector onto the fiber basis.
+    basis = np.array([*(v.vec for v in rest_fiber_basis()), [1, 0, 0, 1], [0, 1, -1, 0]], dtype=complex)
     p_plus = fiber_projector(shell_point(1.0, 0.0, 0.0, 0.0))
-    span = sum(np.outer(v, v) / 2.0 for v in v_plus)
-    residuals = [g0 @ v - v for v in v_plus] + [g0 @ v + v for v in v_minus] + [p_plus - span]
-    worst = max(float(np.max(np.abs(r))) for r in residuals)
-    return CheckResult("rest fiber eigenspace", 1, worst, 1e-12, worst <= 1e-12)
+    residuals = np.concatenate([_act(gamma(0), basis) - np.array([[1.0], [1.0], [-1.0], [-1.0]]) * basis,
+                                p_plus - basis[:2].T @ basis[:2] / 2.0])
+    return _fixed("rest fiber eigenspace", 1, np.abs(residuals), 1e-12)
 
 
 @_sweep("bundle map well-defined on classes", 1e-10, 11)
@@ -471,8 +470,7 @@ def _check_split_equivariance(normals, n):
 def _check_spin_character(streams, n: int) -> CheckResult:
     ts = np.linspace(0.0, 2.0 * math.pi, 100)
     cos, _ = _phases(ts)
-    worst = float(np.max(_cabs(spin_characters(ts) - 2.0 * cos)))
-    return CheckResult("spin-1/2 character", len(ts), worst, 1e-13, worst <= 1e-13)
+    return _fixed("spin-1/2 character", len(ts), _cabs(spin_characters(ts) - 2.0 * cos), 1e-13)
 
 
 @_sweep("group action preserves fibers", 1e-9, 14)

@@ -239,8 +239,8 @@ def test_every_sampled_check_has_a_reference():
 
 
 def test_signature_names_the_worst_gram_entry(monkeypatch):
-    # Right eigenvalue signs but a Gram defect over the bound: detail names
-    # the entry, as the gamma-table check does.
+    # A Gram defect over the bound: detail names the entry, as the
+    # gamma-table check does.
     u = list(world_basis())
     u[2] = u[2] * (1.0 + 1e-12)
     monkeypatch.setattr(verify, "world_basis", lambda: tuple(u))
@@ -251,6 +251,25 @@ def test_signature_names_the_worst_gram_entry(monkeypatch):
 
 def test_passing_signature_has_no_detail():
     assert verify._check_signature(None, 1).detail == ""
+
+
+def test_fixed_check_fails_on_nan_and_names_its_first_worst_entry():
+    # np.max gives nan if any defect is nan, and argmax the first nan.
+    defects = np.array([[0.0, 2.0], [float("nan"), 3.0]])
+    result = verify._fixed("probe", 4, defects, 1.0, "worst: ({}, {})")
+    assert (result.passed, math.isnan(result.max_defect), result.detail) == (False, True, "worst: (1, 0)")
+    assert verify._fixed("probe", 4, defects[:1], 2.0, "worst: ({}, {})") == verify.CheckResult(
+        "probe", 4, 2.0, 2.0, True, "")
+
+
+def test_rest_fiber_check_fails_on_a_nan_projector_entry(monkeypatch):
+    # The projector's residual is the last the check takes; a nan there is
+    # the check's worst defect, not skipped.
+    p_plus = verify.fiber_projector(verify.shell_point(1.0, 0.0, 0.0, 0.0)).copy()
+    p_plus[3, 3] = float("nan")
+    monkeypatch.setattr(verify, "fiber_projector", lambda q: p_plus)
+    result = verify._check_rest_fiber(None, 1)
+    assert (result.passed, math.isnan(result.max_defect), result.detail) == (False, True, "")
 
 
 def test_samplers_draw_and_build_as_the_scalar_generators():
@@ -351,19 +370,30 @@ def test_a_try_exactly_at_the_bound_is_kept():
             assert one_try(g, max_norm) == [mat.tobytes()] * 2
 
 
-@pytest.mark.parametrize("max_norm", [1.0, 1.41, float("nan"), -4.0])
+@pytest.mark.parametrize("max_norm", [1.0, 1.41, 2**0.5, float("nan"), -4.0])
 def test_sl2_refuses_a_bound_below_every_sl2_norm(max_norm):
     # Every SL2(C) matrix has Frobenius norm at least sqrt(2): no try could
-    # keep such a bound.
-    with pytest.raises(ValueError, match=r"^max_norm must be at least sqrt\(2\) = 1\.4142135623730951, "):
+    # keep such a bound.  sqrt(2) itself is refused too: a replaced try's
+    # computed norm can exceed it by a few ulp.
+    with pytest.raises(ValueError, match=r"^max_norm must be at least 1\.4142135623730965: sqrt\(2\), "):
         sampling.random_sl2(np.random.default_rng(0), max_norm)
     with pytest.raises(ValueError, match=r"sqrt\(2\)"):
         sampling._sl2_matrices(np.ones((3, 8)), max_norm)
 
 
 def test_sl2_accepts_the_least_bound():
-    mat = sampling.random_sl2(np.random.default_rng(0), 2**0.5).mat
+    mat = sampling.random_sl2(np.random.default_rng(0), sampling._NORM_FLOOR).mat
     assert mat.tobytes() == sampling._su2_matrices(np.random.default_rng(0).normal(0.0, 1.0, 4)).tobytes()
+
+
+def test_draws_at_the_least_bound_keep_it():
+    # At the floor nearly every try is replaced, and 1,138 of these 10**5
+    # matrices have a computed norm above sqrt(2).  Both norms of every
+    # matrix keep the floor.
+    mats = sampling._sl2_matrices(np.random.default_rng(0).normal(0.0, 1.0, (10**5, 8)), sampling._NORM_FLOOR)
+    for norms in (sampling.spinor_norms(mats.reshape(-1, 4)), np.linalg.norm(mats, axis=(1, 2))):
+        assert np.all(norms <= sampling._NORM_FLOOR)
+    assert np.any(sampling.spinor_norms(mats.reshape(-1, 4)) > 2**0.5)
 
 
 def test_draws_keep_their_bounds():
